@@ -1,20 +1,14 @@
-"""Execution engine: executor backends and the component solve cache.
+"""Execution engine: the component solve cache.
 
 The Section 5.5 decomposition yields independent components; the engine
-fans them out across serial/thread/process executors and caches solved
-components by canonical fingerprint.  This bench quantifies both levers on
-a multi-component workload:
-
-- *executors* — one cold solve per backend, identical-solution check
-  included (parallelism must be a pure wall-clock optimization),
-- *cache* — a repeated-solve sweep (the figure-sweep / skyline /
-  ablation access pattern) cold vs warm; the warm path must be at least
-  5x faster than cold serial.
+caches solved components by canonical fingerprint.  This bench measures
+a repeated-solve sweep (the figure-sweep / skyline / ablation access
+pattern) cold vs warm on a multi-component workload; the warm path must
+be at least 5x faster than cold.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import save_json, save_result
@@ -39,56 +33,6 @@ def statements(workload):
     return TopKBound(30, 30).statements(workload.rules)
 
 
-def _solve(published, statements, engine, config):
-    quantifier = PrivacyMaxEnt(
-        published, knowledge=statements, config=config, engine=engine
-    )
-    return quantifier.solve()
-
-
-@pytest.mark.benchmark(group="engine")
-def test_executor_backends(benchmark, results_dir, workload, statements):
-    config = MaxEntConfig(raise_on_infeasible=False, cache_size=0)
-
-    def run_all():
-        rows = []
-        solutions = {}
-        for name in ("serial", "thread", "process"):
-            with PrivacyEngine(executor=name, cache_size=0) as engine:
-                with Timer() as t:
-                    solution = _solve(
-                        workload.published, statements, engine, config
-                    )
-            solutions[name] = solution
-            rows.append(
-                [
-                    name,
-                    t.seconds,
-                    solution.stats.cpu_seconds,
-                    solution.stats.n_components,
-                    solution.stats.converged,
-                ]
-            )
-        return rows, solutions
-
-    rows, solutions = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    columns = ["executor", "wall (s)", "cpu (s)", "components", "converged"]
-    table = render_table(
-        columns,
-        rows,
-        title="Engine executors on a multi-component workload (160 buckets)",
-    )
-    save_result(results_dir, "engine_executors", table)
-    save_json(results_dir, "engine_executors", columns, rows)
-
-    # Parallelism must be invisible in the numbers: all three backends
-    # produce the same joint.
-    reference = solutions["serial"].p
-    for name in ("thread", "process"):
-        assert np.abs(solutions[name].p - reference).max() < 1e-12
-    assert all(row[4] for row in rows)
-
-
 @pytest.mark.benchmark(group="engine")
 def test_cache_cold_vs_warm(benchmark, results_dir, workload, statements):
     config = MaxEntConfig(raise_on_infeasible=False)
@@ -103,16 +47,16 @@ def test_cache_cold_vs_warm(benchmark, results_dir, workload, statements):
         rows = []
         # Cold: every repeat pays the full solve (cache disabled).
         cold_config = MaxEntConfig(raise_on_infeasible=False, cache_size=0)
-        with PrivacyEngine(executor="serial", cache_size=0) as engine:
+        with PrivacyEngine(cache_size=0) as engine:
             with Timer() as t:
                 for _ in range(REPEATS):
                     engine.solve(space, system, cold_config)
             cold = t.seconds
-        rows.append(["cold serial", REPEATS, cold, 0])
+        rows.append(["cold", REPEATS, cold, 0])
 
         # Warm: the first solve fills the cache, the rest replay it — the
         # figure-sweep / skyline-enumeration access pattern.
-        with PrivacyEngine(executor="serial", cache_size=256) as engine:
+        with PrivacyEngine(cache_size=256) as engine:
             engine.solve(space, system, config)
             with Timer() as t:
                 for _ in range(REPEATS):
@@ -128,11 +72,11 @@ def test_cache_cold_vs_warm(benchmark, results_dir, workload, statements):
     table = render_table(
         columns,
         rows,
-        title="Repeated-solve sweep: cold serial vs warm cache",
+        title="Repeated-solve sweep: cold vs warm cache",
     )
     save_result(results_dir, "engine_cache", table)
     save_json(results_dir, "engine_cache", columns, rows)
 
-    # The warm repeated-solve path must be >= 5x faster than cold serial.
+    # The warm repeated-solve path must be >= 5x faster than cold.
     assert rows[-1][2] >= 5.0, f"warm-cache speedup only {rows[-1][2]:.1f}x"
     assert rows[1][3] > 0  # the warm path actually hit the cache

@@ -8,8 +8,7 @@ solve.  The batched path (`repro/maxent/batch_dual.py`,
 ``MaxEntConfig(batch_components=...)``) stacks them into block-diagonal
 duals and runs one vectorized loop per batch group.  This bench runs
 the many-small-component synthetic workloads (shared
-`repro.experiments.workloads` helpers, the same construction
-`bench_cluster.py` uses) both ways and measures:
+`repro.experiments.workloads` helpers) both ways and measures:
 
 - *cold batched vs cold per-component* — the headline; the largest
   workload must hold the ``SPEEDUP_FLOOR``,

@@ -6,13 +6,12 @@ then proves the observability surfaces told the truth about it:
 - ``/metrics`` renders a parseable Prometheus 0.0.4 exposition whose
   engine counters reflect the solve that just ran;
 - ``/v1/traces`` retains a finished trace rooted at the HTTP request
-  whose span tree reaches down into the solver's group tasks — and,
-  under ``--cluster``, across the wire into the shard workers
-  (coordinator scatter/dispatch spans stitched to worker solve spans).
+  whose span tree reaches down into the solver's work units.
 
-Run ``repro serve`` (or a cluster front-end) first, then:
+Run ``repro serve`` (or a sharded front-end, with ``--shards N``) first,
+then:
 
-    python examples/obs_smoke.py [--host H] [--port P] [--cluster]
+    python examples/obs_smoke.py [--host H] [--port P] [--shards N]
 
 Exits non-zero on any mismatch — the CI observability-smoke job leans
 on that.
@@ -61,14 +60,6 @@ def main() -> int:
         help="seconds to wait for the service to come up",
     )
     parser.add_argument(
-        "--cluster",
-        action="store_true",
-        help=(
-            "expect a cluster-executor service: the solve trace must "
-            "stitch coordinator dispatch spans to shard worker spans"
-        ),
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -89,8 +80,8 @@ def main() -> int:
     print(f"registered the Figure 1 release as {release_id}")
 
     # A knowledge-bearing solve with per-component dispatch
-    # (batch_components=0) so the executor sees one work unit per
-    # numeric component — the trace must show the fan-out.
+    # (batch_components=0) so the engine runs one work unit per numeric
+    # component — the trace must show each of them.
     knowledge = [
         ConditionalProbability(
             given={"gender": "male"}, sa_value=S1, probability=0.0
@@ -156,15 +147,8 @@ def main() -> int:
     required = {"service.request"}
     if not args.shards:
         # A release-sharding front-end forwards the solve; the worker's
-        # spans live on the worker's own /v1/traces (linked by trace
-        # id), so only the component-scatter paths solve locally.
+        # spans live on the worker's own /v1/traces (linked by trace id).
         required |= {"engine.solve", "engine.solve_group"}
-    if args.cluster:
-        required |= {
-            "cluster.scatter",
-            "cluster.dispatch",
-            "shard.solve_components",
-        }
     trace = find_trace(traces, required)
     if trace is None:
         for candidate in traces:
@@ -172,9 +156,8 @@ def main() -> int:
     check(
         trace is not None,
         "one trace spans "
-        + ("service -> coordinator -> workers" if args.cluster else
-           "service -> engine -> group tasks" if not args.shards else
-           "the front-end request"),
+        + ("the front-end request" if args.shards else
+           "service -> engine -> work units"),
     )
     print(format_trace(trace))
 
@@ -202,16 +185,6 @@ def main() -> int:
                 for key in span["attributes"]
             ),
             "solver phase breakdown rides the group spans",
-        )
-    if args.cluster:
-        workers = {
-            span["attributes"].get("worker")
-            for span in trace["spans"]
-            if span["name"] == "shard.solve_components"
-        }
-        check(
-            len(workers) >= 1 and None not in workers,
-            f"worker-side spans identify their shard ({sorted(workers)})",
         )
 
     print("all checks passed")

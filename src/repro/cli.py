@@ -12,8 +12,9 @@ Subcommands cover the full workflow a data publisher runs:
 - ``serve`` — run the long-lived privacy-quantification service
   (:mod:`repro.service`) over a shared execution engine, or with
   ``--shards N`` the sharded multi-engine front-end (:mod:`repro.cluster`),
-- ``shard-worker`` — run one cluster shard worker (an engine plus the
-  shard wire-protocol endpoints a coordinator drives),
+- ``shard-worker`` — run one cluster shard worker (a privacy service
+  with a stable shard identity that a sharded front-end forwards
+  releases to),
 - ``ingest`` — stream a database table through a connector
   (:mod:`repro.data.connectors`), anonymize it chunk by chunk, and
   register it — against a running service via the chunked upload
@@ -56,30 +57,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     """Execution-engine knobs shared by every solving subcommand."""
     group = parser.add_argument_group("execution engine")
     group.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process", "cluster"),
-        default=None,
-        help="fan decomposed components out across workers",
-    )
-    group.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for --executor thread/process (default: CPUs)",
-    )
-    group.add_argument(
         "--cache-size",
         type=int,
         default=None,
         help="bound of the component solve cache (0 disables)",
-    )
-    group.add_argument(
-        "--cluster-workers",
-        default=None,
-        help=(
-            "host:port,host:port shard workers for --executor cluster "
-            "(default: the REPRO_CLUSTER_WORKERS environment variable)"
-        ),
     )
     group.add_argument(
         "--replay",
@@ -105,14 +86,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
 def _engine_overrides(args: argparse.Namespace) -> dict:
     """The MaxEntConfig overrides the engine flags imply (unset: keep)."""
     overrides = {}
-    if args.executor is not None:
-        overrides["executor"] = args.executor
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.cache_size is not None:
         overrides["cache_size"] = args.cache_size
-    if getattr(args, "cluster_workers", None) is not None:
-        overrides["cluster_workers"] = args.cluster_workers
     if getattr(args, "replay", None) is not None:
         overrides["replay"] = args.replay
     if getattr(args, "kernel", None) is not None:
@@ -283,10 +258,6 @@ def _add_logging_args(parser: argparse.ArgumentParser) -> None:
 def _shard_worker_args(args: argparse.Namespace) -> list[str]:
     """CLI flags to replicate this serve command's engine on each shard."""
     forwarded: list[str] = []
-    if args.executor is not None and args.executor != "cluster":
-        forwarded += ["--executor", args.executor]
-    if args.workers is not None:
-        forwarded += ["--workers", str(args.workers)]
     if args.cache_size is not None:
         forwarded += ["--cache-size", str(args.cache_size)]
     forwarded += ["--queue-size", str(args.queue_size)]

@@ -1,34 +1,26 @@
-"""Cluster subsystem: sharded multi-engine execution across processes/machines.
+"""Cluster subsystem: release sharding across processes and machines.
 
-The engine made component solves parallel within one process; the
-service made one engine long-lived behind HTTP; this package breaks the
-single-process ceiling by distributing work at two granularities over a
-fleet of shard workers:
-
-- *release sharding* — a :class:`~repro.cluster.router.ShardRouter`
-  (rendezvous hashing on release content digests) partitions registered
-  releases across long-lived engine workers; the
-  :class:`~repro.cluster.frontend.ShardedFrontend` (``repro serve
-  --shards N``) keeps one client-facing address while each worker owns
-  its releases' compiled systems and solve caches.
-- *component sharding* — for a single large solve, the
-  :class:`~repro.cluster.coordinator.ClusterCoordinator` scatters the
-  decomposed flat-array component bundles across workers through the
-  :class:`~repro.cluster.executor.ClusterExecutor` (the ``"cluster"``
-  engine backend), gathers bit-exact per-component posteriors and lets
-  the engine merge :class:`~repro.maxent.solution.SolverStats` as usual.
+The engine solves one release's MaxEnt program on one in-process path;
+this package scales out by *release sharding* instead — a
+:class:`~repro.cluster.router.ShardRouter` (rendezvous hashing on
+release content digests) partitions registered releases across
+long-lived engine workers, and the
+:class:`~repro.cluster.frontend.ShardedFrontend` (``repro serve
+--shards N``) keeps one client-facing address while each worker owns
+its releases' compiled systems and solve caches.
 
 Workers (:class:`~repro.cluster.worker.ShardWorker`, ``repro
-shard-worker``) speak a versioned JSON wire protocol
+shard-worker``) are ordinary privacy services with a stable identity;
+they speak a versioned JSON membership protocol
 (:mod:`repro.cluster.protocol`) over the same stdlib HTTP stack as the
-service; the coordinator health-checks the fleet, reassigns a dead
-worker's share with at-most-once dedup by request fingerprint, and
-aggregates per-shard telemetry.  See ``README.md`` here for the
-architecture notes and failure semantics.
+service.  The :class:`~repro.cluster.coordinator.ClusterCoordinator`
+tracks the fleet — membership, health probes, aggregated per-shard
+telemetry — and the front-end fails a dead worker's releases over to
+their replicas.  See ``README.md`` here for the architecture notes and
+failure semantics.
 """
 
 from repro.cluster.coordinator import ClusterCoordinator, WorkerHandle
-from repro.cluster.executor import ClusterExecutor, create_cluster_executor
 from repro.cluster.frontend import ShardedFrontend
 from repro.cluster.membership import (
     HeartbeatSender,
@@ -46,7 +38,6 @@ __all__ = [
     "SHARD_PROTOCOL",
     "ClusterCoordinator",
     "ClusterError",
-    "ClusterExecutor",
     "HeartbeatSender",
     "MembershipConfig",
     "RetryPolicy",
@@ -55,7 +46,6 @@ __all__ = [
     "ShardWorker",
     "ShardedFrontend",
     "WorkerHandle",
-    "create_cluster_executor",
     "load_or_create_identity",
     "new_worker_id",
     "parse_worker_address",

@@ -1,33 +1,29 @@
-"""The shard coordinator: worker fleet, scatter/gather, failure handling.
+"""The shard coordinator: worker fleet, membership and health.
 
 A :class:`ClusterCoordinator` owns a set of shard workers — subprocesses
 it spawned locally (``spawn_local``) or remote ``repro shard-worker``
-instances it merely attached to (``attach``) — and provides the two
-cluster operations everything else builds on:
+instances it merely attached to (``attach``) — and provides what the
+release-sharding front-end (:mod:`repro.cluster.frontend`) builds on:
 
-- :meth:`solve_components` — scatter pre-fingerprinted component bundles
-  across workers (rendezvous-routed by fingerprint, so repeat solves hit
-  the shard whose cache already holds them), gather the per-component
-  posteriors, and reassign the share of any worker that dies mid-solve.
-  Jobs are deduplicated by fingerprint before dispatch and results are
-  applied first-write-wins, so even when a presumed-dead worker's answer
-  races a reassigned copy, each component contributes exactly once
-  (at-most-once application).
+- the rendezvous :class:`~repro.cluster.router.ShardRouter` over the
+  worker identities, and liveness marks that exclude dead workers from
+  routing;
+- dynamic membership — :meth:`add_worker`, :meth:`heartbeat` and
+  :meth:`sweep_expired` behind the join/heartbeat protocol;
 - :meth:`check_health` / :meth:`aggregate_telemetry` — fleet-level
   probes: health re-probes revive workers that recovered, and telemetry
   merges every shard's engine counters (including the per-fingerprint-
   prefix cache breakdown) for the front-end's ``/v1/telemetry``.
 
 The coordinator is deliberately state-light: routing derives from the
-worker list, dedup state lives per scatter call, and release ownership
-(for the serving front-end) lives in :mod:`repro.cluster.frontend`.
-Worker death is detected by failed requests and health probes, not by
-leases — on loopback and LAN deployments, connection errors are prompt.
+worker list, and release ownership lives in the front-end.  Worker
+death is detected by failed requests, health probes and missed
+heartbeats, not by leases — on loopback and LAN deployments, connection
+errors are prompt.
 """
 
 from __future__ import annotations
 
-import http.client
 import os
 import subprocess
 import sys
@@ -37,37 +33,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.cluster.membership import parse_worker_address
-from repro.cluster.protocol import (
-    ShardClient,
-    response_spans,
-    solve_request_to_wire,
-    solve_response_from_wire,
-)
-from repro.cluster.retry import RetryPolicy
+from repro.cluster.protocol import ShardClient
 from repro.cluster.router import ClusterError, ShardRouter
-from repro.engine.component import ComponentSolve
-from repro.errors import InfeasibleKnowledgeError
-from repro.maxent.config import MaxEntConfig
-from repro.maxent.decompose import Component
 from repro.obs.events import EventLog
 from repro.obs.logging import get_logger
-from repro.obs.trace import get_tracer
 from repro.service.client import ServiceError
 from repro.service.telemetry import LatencyHistogram
 
 _log = get_logger("cluster")
-
-#: Jobs per wire request; bounds message sizes and gives the reassignment
-#: logic mid-solve granularity (a dead worker loses at most one chunk of
-#: in-flight work per round, not its whole share).
-DEFAULT_CHUNK_SIZE = 32
-
-#: How long one chunk may take end to end before the worker is presumed
-#: dead.  Generous: a chunk is at most DEFAULT_CHUNK_SIZE solves.
-DEFAULT_SOLVE_TIMEOUT = 600.0
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -90,7 +64,6 @@ class WorkerHandle:
     process: subprocess.Popen | None = None
     alive: bool = True
     failures: int = 0
-    reassigned_jobs: int = 0
     spawned_at: float = field(default_factory=time.time)
     #: Set once the worker announces itself over ``/shard/v1/join`` or
     #: ``/shard/v1/heartbeat``; only heartbeating workers are subject
@@ -99,61 +72,10 @@ class WorkerHandle:
     heartbeating: bool = False
     last_heartbeat: float | None = None
     revivals: int = 0
-    #: Cached idle solve-path client (one keep-alive connection per
-    #: worker).  Chunk dispatch checks it out, runs the request with no
-    #: lock held, and returns it — the measured single-worker overhead
-    #: was per-chunk TCP setup/teardown stalls — while probes and
-    #: one-shot calls keep using fresh :meth:`client` instances.
-    _solve_client: ShardClient | None = field(
-        default=None, repr=False, compare=False
-    )
-    #: Guards only the cached-client *slot*, never a request in flight:
-    #: concurrent solves to one worker run on extra connections (closed
-    #: after use) instead of queueing, and ``drop_solve_client`` /
-    #: ``mark_dead`` / ``shutdown`` never wait on a blocked round trip.
-    _solve_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
-    def client(self, *, timeout: float = DEFAULT_SOLVE_TIMEOUT) -> ShardClient:
+    def client(self, *, timeout: float) -> ShardClient:
         """A fresh blocking client (one per call site: thread safety)."""
         return ShardClient(self.host, self.port, timeout=timeout)
-
-    def checkout_solve_client(self, *, timeout: float) -> ShardClient:
-        """Take the cached keep-alive client (or a fresh one) for one call.
-
-        The underlying :class:`ShardClient` reconnects transparently
-        after a server-side keep-alive close.  Pair with
-        :meth:`return_solve_client` on success; on a transport failure
-        just ``close()`` the client and let the next dispatch start from
-        a fresh connection.
-        """
-        with self._solve_lock:
-            client = self._solve_client
-            self._solve_client = None
-        if client is None:
-            client = ShardClient(self.host, self.port, timeout=timeout)
-        return client
-
-    def return_solve_client(self, client: ShardClient) -> None:
-        """Cache a healthy client for reuse (closing any surplus one)."""
-        with self._solve_lock:
-            if self._solve_client is None:
-                self._solve_client = client
-                return
-        client.close()
-
-    def drop_solve_client(self) -> None:
-        """Close the cached idle connection (error recovery; non-blocking).
-
-        A client currently checked out by an in-flight request is not
-        touched — its request fails or completes on its own, exactly as
-        per-call clients used to."""
-        with self._solve_lock:
-            client = self._solve_client
-            self._solve_client = None
-        if client is not None:
-            client.close()
 
     def is_local(self) -> bool:
         """True for workers this coordinator spawned (and may kill)."""
@@ -171,7 +93,6 @@ class WorkerHandle:
             "alive": self.alive,
             "local": self.is_local(),
             "failures": self.failures,
-            "reassigned_jobs": self.reassigned_jobs,
             "heartbeating": self.heartbeating,
             "heartbeat_age_seconds": (
                 round(time.time() - self.last_heartbeat, 3)
@@ -194,27 +115,19 @@ def _worker_environment() -> dict[str, str]:
 
 
 class ClusterCoordinator:
-    """Shard fleet management plus the scatter/gather solve primitive."""
+    """Shard fleet management: routing, membership, health, telemetry."""
 
     def __init__(
         self,
         handles: list[WorkerHandle],
         *,
         owns_workers: bool = False,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        solve_timeout: float = DEFAULT_SOLVE_TIMEOUT,
-        retry_policy: RetryPolicy | None = None,
         allow_empty: bool = False,
     ) -> None:
         if not handles and not allow_empty:
             raise ClusterError("a cluster needs at least one shard worker")
         self.handles = list(handles)
         self.owns_workers = owns_workers
-        self.chunk_size = max(int(chunk_size), 1)
-        self.solve_timeout = solve_timeout
-        #: Backoff shape of the 429 absorb-in-place loop (jittered, so
-        #: chunks that collided on a saturated worker de-correlate).
-        self.retry_policy = retry_policy or RetryPolicy.from_env()
         self.router = ShardRouter([h.worker_id for h in self.handles])
         self._by_id = {h.worker_id: h for h in self.handles}
         self._lock = threading.Lock()
@@ -223,10 +136,6 @@ class ClusterCoordinator:
         #: deaths — the "what happened to the fleet" record telemetry
         #: surfaces.
         self.events = EventLog()
-        #: Test/diagnostic hook: called as ``hook(worker_id, chunk_index)``
-        #: after each successfully gathered chunk — the deterministic
-        #: "kill a worker mid-solve" injection point.
-        self.after_chunk_hook = None
 
     # -- construction --------------------------------------------------------
 
@@ -346,10 +255,6 @@ class ClusterCoordinator:
                 handle.alive = False
                 handle.failures += 1
                 died = True
-        if handle is not None:
-            # A presumed-dead worker's keep-alive connection is stale by
-            # definition; a revived worker gets a fresh one.
-            handle.drop_solve_client()
         if died:
             self.events.record("presumed_dead", worker=worker_id)
 
@@ -375,7 +280,6 @@ class ClusterCoordinator:
           retries are idempotent).
         """
         now = time.time()
-        stale_connection = False
         with self._lock:
             handle = self._by_id.get(worker_id)
             if handle is None:
@@ -403,13 +307,10 @@ class ClusterCoordinator:
                     handle.process = process
                 if was_dead:
                     handle.revivals += 1
-                stale_connection = address_changed or was_dead
                 event = (
                     "rejoined" if (was_dead or address_changed) else
                     "refreshed"
                 )
-        if stale_connection:
-            handle.drop_solve_client()
         self.events.record(event, worker=worker_id, address=f"{host}:{port}")
         if event != "refreshed":
             _log.info(
@@ -464,7 +365,6 @@ class ClusterCoordinator:
                     handle.failures += 1
                     expired.append(handle)
         for handle in expired:
-            handle.drop_solve_client()
             self.events.record(
                 "expired",
                 worker=handle.worker_id,
@@ -526,280 +426,6 @@ class ClusterCoordinator:
         with ThreadPoolExecutor(max_workers=len(handles)) as pool:
             return list(pool.map(probe, handles))
 
-    # -- the scatter/gather solve primitive ----------------------------------
-
-    def solve_components(
-        self,
-        fingerprints: list[str],
-        components: list[Component],
-        config: MaxEntConfig,
-        warm_starts: list[np.ndarray | None] | None = None,
-        *,
-        trace_ctx: dict | None = None,
-    ) -> list[ComponentSolve]:
-        """Scatter component jobs across the fleet; gather in job order.
-
-        Dedup happens at two layers: identical fingerprints within the
-        call dispatch once (their result fans back out to every
-        position), and gathered results apply first-write-wins per
-        fingerprint, so a retried job whose original answer arrives late
-        is dropped rather than double-applied.
-        """
-        n = len(components)
-        if len(fingerprints) != n:
-            raise ClusterError(
-                f"{len(fingerprints)} fingerprint(s) for {n} component(s)"
-            )
-        with get_tracer().span(
-            "cluster.scatter", ctx=trace_ctx, n_components=n
-        ) as span:
-            solves = self._solve_components(
-                fingerprints, components, config, warm_starts, span
-            )
-        return solves
-
-    def _solve_components(
-        self,
-        fingerprints: list[str],
-        components: list[Component],
-        config: MaxEntConfig,
-        warm_starts: list[np.ndarray | None] | None,
-        span,
-    ) -> list[ComponentSolve]:
-        n = len(components)
-        warm_list = (
-            list(warm_starts) if warm_starts is not None else [None] * n
-        )
-        representative: dict[str, int] = {}
-        for index, fingerprint in enumerate(fingerprints):
-            representative.setdefault(fingerprint, index)
-
-        resolved: dict[str, ComponentSolve] = {}
-        todo = list(representative)
-        rounds = 0
-        max_rounds = self.n_workers + 2
-        # The scatter span's own context: dispatch threads (and the
-        # workers beyond them) parent on it explicitly, because the
-        # contextvar chain stops at the thread-pool boundary.
-        scatter_ctx = get_tracer().context()
-        while todo:
-            rounds += 1
-            if rounds > max_rounds:
-                raise ClusterError(
-                    f"{len(todo)} component(s) still unsolved after "
-                    f"{max_rounds} scatter rounds; giving up"
-                )
-            alive = self.alive_ids()
-            if not alive:
-                # Dead marks are sticky until a probe revives them, and
-                # a standalone cluster executor has no front-end running
-                # probes for it — give workers that merely *looked* dead
-                # (a crashed request, a transient network hiccup) one
-                # health check before declaring the fleet lost.
-                self.check_health()
-                alive = self.alive_ids()
-            if not alive:
-                raise ClusterError(
-                    "no alive shard workers remain "
-                    f"({len(todo)} component(s) unsolved)"
-                )
-            dead = set(self.dead_ids())
-            assignment: dict[str, list[str]] = {}
-            for fingerprint in todo:
-                owner = self.router.owner(fingerprint, exclude=dead)
-                assignment.setdefault(owner, []).append(fingerprint)
-
-            with ThreadPoolExecutor(max_workers=len(assignment)) as pool:
-                futures = {
-                    pool.submit(
-                        self._dispatch_worker,
-                        worker_id,
-                        batch,
-                        representative,
-                        components,
-                        config,
-                        warm_list,
-                        scatter_ctx,
-                    ): worker_id
-                    for worker_id, batch in assignment.items()
-                }
-                gathered: list[tuple[str, ComponentSolve]] = []
-                any_failed = False
-                for future, worker_id in futures.items():
-                    results, failed = future.result()
-                    gathered.extend(results)
-                    if failed:
-                        any_failed = True
-                        self.worker(worker_id).reassigned_jobs += len(failed)
-
-            for fingerprint, solve in gathered:
-                # First write wins: a racing duplicate (reassigned copy
-                # vs a slow original) must not double-apply.
-                resolved.setdefault(fingerprint, solve)
-            todo = [f for f in todo if f not in resolved]
-            if todo and any_failed:
-                # Give a transiently saturated fleet a beat before the
-                # reassignment round.
-                time.sleep(0.05)
-
-        span.set(rounds=rounds, n_workers=self.n_workers)
-        return [resolved[fingerprint] for fingerprint in fingerprints]
-
-    def _dispatch_worker(
-        self,
-        worker_id: str,
-        batch: list[str],
-        representative: dict[str, int],
-        components: list[Component],
-        config: MaxEntConfig,
-        warm_list: list[np.ndarray | None],
-        trace_ctx: dict | None = None,
-    ) -> tuple[list[tuple[str, ComponentSolve]], list[str]]:
-        """Send one worker its share, chunk by chunk.
-
-        Returns ``(gathered, failed)``; on the first transport failure
-        the worker is marked dead and its remaining fingerprints are
-        returned for reassignment.  HTTP 429 (the worker's admission
-        backpressure) is retried in place with backoff — a saturated
-        worker is busy, not dead.
-        """
-        handle = self.worker(worker_id)
-        tracer = get_tracer()
-        with tracer.span(
-            "cluster.dispatch", ctx=trace_ctx, worker=worker_id,
-            n_jobs=len(batch),
-        ) as dispatch_span:
-            gathered, remaining = self._dispatch_chunks(
-                handle, worker_id, batch, representative, components,
-                config, warm_list, tracer,
-            )
-            if remaining:
-                dispatch_span.set(reassigned=len(remaining))
-        return gathered, remaining
-
-    def _dispatch_chunks(
-        self,
-        handle: WorkerHandle,
-        worker_id: str,
-        batch: list[str],
-        representative: dict[str, int],
-        components: list[Component],
-        config: MaxEntConfig,
-        warm_list: list[np.ndarray | None],
-        tracer,
-    ) -> tuple[list[tuple[str, ComponentSolve]], list[str]]:
-        gathered: list[tuple[str, ComponentSolve]] = []
-        # The dispatch span's context rides each wire request so the
-        # worker's solve spans parent on this exact dispatch.
-        dispatch_ctx = tracer.context()
-        chunks = [
-            batch[start : start + self.chunk_size]
-            for start in range(0, len(batch), self.chunk_size)
-        ]
-        for chunk_index, chunk in enumerate(chunks):
-            payload = solve_request_to_wire(
-                chunk,
-                [components[representative[f]] for f in chunk],
-                config,
-                [warm_list[representative[f]] for f in chunk],
-                trace_ctx=dispatch_ctx,
-            )
-            try:
-                response = self._post_chunk(handle, payload)
-            except (OSError, http.client.HTTPException) as exc:
-                # The connection died (refused, reset, or truncated
-                # mid-response): presume the worker dead and hand its
-                # remaining share back for reassignment.
-                _log.warning(
-                    f"worker {worker_id} dropped a solve chunk: {exc}",
-                    extra={"fields": {"worker": worker_id}},
-                )
-                self.mark_dead(worker_id)
-                remaining = [
-                    f for c in chunks[chunk_index:] for f in c
-                ]
-                return gathered, remaining
-            except ServiceError as exc:
-                if exc.code == "infeasible_knowledge":
-                    # The same exception a local executor would surface:
-                    # backend choice must not change the error contract
-                    # (callers and the serving layer switch on the type).
-                    raise InfeasibleKnowledgeError(str(exc)) from exc
-                if exc.status >= 500:
-                    _log.warning(
-                        f"worker {worker_id} failed a solve chunk: {exc}",
-                        extra={"fields": {"worker": worker_id}},
-                    )
-                    self.mark_dead(worker_id)
-                    remaining = [
-                        f for c in chunks[chunk_index:] for f in c
-                    ]
-                    return gathered, remaining
-                if exc.status == 429:
-                    # The worker answered 429 past the whole backoff
-                    # window: it is alive but cannot absorb this chunk
-                    # within the solve timeout.  That is a capacity
-                    # failure of the request, not a death of the worker
-                    # — marking it dead would wrongly fail over its
-                    # releases and cold-start its caches.
-                    raise ClusterError(
-                        f"worker {worker_id} stayed saturated beyond "
-                        f"{self.solve_timeout:.0f}s; the fleet lacks "
-                        "capacity for this solve"
-                    ) from exc
-                raise ClusterError(
-                    f"worker {worker_id} rejected a solve chunk: {exc}"
-                ) from exc
-            for fingerprint, solve, _cached in solve_response_from_wire(
-                response
-            ):
-                gathered.append((fingerprint, solve))
-            # Stitch the worker's solve spans into the live trace (they
-            # parent on this dispatch span via the wire context).
-            tracer.record_imported(response_spans(response))
-            hook = self.after_chunk_hook
-            if hook is not None:
-                hook(worker_id, chunk_index)
-        return gathered, []
-
-    def _post_chunk(self, handle: WorkerHandle, payload: dict) -> dict:
-        """POST one chunk, absorbing 429 backpressure in place.
-
-        A saturated worker is busy, not dead: retries back off on the
-        coordinator's :class:`RetryPolicy` (jittered exponential, so
-        chunks that collided once de-correlate instead of re-colliding
-        in lockstep) for up to the solve timeout — the time budget one
-        chunk already has — before the 429 escapes to the caller.
-
-        Chunks ride the worker's cached keep-alive connection
-        (:meth:`WorkerHandle.checkout_solve_client`) instead of a fresh
-        TCP connection per chunk.  The request itself runs with no lock
-        held — concurrent solves to one worker use extra short-lived
-        connections rather than queueing — and a transport failure
-        closes the checked-out connection before the error propagates,
-        so the existing presume-dead/reassign semantics in
-        :meth:`_dispatch_worker` operate on a clean slate and a revived
-        worker gets a fresh connection.
-        """
-        deadline = time.monotonic() + self.solve_timeout
-        attempt = 0
-        while True:
-            client = handle.checkout_solve_client(timeout=self.solve_timeout)
-            try:
-                response = client.solve_components(payload)
-            except ServiceError as exc:
-                handle.return_solve_client(client)
-                if exc.status != 429 or time.monotonic() >= deadline:
-                    raise
-                time.sleep(self.retry_policy.delay(attempt))
-                attempt += 1
-            except (OSError, http.client.HTTPException):
-                client.close()
-                raise
-            else:
-                handle.return_solve_client(client)
-                return response
-
     # -- fleet telemetry -----------------------------------------------------
 
     def aggregate_telemetry(self, *, timeout: float = 10.0) -> dict:
@@ -826,7 +452,6 @@ class ClusterCoordinator:
         shards = []
         totals = {
             "n_solves": 0,
-            "component_solves": 0,
             "wall_seconds": 0.0,
             "cpu_seconds": 0.0,
             "cache_hits": 0,
@@ -861,7 +486,6 @@ class ClusterCoordinator:
             engine = telemetry.get("engine", {})
             cache = engine.get("cache", {})
             totals["n_solves"] += engine.get("n_solves", 0)
-            totals["component_solves"] += engine.get("component_solves", 0)
             totals["wall_seconds"] += engine.get("wall_seconds", 0.0)
             totals["cpu_seconds"] += engine.get("cpu_seconds", 0.0)
             totals["cache_hits"] += cache.get("hits", 0)
@@ -907,8 +531,6 @@ class ClusterCoordinator:
         if self._closed:
             return
         self._closed = True
-        for handle in self.handles:
-            handle.drop_solve_client()
         if not self.owns_workers:
             return
         for handle in self.handles:

@@ -177,8 +177,7 @@ class ShardedFrontend(PrivacyService):
 
         ``trace_ctx`` rides the :data:`TRACE_HEADER` so the worker's
         request root span parents on this front-end's — release-sharded
-        forwards stitch into one cross-process trace the same way
-        component scatters do.  ``deadline`` (the client's parsed
+        forwards stitch into one cross-process trace.  ``deadline`` (the client's parsed
         request budget) forwards as the *remaining* budget, recomputed
         per attempt — a shard never starts computing an answer whose
         requester already gave up waiting at the front door.

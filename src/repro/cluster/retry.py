@@ -1,18 +1,16 @@
 """One retry policy for every cluster transport path.
 
-Before this module, backoff logic was scattered: the coordinator's 429
-loop backed off deterministically (colliding chunks re-collided in
-lockstep), the front-end's failover condemned a successor on a single
-failed registration attempt, and every timeout was a hardcoded module
-constant.  :class:`RetryPolicy` centralises all of it:
+:class:`RetryPolicy` is the one backoff shape of the cluster's
+transport paths (the front-end's forwards and failover
+re-registrations):
 
 - *jittered exponential backoff* — delays grow geometrically from
   ``base_delay`` to ``max_delay`` with a uniform ``±jitter`` fraction,
   so two callers that collided once de-correlate instead of hammering
   the same worker on the same schedule forever;
 - *deadline budgets* — a policy (or a single :meth:`run`) can carry an
-  overall time budget, the shape the 429 absorb-in-place loop needs:
-  retry as long as the solve timeout allows, then surface the error;
+  overall time budget: retry as long as the budget allows, then
+  surface the error;
 - *env/CLI configuration* — every knob reads a ``REPRO_CLUSTER_*``
   variable (:func:`cluster_env_float` / :func:`cluster_env_int`) so
   deployments tune transport behaviour without code changes, and the
@@ -76,7 +74,7 @@ class RetryPolicy:
     included); ``deadline`` bounds how long the whole retry loop may
     take.  Either alone, or both together, ends the loop — whichever
     trips first.  ``attempts=0`` means *no attempt cap* (deadline-only
-    policies, the 429 absorb-in-place shape).
+    policies).
     """
 
     attempts: int = 3

@@ -1,10 +1,8 @@
 """Shard routing by rendezvous (highest-random-weight) hashing.
 
-The cluster partitions two key spaces across workers: release content
-digests (release sharding — each worker owns its releases' compiled
-systems and solve caches) and component solve fingerprints (component
-sharding — a single large solve scattered across workers).  Both need
-the same routing properties:
+The cluster partitions release content digests across workers
+(release sharding — each worker owns its releases' compiled systems and
+solve caches).  Routing needs three properties:
 
 - *deterministic*: the same key always maps to the same worker for a
   given worker set, so repeat solves land on the shard whose caches are
@@ -119,7 +117,7 @@ class ShardRouter:
         """Group key positions by owning worker.
 
         Returns ``{worker_id: [index, ...]}`` over ``enumerate(keys)`` —
-        the scatter shape one batch per worker dispatches from.
+        every key grouped under its owner.
         """
         assignment: dict[str, list[int]] = {}
         for index, key in enumerate(keys):

@@ -1,25 +1,15 @@
-"""The shard worker runtime: a privacy service that also solves bundles.
+"""The shard worker runtime: a privacy service with a shard identity.
 
 A :class:`ShardWorker` is a full :class:`~repro.service.server.
 PrivacyService` — release registry, posterior/assess endpoints, result
-cache, admission control, telemetry — plus the shard protocol surface a
-coordinator drives:
+cache, admission control, telemetry — plus one shard endpoint,
+``GET /shard/v1/state`` (shard identity, release count, heartbeat
+state and engine counters).
 
-====== ============================ =======================================
-method path                         purpose
-====== ============================ =======================================
-POST   ``/shard/v1/components``     solve a batch of component bundles
-GET    ``/shard/v1/state``          shard identity + component counters
-====== ============================ =======================================
-
-Under *release sharding* the front-end forwards whole requests here and
+Under release sharding the front-end forwards whole requests here and
 the inherited service endpoints do the work — each worker owns its
-releases' compiled systems, solve caches and warm starts.  Under
-*component sharding* the components endpoint is the leaf of the
-coordinator's scatter: decode the flat-array bundles, cache-check them
-by the coordinator-supplied fingerprint, fan misses across this
-worker's own executor (``--executor thread/process`` turns each shard
-into a multi-core solver), and stream the bit-exact results back.
+releases' compiled systems, solve caches and warm starts, and solves
+them on the one in-process engine path.
 
 Start one with ``repro shard-worker``; it is just a process, so any
 process supervisor (systemd, k8s, a coordinator's ``spawn_local``) can
@@ -33,25 +23,17 @@ rendezvous slot.
 
 from __future__ import annotations
 
-import asyncio
-from functools import partial
-
 from repro.cluster.membership import (
     DEFAULT_HEARTBEAT_INTERVAL,
     HeartbeatSender,
 )
-from repro.cluster.protocol import (
-    SHARD_PROTOCOL,
-    solve_request_from_wire,
-    solve_result_to_wire,
-)
-from repro.obs.trace import get_tracer
+from repro.cluster.protocol import SHARD_PROTOCOL
 from repro.service.protocol import HttpError, HttpRequest
 from repro.service.server import PrivacyService
 
 
 class ShardWorker(PrivacyService):
-    """One shard: a privacy service plus the component-solve endpoint."""
+    """One shard: a privacy service plus a stable shard identity."""
 
     def __init__(
         self,
@@ -63,9 +45,6 @@ class ShardWorker(PrivacyService):
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     ) -> None:
         super().__init__(config, engine=engine)
-        self.component_batches = 0
-        self.components_solved = 0
-        self.components_cached = 0
         self._worker_id = worker_id
         self._join_targets = list(join or [])
         self._heartbeat_interval = heartbeat_interval
@@ -104,17 +83,7 @@ class ShardWorker(PrivacyService):
     # -- routing -------------------------------------------------------------
 
     def _route(self, request: HttpRequest):
-        segments = request.segments
-        if segments == ("shard", "v1", "components"):
-            if request.method != "POST":
-                raise HttpError(
-                    405,
-                    f"{request.method} not allowed here (allowed: POST)",
-                    code="method_not_allowed",
-                    headers={"Allow": "POST"},
-                )
-            return "POST /shard/v1/components", self._handle_components
-        if segments == ("shard", "v1", "state"):
+        if request.segments == ("shard", "v1", "state"):
             if request.method != "GET":
                 raise HttpError(
                     405,
@@ -127,71 +96,6 @@ class ShardWorker(PrivacyService):
 
     # -- shard endpoints -----------------------------------------------------
 
-    async def _handle_components(
-        self, request: HttpRequest
-    ) -> tuple[int, dict]:
-        body = request.json()
-        loop = asyncio.get_running_loop()
-        fingerprints, components, config, warm_starts, trace_ctx = (
-            await loop.run_in_executor(None, solve_request_from_wire, body)
-        )
-
-        def work():
-            # The capture bracket must run on the executor thread itself
-            # (contextvars do not cross run_in_executor): every span the
-            # engine opens below lands in ``capture.spans``, which ships
-            # back with the response for coordinator-side stitching.
-            tracer = get_tracer()
-            with tracer.capture() as capture:
-                with tracer.span(
-                    "shard.solve_components",
-                    ctx=trace_ctx,
-                    worker=self.worker_id,
-                    n_components=len(components),
-                ):
-                    results = self.engine.solve_components(
-                        fingerprints, components, config, warm_starts
-                    )
-            return results, capture.spans
-
-        async def run():
-            return await loop.run_in_executor(None, work)
-
-        # One admission slot per batch: a batch is one solve-shaped unit
-        # of CPU work, and coordinator retries absorb the 429s.
-        results, spans = await self.admission.run(run)
-
-        def encode() -> tuple[dict, int, int]:
-            entries = []
-            solved = 0
-            cached = 0
-            for fingerprint, (solve, was_cached) in zip(
-                fingerprints, results
-            ):
-                entries.append(
-                    solve_result_to_wire(fingerprint, solve, cached=was_cached)
-                )
-                if was_cached:
-                    cached += 1
-                else:
-                    solved += 1
-            return {
-                "protocol": SHARD_PROTOCOL,
-                "worker": self.worker_id,
-                "results": entries,
-            }, solved, cached
-
-        payload, solved, cached = await loop.run_in_executor(None, encode)
-        if spans:
-            payload["spans"] = spans
-        self.component_batches += 1
-        self.components_solved += solved
-        self.components_cached += cached
-        self.telemetry.incr("component_batches")
-        self.telemetry.incr("components_solved", solved)
-        self.telemetry.incr("components_cached", cached)
-        return 200, payload
-
     async def _handle_state(self, request: HttpRequest) -> tuple[int, dict]:
         heartbeat = self._heartbeat
         return 200, {
@@ -199,9 +103,6 @@ class ShardWorker(PrivacyService):
             "worker": self.worker_id,
             "address": f"{self.config.host}:{self.port}",
             "releases": len(self.store),
-            "component_batches": self.component_batches,
-            "components_solved": self.components_solved,
-            "components_cached": self.components_cached,
             "heartbeat": (
                 None
                 if heartbeat is None
@@ -222,8 +123,5 @@ class ShardWorker(PrivacyService):
         payload["shard"] = {
             "worker": self.worker_id,
             "protocol": SHARD_PROTOCOL,
-            "component_batches": self.component_batches,
-            "components_solved": self.components_solved,
-            "components_cached": self.components_cached,
         }
         return status, payload

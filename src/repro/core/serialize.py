@@ -204,11 +204,25 @@ def config_to_dict(config: MaxEntConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+#: Config keys older clients still send (the retired executor knobs).
+#: Servers never honoured them, so they are accepted and dropped.
+RETIRED_CONFIG_KEYS = frozenset({"executor", "workers", "cluster_workers"})
+
+
 def config_from_dict(payload) -> MaxEntConfig:
-    """Rebuild a :class:`MaxEntConfig`; unknown knobs are rejected."""
+    """Rebuild a :class:`MaxEntConfig`; unknown knobs are rejected.
+
+    Keys in :data:`RETIRED_CONFIG_KEYS` are dropped, so request bodies
+    from older clients keep working.
+    """
     if payload is None:
         return MaxEntConfig()
     payload = _require_mapping(payload, "config")
+    payload = {
+        key: value
+        for key, value in payload.items()
+        if key not in RETIRED_CONFIG_KEYS
+    }
     fields = {f.name for f in dataclasses.fields(MaxEntConfig)}
     _check_keys(payload, fields, "config")
     return MaxEntConfig(**payload)

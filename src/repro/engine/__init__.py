@@ -1,24 +1,24 @@
-"""Execution engine: parallel component solves, solve cache, batching.
+"""Execution engine: component solves, solve cache, batching.
 
 The Section 5.5 decomposition splits the MaxEnt program into independent
-components — embarrassingly parallel work the sequential solver loop left
-on the table.  This package is the execution layer underneath
-:func:`repro.maxent.solver.solve_maxent`:
+components.  This package is the execution layer underneath
+:func:`repro.maxent.solver.solve_maxent`, and it has one execution path:
+an in-process loop that solves small components together through
+stacked block-diagonal duals and the rest one by one.  Scale-out
+beyond one process is release sharding (:mod:`repro.cluster`), not
+component fan-out.
 
 - :mod:`repro.engine.fingerprint` — canonical, order-independent hashes of
   constraint systems (full fingerprints key the solve cache; structure
   fingerprints key warm-start duals),
 - :mod:`repro.engine.cache` — a bounded LRU of solved components plus the
   warm-start multiplier store,
-- :mod:`repro.engine.executors` — serial / thread / process backends that
-  fan components out across workers,
+- :mod:`repro.engine.component` — the per-component and batched solve
+  tasks,
 - :mod:`repro.engine.plan` — splits a decomposed program into the batched
-  closed-form path and the numeric path,
+  closed-form path, the numeric path and its batch groups,
 - :mod:`repro.engine.engine` — :class:`PrivacyEngine`, the facade the core
   library, CLI, experiments and benchmarks all route through.
-
-Every later scaling layer (sharding, async serving, multi-backend) plugs in
-here rather than into the solvers themselves.
 """
 
 from repro.engine.cache import CacheEntry, SolveCache, WarmStartStore
@@ -26,12 +26,6 @@ from repro.engine.engine import (
     PrivacyEngine,
     shared_engine,
     shutdown_shared_engines,
-)
-from repro.engine.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    create_executor,
 )
 from repro.engine.fingerprint import (
     component_fingerprint,
@@ -45,14 +39,10 @@ __all__ = [
     "ExecutionPlan",
     "bin_batch_groups",
     "PrivacyEngine",
-    "ProcessExecutor",
-    "SerialExecutor",
     "SolveCache",
-    "ThreadExecutor",
     "WarmStartStore",
     "build_plan",
     "component_fingerprint",
-    "create_executor",
     "fingerprint_system",
     "shared_engine",
     "shutdown_shared_engines",

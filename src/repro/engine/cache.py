@@ -129,10 +129,9 @@ class SolveCache(_LRU):
     """LRU of :class:`CacheEntry` keyed by component fingerprint.
 
     Besides the aggregate hit/miss counters the cache keeps per-prefix
-    counters (the first :data:`PREFIX_LENGTH` characters of each key):
-    in a sharded deployment every shard owns a disjoint slice of the
-    fingerprint space, so the prefix breakdown is what makes per-shard
-    cache efficiency visible in aggregated telemetry.
+    counters (the first :data:`PREFIX_LENGTH` characters of each key),
+    which the sharded front-end merges across shards in its aggregated
+    telemetry.
     """
 
     def __init__(self, max_entries: int) -> None:

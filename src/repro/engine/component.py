@@ -1,7 +1,7 @@
 """The per-component numeric solve tasks.
 
-These are the units of work the executors fan out.  Two granularities
-share one module so they stay in lockstep:
+These are the units of work the engine's solve loop runs.  Two
+granularities share one module so they stay in lockstep:
 
 - :func:`solve_component` — presolve one component, dispatch to the
   configured solver, lift the solution back to component coordinates.
@@ -12,8 +12,7 @@ share one module so they stay in lockstep:
   warm starts, telemetry — sees the same contract as per-component
   dispatch.
 
-Both task wrappers live at module level (not as closures) so the process
-backend can pickle them, and they return plain picklable data.
+:func:`solve_component_group` picks between the two for one work unit.
 """
 
 from __future__ import annotations
@@ -48,11 +47,6 @@ class ComponentSolve:
     #: solvers only) — reusable as a warm start for structurally identical
     #: components.
     multipliers: np.ndarray | None = None
-    #: Spans captured while solving on a worker (plain span dicts so
-    #: they pickle across the process/cluster seam); the group task
-    #: attaches them to its first result and the engine stitches them
-    #: into the caller's trace.  ``None`` where nothing was captured.
-    spans: list | None = None
 
 
 def _dispatch(
@@ -184,11 +178,11 @@ def solve_component(
     config: MaxEntConfig,
     warm_start: np.ndarray | None = None,
 ) -> ComponentSolve:
-    """Solve one component; the executor task.
+    """Solve one component.
 
-    ``stats.seconds`` measures this task's own elapsed time — under a
-    parallel executor the engine sums these into ``cpu_seconds`` and
-    reports overall wall time separately.
+    ``stats.seconds`` measures this task's own elapsed time; the engine
+    sums these into ``cpu_seconds`` and reports overall wall time
+    separately.
     """
     with Timer() as timer:
         with Timer() as presolve_timer:
@@ -302,65 +296,37 @@ def solve_component_batch(
     return solves
 
 
-def solve_component_task(
-    job: tuple[Component, MaxEntConfig, np.ndarray | None],
-) -> ComponentSolve:
-    """Single-argument wrapper for ``Executor.map`` (and pickling)."""
-    component, config, warm_start = job
-    return solve_component(component, config, warm_start)
-
-
-def solve_component_group_task(
-    job: tuple[
-        list[Component],
-        MaxEntConfig,
-        list[np.ndarray | None],
-        list[str | None],
-    ],
+def solve_component_group(
+    components: list[Component],
+    config: MaxEntConfig,
+    warm_starts: list[np.ndarray | None],
 ) -> list[ComponentSolve]:
-    """Executor task solving one *group* of components as a unit.
+    """Solve one engine work unit: a batch group or a single component.
 
-    The engine fans groups out instead of single components so that a
-    batch group crosses the executor seam (thread/process/cluster) as
-    one work item.  Singleton groups take the plain per-component path;
-    larger groups take the stacked dual.  The fourth element carries the
-    engine-computed solve fingerprints — unused for local solving, but
-    the cluster executor reads them so cold cluster solves stop
-    fingerprinting every component twice.  An optional fifth element is
-    the caller's trace context (``{"trace_id", "span_id"}``): the task
-    runs under span capture — contextvars do not cross executors, so
-    the bracket must live *inside* the task — and ships the captured
-    spans home on its first result's ``spans`` field.
+    Singleton groups take the plain per-component path; larger groups
+    take the stacked dual.  The ``engine.solve_group`` span nests under
+    the caller's active span and carries the unit's summed phase times.
     """
-    components, config, warm_starts, _fingerprints, *rest = job
-    ctx = rest[0] if rest else None
-    tracer = get_tracer()
-    with tracer.capture() as capture:
-        with tracer.span(
-            "engine.solve_group",
-            ctx=ctx,
-            n_components=len(components),
-            batched=len(components) > 1,
-        ) as span:
-            if len(components) > 1:
-                solves = solve_component_batch(
-                    components, config, warm_starts
-                )
-            else:
-                solves = [
-                    solve_component(component, config, warm)
-                    for component, warm in zip(components, warm_starts)
-                ]
-            phases: dict[str, float] = {}
-            for solve in solves:
-                for name, seconds in solve.stats.phase_seconds.items():
-                    phases[name] = phases.get(name, 0.0) + seconds
-            span.set(
-                **{
-                    f"phase.{name}_seconds": round(seconds, 6)
-                    for name, seconds in phases.items()
-                }
-            )
-    if capture.spans and solves:
-        solves[0].spans = capture.spans
+    with get_tracer().span(
+        "engine.solve_group",
+        n_components=len(components),
+        batched=len(components) > 1,
+    ) as span:
+        if len(components) > 1:
+            solves = solve_component_batch(components, config, warm_starts)
+        else:
+            solves = [
+                solve_component(component, config, warm)
+                for component, warm in zip(components, warm_starts)
+            ]
+        phases: dict[str, float] = {}
+        for solve in solves:
+            for name, seconds in solve.stats.phase_seconds.items():
+                phases[name] = phases.get(name, 0.0) + seconds
+        span.set(
+            **{
+                f"phase.{name}_seconds": round(seconds, 6)
+                for name, seconds in phases.items()
+            }
+        )
     return solves

@@ -1,14 +1,15 @@
-"""The execution engine facade: plan, fan out, cache, reassemble.
+"""The execution engine facade: plan, solve, cache, reassemble.
 
-:class:`PrivacyEngine` owns the executor backend, the component solve
-cache and the warm-start store, and runs the full Section 5.5 pipeline:
+:class:`PrivacyEngine` owns the component solve cache and the warm-start
+store, and runs the full Section 5.5 pipeline in process:
 
 1. (optionally) drop the per-bucket redundant row,
 2. build an :class:`~repro.engine.plan.ExecutionPlan`,
 3. solve every irrelevant component in one batched closed-form call,
 4. fingerprint each numeric component; cache hits return bit-identical
-   stored solutions, misses fan out across the executor (warm-started
-   from structurally identical past solves when available),
+   stored solutions, misses are solved one work unit (a batch group or
+   a single component) at a time, warm-started from structurally
+   identical past solves when available,
 5. reassemble the joint, aggregating per-component compute time
    (``cpu_seconds``) separately from wall time (``seconds``).
 
@@ -28,10 +29,9 @@ import threading
 import numpy as np
 
 from repro.engine.cache import CacheEntry, SolveCache, WarmStartStore
-from repro.engine.component import ComponentSolve, solve_component_group_task
-from repro.engine.executors import create_executor
+from repro.engine.component import solve_component_group
 from repro.engine.fingerprint import component_fingerprint, structure_fingerprint
-from repro.engine.plan import ExecutionPlan, bin_batch_groups, build_plan
+from repro.engine.plan import ExecutionPlan, build_plan
 from repro.errors import InfeasibleKnowledgeError, ReproError, SolverError
 from repro.maxent.closed_form import closed_form_batch
 from repro.maxent.config import MaxEntConfig
@@ -116,18 +116,14 @@ def _check_component(
 
 
 def _group_work(
-    entries: list[tuple],
-    groups: list[list[int]],
-    key_of,
+    entries: list[tuple], groups: list[list[int]]
 ) -> list[list[tuple]]:
-    """Bin work entries into executor units (batch groups + singletons).
+    """Bin pending entries into work units (batch groups + singletons).
 
-    ``groups`` lists the keys belonging together (a plan's
-    ``batch_groups`` of positions, or :func:`bin_batch_groups` output
-    over indices); ``key_of(entry, index)`` maps an entry to its key.
-    Order-preserving: a batch group appears at its first present
-    member's position, ungrouped entries stay individual — so groups
-    thinned by cache hits simply shrink.
+    ``groups`` is a plan's ``batch_groups``; an entry's key is its plan
+    position (``entry[0]``).  Order-preserving: a batch group appears at
+    its first present member's position, ungrouped entries stay
+    individual — so groups thinned by cache hits simply shrink.
     """
     member_of: dict[int, int] = {}
     for group_index, group in enumerate(groups):
@@ -135,8 +131,8 @@ def _group_work(
             member_of[key] = group_index
     units: list[list[tuple]] = []
     unit_by_group: dict[int, list[tuple]] = {}
-    for index, entry in enumerate(entries):
-        group_index = member_of.get(key_of(entry, index))
+    for entry in entries:
+        group_index = member_of.get(entry[0])
         if group_index is None:
             units.append([entry])
             continue
@@ -151,46 +147,30 @@ def _group_work(
 class PrivacyEngine:
     """Reusable execution engine for MaxEnt solves.
 
-    One engine = one executor backend + one solve cache + one warm-start
-    store.  Keep an engine alive across a sweep (figure drivers, skyline
-    enumeration, ``assess`` over many bounds) and repeated component
-    solves are served from cache, bit-identical and effectively free.
+    One engine = one solve cache + one warm-start store.  Keep an engine
+    alive across a sweep (figure drivers, skyline enumeration, ``assess``
+    over many bounds) and repeated component solves are served from
+    cache, bit-identical and effectively free.
 
     Parameters
     ----------
-    executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, ``"cluster"``
-        (scatter components to shard workers over HTTP), or a pre-built
-        executor object (how a live cluster coordinator hands its
-        executor to an engine).
-    workers:
-        Worker count for pooled executors (``None``: CPU count).
     cache_size:
         LRU bound on cached component solutions; ``0`` disables caching.
-    cluster_workers:
-        ``host:port,host:port`` list the ``"cluster"`` backend attaches
-        to (default: the ``REPRO_CLUSTER_WORKERS`` environment variable).
+    cache_path:
+        Optional snapshot file: loaded on construction, saved on
+        :meth:`close`.
     """
 
     def __init__(
         self,
         *,
-        executor: str = "serial",
-        workers: int | None = None,
         cache_size: int = 128,
         cache_path: str | os.PathLike | None = None,
-        cluster_workers: str | None = None,
     ) -> None:
-        self._executor = create_executor(
-            executor, workers, cluster_workers=cluster_workers
-        )
         self.cache = SolveCache(cache_size)
         self.warm_starts = WarmStartStore(cache_size)
         self.cache_path = os.fspath(cache_path) if cache_path else None
         self.n_solves = 0
-        # Components solved through the shard-runtime entry point
-        # (solve_components) — full solves count in n_solves instead.
-        self.component_solves = 0
         # Components solved through the stacked block-diagonal dual
         # rather than their own optimizer call (the default-on batched
         # path under the tolerance replay contract).
@@ -215,21 +195,10 @@ class PrivacyEngine:
 
     @classmethod
     def from_config(cls, config: MaxEntConfig) -> "PrivacyEngine":
-        """Build an engine from a config's execution knobs."""
-        return cls(
-            executor=config.executor,
-            workers=config.workers,
-            cache_size=config.cache_size,
-            cache_path=config.cache_path,
-            cluster_workers=config.cluster_workers,
-        )
+        """Build an engine from a config's cache knobs."""
+        return cls(cache_size=config.cache_size, cache_path=config.cache_path)
 
     # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def executor_name(self) -> str:
-        """Name of the active executor backend."""
-        return self._executor.name
 
     @property
     def closed(self) -> bool:
@@ -237,20 +206,19 @@ class PrivacyEngine:
         return self._closed
 
     def close(self) -> None:
-        """Persist the cache (when configured) and shut down worker pools.
+        """Persist the cache (when configured) and mark the engine closed.
 
-        Idempotent: repeated calls re-run only no-op teardown, so engines
-        can be closed both explicitly and by the ``atexit`` teardown of
-        :func:`shutdown_shared_engines` without harm.  Worker pools are
-        torn down even when persisting the cache fails (full disk) — the
-        save error still propagates, but never leaks processes.
+        Idempotent: only the first call saves, so engines can be closed
+        both explicitly and by the ``atexit`` teardown of
+        :func:`shutdown_shared_engines` without harm.  The engine counts
+        as closed even when persisting the cache fails (full disk); the
+        save error still propagates.
         """
         try:
             if self.cache_path and self.cache.enabled and not self._closed:
                 self.save_cache(self.cache_path)
         finally:
             self._closed = True
-            self._executor.close()
 
     def __enter__(self) -> "PrivacyEngine":
         return self
@@ -261,7 +229,7 @@ class PrivacyEngine:
     def describe(self) -> str:
         """One-line telemetry summary (used by experiment notes)."""
         return (
-            f"engine[{self.executor_name}]: {self.n_solves} solve(s), "
+            f"engine: {self.n_solves} solve(s), "
             f"{self.cache.hits}/{self.cache.hits + self.cache.misses} "
             f"component cache hits, cpu {self.cpu_seconds:.3f}s / "
             f"wall {self.wall_seconds:.3f}s"
@@ -276,7 +244,6 @@ class PrivacyEngine:
         """
         with self._telemetry_lock:
             n_solves = self.n_solves
-            component_solves = self.component_solves
             batched_components = self.batched_components
             kernel_backends = sorted(self.kernel_backends)
             wall = self.wall_seconds
@@ -284,30 +251,14 @@ class PrivacyEngine:
             build = self.build_seconds
             decompose_s = self.decompose_seconds
             fingerprint_s = self.fingerprint_seconds
-        executor_shipping = getattr(self._executor, "shipping", None)
         return {
-            "executor": self.executor_name,
-            "workers": getattr(self._executor, "workers", 1),
             "n_solves": n_solves,
-            "component_solves": component_solves,
             "batched_components": batched_components,
             # The backend batched work ran on (joined when an engine's
             # lifetime spans configs); before any batched work, the
             # backend "auto" would resolve to on this host.
             "kernel_backend": (
                 ",".join(kernel_backends) or get_kernel("auto").name
-            ),
-            # Shared-memory component shipping (process executor only;
-            # other backends report zeros).
-            "shipping": (
-                executor_shipping.as_dict()
-                if executor_shipping is not None
-                else {
-                    "segments_created": 0,
-                    "segments_reused": 0,
-                    "segments_freed": 0,
-                    "active_segments": 0,
-                }
             ),
             "wall_seconds": wall,
             "cpu_seconds": cpu,
@@ -321,10 +272,8 @@ class PrivacyEngine:
                 "misses": self.cache.misses,
                 "hit_rate": self.cache.hit_rate,
                 "evictions": self.cache.evictions,
-                # Per fingerprint prefix: in a sharded deployment each
-                # shard owns a disjoint slice of the fingerprint space, so
-                # this breakdown is the per-shard cache-efficiency signal
-                # the aggregated telemetry surfaces.
+                # Per fingerprint prefix; the sharded front-end merges
+                # these across shards in its aggregated telemetry.
                 "by_prefix": self.cache.prefix_stats(),
             },
             "warm_starts": len(self.warm_starts),
@@ -346,137 +295,6 @@ class PrivacyEngine:
         """
         config = config or MaxEntConfig()
         return component_fingerprint(system, 1.0, config.solve_key())
-
-    # -- the shard-runtime entry point ---------------------------------------
-
-    def solve_components(
-        self,
-        fingerprints: list[str],
-        components: list[Component],
-        config: MaxEntConfig | None = None,
-        warm_starts: list[np.ndarray | None] | None = None,
-    ) -> list[tuple[ComponentSolve, bool]]:
-        """Solve pre-fingerprinted component bundles (the shard worker path).
-
-        This is :meth:`solve` with the planning already done elsewhere: a
-        cluster coordinator decomposed a system, fingerprinted the
-        components, and scattered them here.  Each job is cache-checked
-        under its supplied fingerprint; misses fan out across this
-        engine's own executor; duplicate fingerprints within the batch
-        solve once (at-most-once per key — the coordinator's dedup
-        guarantee ends at this method).  Returns ``(solve, cached)`` per
-        job, in job order.  Convergence-policy enforcement stays with the
-        caller (the coordinator applies the config's failure policy once
-        results are gathered).
-
-        Warm starts are used exactly as supplied — this engine's own
-        warm-start store is deliberately *not* consulted, because which
-        multipliers a shard happens to hold depends on chunk arrival
-        order, and cluster solves must stay bit-identical to
-        single-engine runs.
-        """
-        config = config or MaxEntConfig()
-        n = len(components)
-        if len(fingerprints) != n:
-            raise ReproError(
-                f"{len(fingerprints)} fingerprint(s) for {n} component(s)"
-            )
-        warm_list = list(warm_starts) if warm_starts is not None else [None] * n
-        if len(warm_list) != n:
-            raise ReproError(
-                f"{len(warm_list)} warm start(s) for {n} component(s)"
-            )
-        caching = self.cache.enabled
-        out: list[tuple[ComponentSolve, bool] | None] = [None] * n
-        first_of: dict[str, int] = {}
-        duplicate_of: dict[int, int] = {}
-        pending: list[tuple[int, Component, str, np.ndarray | None]] = []
-
-        for position, (fingerprint, component) in enumerate(
-            zip(fingerprints, components)
-        ):
-            if caching:
-                entry = self.cache.lookup(fingerprint)
-                if entry is not None:
-                    out[position] = (
-                        ComponentSolve(p=entry.p, stats=entry.replay_stats()),
-                        True,
-                    )
-                    continue
-            earlier = first_of.get(fingerprint)
-            if earlier is not None:
-                duplicate_of[position] = earlier
-                continue
-            first_of[fingerprint] = position
-            pending.append(
-                (position, component, fingerprint, warm_list[position])
-            )
-
-        if pending:
-            # The shard path bins its pending bundles into batch groups
-            # exactly like a full solve's plan would (the coordinator
-            # scattered per-fingerprint, so grouping happens here, where
-            # the components actually run).
-            units = _group_work(
-                pending,
-                bin_batch_groups(
-                    [component.n_vars for _, component, _, _ in pending],
-                    config,
-                    workers=getattr(self._executor, "workers", 1),
-                ),
-                lambda entry, index: index,
-            )
-            tracer = get_tracer()
-            jobs = [
-                (
-                    [component for _, component, _, _ in unit],
-                    config,
-                    [warm for _, _, _, warm in unit],
-                    [fingerprint for _, _, fingerprint, _ in unit],
-                    tracer.context(),
-                )
-                for unit in units
-            ]
-            results = self._executor.imap(solve_component_group_task, jobs)
-            batched = 0
-            kernels_used: set[str] = set()
-            for unit, unit_results in zip(units, results):
-                for (position, component, fingerprint, _), result in zip(
-                    unit, unit_results
-                ):
-                    if result.spans:
-                        # Re-route worker spans toward the caller (the
-                        # shard worker's active capture forwards them
-                        # over the wire); cached entries stay span-free.
-                        tracer.record_imported(result.spans)
-                        result.spans = None
-                    out[position] = (result, False)
-                    batched += result.stats.batched_components
-                    if result.stats.kernel_backend:
-                        kernels_used.add(result.stats.kernel_backend)
-                    if caching and result.stats.converged:
-                        self.cache.put(
-                            fingerprint,
-                            CacheEntry(p=result.p, stats=result.stats),
-                        )
-            with self._telemetry_lock:
-                self.component_solves += len(pending)
-                self.batched_components += batched
-                self.kernel_backends |= kernels_used
-
-        for position, earlier in duplicate_of.items():
-            solved = out[earlier]
-            assert solved is not None
-            out[position] = (solved[0], True)
-        filled: list[tuple[ComponentSolve, bool]] = []
-        for position, entry in enumerate(out):
-            if entry is None:
-                raise ReproError(
-                    f"component {position} produced no result (executor "
-                    "returned short)"
-                )
-            filled.append(entry)
-        return filled
 
     # -- cache persistence ---------------------------------------------------
 
@@ -595,7 +413,6 @@ class PrivacyEngine:
         with tracer.span(
             "engine.solve",
             ctx=trace_ctx,
-            executor=self.executor_name,
             n_vars=space.n_vars,
         ) as solve_span:
             with Timer() as wall:
@@ -701,8 +518,11 @@ class PrivacyEngine:
         p: np.ndarray,
         stats_by_position: dict[int, SolverStats],
     ) -> tuple[float, float]:
-        """Cache-check then fan numeric components out.
+        """Cache-check numeric components, then solve the misses.
 
+        Misses are solved one work unit at a time, and each component is
+        checked as its unit finishes: a contradictory knowledge set
+        aborts at the first bad component, and no later unit is solved.
         Returns ``(cpu_seconds, fingerprint_seconds)`` — summed component
         compute time and the wall time spent encoding cache keys.
         """
@@ -736,41 +556,31 @@ class PrivacyEngine:
         if not pending:
             return 0.0, fingerprint_seconds
 
-        # Work units: the plan's batch groups (minus cache hits) dispatch
-        # as single stacked-dual items, everything else individually.
-        units = _group_work(
-            pending, plan.batch_groups, lambda entry, index: entry[0]
-        )
-
-        tracer = get_tracer()
-        trace_ctx = tracer.context()
-        jobs = [
-            (
-                [component for _, component, _, _ in unit],
-                config,
-                [
-                    self.warm_starts.get(structure) if structure else None
-                    for _, _, _, structure in unit
-                ],
-                [fingerprint for _, _, fingerprint, _ in unit],
-                trace_ctx,
-            )
+        # Work units: the plan's batch groups (minus cache hits) solve
+        # as single stacked duals, everything else individually.  Warm
+        # starts are all looked up before the first unit runs, so a
+        # unit never starts from multipliers stored earlier in this
+        # same solve.
+        units = _group_work(pending, plan.batch_groups)
+        warm_starts = [
+            [
+                self.warm_starts.get(structure) if structure else None
+                for _, _, _, structure in unit
+            ]
             for unit in units
         ]
-        results = self._executor.imap(solve_component_group_task, jobs)
-
         cpu_seconds = 0.0
         batched = 0
         kernels_used: set[str] = set()
-        for unit, unit_results in zip(units, results):
+        for unit, unit_warm_starts in zip(units, warm_starts):
+            results = solve_component_group(
+                [component for _, component, _, _ in unit],
+                config,
+                unit_warm_starts,
+            )
             for (pos, component, fingerprint, structure), result in zip(
-                unit, unit_results
+                unit, results
             ):
-                if result.spans:
-                    # Stitch worker-side spans into this solve's trace,
-                    # and strip them so cached entries stay span-free.
-                    tracer.record_imported(result.spans)
-                    result.spans = None
                 p[component.var_indices] = result.p
                 stats_by_position[pos] = result.stats
                 cpu_seconds += result.stats.seconds
@@ -783,9 +593,6 @@ class PrivacyEngine:
                     )
                 if structure is not None and result.multipliers is not None:
                     self.warm_starts.put(structure, result.multipliers)
-                # Fail fast: a contradictory knowledge set aborts here, at
-                # the first bad component — under the serial executor the
-                # remaining components are never solved at all.
                 _check_component(component, result.stats, config)
         if batched:
             with self._telemetry_lock:
@@ -879,32 +686,20 @@ _SHARED_LOCK = threading.Lock()
 
 
 def shared_engine(config: MaxEntConfig | None = None) -> PrivacyEngine:
-    """The process-wide engine for a config's execution knobs.
+    """The process-wide engine for a config's cache knobs.
 
-    Engines are keyed by (executor, workers, cache_size), so every
+    Engines are keyed by (cache_size, cache_path), so every
     ``solve_maxent`` call with the same knobs shares one cache — this is
     what makes repeated quantifications (figure sweeps, skyline
     enumeration, solver ablations) reuse each other's component solutions
     without any plumbing.
     """
     config = config or MaxEntConfig()
-    key = (
-        config.executor,
-        config.workers,
-        config.cache_size,
-        config.cache_path,
-        config.cluster_workers,
-    )
+    key = (config.cache_size, config.cache_path)
     with _SHARED_LOCK:
         engine = _SHARED_ENGINES.get(key)
         if engine is None:
-            engine = PrivacyEngine(
-                executor=config.executor,
-                workers=config.workers,
-                cache_size=config.cache_size,
-                cache_path=config.cache_path,
-                cluster_workers=config.cluster_workers,
-            )
+            engine = PrivacyEngine.from_config(config)
             _SHARED_ENGINES[key] = engine
         return engine
 
@@ -913,8 +708,7 @@ def shutdown_shared_engines() -> int:
     """Close every process-wide shared engine and forget them all.
 
     Each close persists the engine's cache (when a ``cache_path`` is
-    configured) and tears down its worker pools, so no process-pool
-    children outlive the registry.  Registered with :mod:`atexit` so a
+    configured).  Registered with :mod:`atexit` so a
     normally exiting process always cleans up; safe to call repeatedly —
     after a shutdown, :func:`shared_engine` simply builds fresh engines.
     Returns the number of engines closed.

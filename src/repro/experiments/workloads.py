@@ -73,7 +73,7 @@ def build_synthetic_release(
     """One synthetic bucketized release (the scaling-benchmark workload).
 
     The construction benchmarks use the default small QI domains; the
-    cluster benchmarks widen them (unique QI tuples keep per-bucket
+    solver benchmarks widen them (unique QI tuples keep per-bucket
     knowledge from coupling buckets into one giant component).
     """
     table = generate_synthetic(
@@ -100,7 +100,7 @@ def per_bucket_statements(
     gets ``P(first SA value | first QI tuple) = p`` with a bucket-unique
     ``p`` swept across ``[low, high]``.  Every bucket becomes a distinct
     *relevant* component — no two solve to the same fingerprint — which
-    is exactly the shape that stresses component sharding.  The
+    is exactly the shape that stresses the batched dual.  The
     probabilities stay small enough to be feasible against the bucket
     invariants, and a bucket whose first QI tuple another bucket already
     claimed is skipped: at large scales QI tuples collide across buckets

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 _SOLVER_NAMES = ("lbfgs", "newton", "gis", "iis", "primal")
-_EXECUTOR_NAMES = ("serial", "thread", "process", "cluster")
 _REPLAY_NAMES = ("tolerance", "bitwise")
 _KERNEL_NAMES = ("auto", "numpy", "numba")
 
@@ -64,20 +63,6 @@ class MaxEntConfig:
         Raise :class:`InfeasibleKnowledgeError` when the residual indicates
         contradictory constraints; otherwise return with
         ``stats.converged = False``.
-    executor:
-        How decomposed components are fanned out: ``"serial"`` (default),
-        ``"thread"``, ``"process"``, or ``"cluster"`` (scatter to
-        long-lived shard workers over HTTP — see :mod:`repro.cluster`).
-        Components are independent sub-problems, so parallel execution is
-        a pure wall-clock optimization — the solution is identical by
-        construction.
-    workers:
-        Worker count for the thread/process executors (``None`` uses the
-        machine's CPU count).
-    cluster_workers:
-        Comma-separated ``host:port`` list of shard workers the
-        ``"cluster"`` executor attaches to; ``None`` falls back to the
-        ``REPRO_CLUSTER_WORKERS`` environment variable.
     cache_size:
         Bound of the per-engine LRU solve cache (entries are solved
         components, keyed by a canonical constraint-system fingerprint).
@@ -99,7 +84,7 @@ class MaxEntConfig:
         grouping, caching and kernel-backend differences — which lets
         the batched block-diagonal dual run by default.  ``"bitwise"``
         forces the per-component solve path (batching off), restoring
-        bit-identical replays across executors and re-runs for
+        bit-identical replays across re-runs for
         workflows that diff posteriors byte for byte; its cache entries
         are keyed separately (see :meth:`solve_key`) so a bitwise
         replay never consumes a tolerance-path entry.  Default
@@ -146,12 +131,9 @@ class MaxEntConfig:
     # mild preconditioner along bucket-mass directions), so default off.
     drop_redundant: bool = False
     # Execution-engine knobs (see repro.engine).
-    executor: str = "serial"
-    workers: int | None = None
     cache_size: int = 128
     cache_path: str | None = None
     warm_start: bool = True
-    cluster_workers: str | None = None
     # The solve-result reproducibility contract and the segment-kernel
     # backend (repro.maxent.kernels).
     replay: str = field(
@@ -178,13 +160,6 @@ class MaxEntConfig:
             raise ReproError(f"tol must be positive, got {self.tol}")
         if self.max_iterations <= 0:
             raise ReproError("max_iterations must be positive")
-        if self.executor not in _EXECUTOR_NAMES:
-            raise ReproError(
-                f"unknown executor {self.executor!r}; choose one of "
-                f"{_EXECUTOR_NAMES}"
-            )
-        if self.workers is not None and self.workers <= 0:
-            raise ReproError(f"workers must be positive, got {self.workers}")
         if self.cache_size < 0:
             raise ReproError(
                 f"cache_size must be non-negative, got {self.cache_size}"
@@ -230,13 +205,13 @@ class MaxEntConfig:
 
         Two configs with equal ``solve_key()`` produce the same solution for
         the same constraint system, so cache entries are shared across
-        executor/cache-bookkeeping differences but never across solver or
+        cache-bookkeeping differences but never across solver or
         tolerance changes.  The batching and kernel knobs are
         deliberately excluded: under the tolerance contract batched,
         per-component and cross-kernel solves converge to the same
         optimum within ``tol``, so their cache entries are
-        interchangeable — and keys (hence persisted caches and cluster
-        routing) stay identical whichever path produced them.  The
+        interchangeable — and keys (hence persisted caches) stay
+        identical whichever path produced them.  The
         ``"bitwise"`` contract appends a marker instead: a bitwise
         replay must never be served a tolerance-path entry, because a
         within-``tol`` vector is exactly what it promises not to return.

@@ -19,8 +19,7 @@ sparse adjacency matrix fed to ``scipy.sparse.csgraph.connected_components``
 single gathers over the system's CSR arrays, and local reindexing is one
 vectorized scatter — no per-variable loops, no per-row dict remaps, no
 re-validation of rows that were validated when first appended.  A
-:class:`Component` is therefore a picklable bundle of flat arrays, which
-keeps process-executor IPC cheap.
+:class:`Component` is therefore a plain bundle of flat arrays.
 """
 
 from __future__ import annotations

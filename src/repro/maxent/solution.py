@@ -20,9 +20,9 @@ class SolverStats:
     IIS scaling rounds, trust-constr iterations) — the quantity plotted on
     the y-axis of the paper's Figures 7(a) and 7(c).
 
-    ``seconds`` is wall-clock time; under a parallel executor it is shorter
-    than ``cpu_seconds``, the summed compute time of the individual
-    component solves (equal to ``seconds`` up to overhead when serial).
+    ``seconds`` is wall-clock time; ``cpu_seconds`` is the summed compute
+    time of the individual component solves (equal to ``seconds`` up to
+    planning and bookkeeping overhead).
     ``cache_hits`` counts components served from the engine's solve cache
     without any numeric work this run.  ``batched_components`` counts
     components solved through the stacked block-diagonal dual

@@ -9,15 +9,15 @@ implements the full Section 5.5 pipeline:
    solution (Theorem 5) — batched over all of them in one vectorized call,
 3. the rest are presolved (forced variables eliminated) and handed to the
    configured solver (L-BFGS dual by default; GIS / IIS / primal for the
-   solver-comparison ablation), fanned out across the configured executor,
+   solver-comparison ablation),
 4. per-component solutions are reassembled, statistics aggregated, and
    clear errors raised when the constraints turn out infeasible.
 
-The actual execution — parallel fan-out, the component solve cache,
-warm-started duals, the batched closed form — lives in
+The actual execution — the component solve cache, warm-started duals,
+the batched closed form and the batched dual — lives in
 :mod:`repro.engine`; this module is the stable entry point wrapping the
 process-wide shared :class:`~repro.engine.engine.PrivacyEngine` for the
-config's execution knobs.  :class:`MaxEntConfig` and
+config's cache knobs.  :class:`MaxEntConfig` and
 :func:`drop_redundant_data_rows` are re-exported here for compatibility
 with their original home.
 """
@@ -52,10 +52,10 @@ def solve_maxent(
     background-knowledge rows.
 
     Routes through the process-wide shared engine for ``config``'s
-    execution knobs (executor / workers / cache_size), so repeated solves
-    of overlapping programs reuse per-component solutions.  Hold a
+    cache knobs (cache_size / cache_path), so repeated solves of
+    overlapping programs reuse per-component solutions.  Hold a
     dedicated :class:`repro.engine.PrivacyEngine` instead when you need an
-    isolated cache or explicit pool lifecycle.
+    isolated cache.
 
     Every solve is traced: the engine opens an ``engine.solve`` span
     (nested under whatever span is active on the calling thread, e.g. a

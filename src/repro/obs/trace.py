@@ -3,28 +3,23 @@
 A *span* is a named, timed unit of work with key-value attributes; a
 *trace* is the tree of spans sharing one ``trace_id``.  The design
 constraint everything here follows: **``contextvars`` do not cross
-executor boundaries** — ``loop.run_in_executor``, ``ThreadPoolExecutor``
-and process pools all run work in a fresh or foreign context — so
+executor boundaries** — ``loop.run_in_executor`` and
+``ThreadPoolExecutor`` run work in a fresh or foreign context — so
 same-thread nesting is implicit (a contextvar) while every hop to
-another thread, process or machine hands the parent over *explicitly*
-as a small ``{"trace_id", "span_id"}`` dict (see :meth:`Tracer.context`
-and the ``ctx=`` argument of :meth:`Tracer.span`).
+another thread or process hands the parent over *explicitly* as a small
+``{"trace_id", "span_id"}`` dict (see :meth:`Tracer.context` and the
+``ctx=`` argument of :meth:`Tracer.span`; across HTTP it rides the
+service's trace header).
 
-Spans finished while no capture sink is active are routed by
-``trace_id`` into a process-global pending-trace builder, so a span
-finished on *any* thread still lands in the right trace; the first
+Finished spans are routed by ``trace_id`` into a process-global
+pending-trace builder, so a span finished on *any* thread still lands
+in the right trace; the first
 local span of a trace is its local root, and finishing it finalizes the
 trace into two bounded rings:
 
 - ``recent`` — the last N traces regardless of duration,
 - ``slow`` — traces at or above ``REPRO_TRACE_SLOW_SECONDS`` (default
   1.0s), retained even when fast traffic floods the recent ring.
-
-Worker-side code (process-pool group tasks, cluster shard workers) runs
-under :meth:`Tracer.capture`, which diverts finished spans into a plain
-list shipped back with the result; the caller feeds them to
-:meth:`Tracer.record_imported`, stitching one cross-process (or
-cross-machine) trace.
 
 Tracing is **default-on**: recording a span is two monotonic clock
 reads, one small dict and one lock-guarded list append, bounded by the
@@ -42,7 +37,6 @@ mid-trace would tear stitched cross-process traces.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import random
 import threading
@@ -216,15 +210,6 @@ class _SuppressedSpan:
         return False
 
 
-class Capture:
-    """Holder for spans diverted by :meth:`Tracer.capture`."""
-
-    __slots__ = ("spans",)
-
-    def __init__(self) -> None:
-        self.spans: list[dict] = []
-
-
 class _Builder:
     __slots__ = ("trace_id", "root_id", "spans")
 
@@ -257,9 +242,6 @@ class Tracer:
         self._slow: deque[dict] = deque(maxlen=slow)
         self._current: ContextVar[Span | None] = ContextVar(
             "repro_current_span", default=None
-        )
-        self._sink: ContextVar[list | None] = ContextVar(
-            "repro_span_sink", default=None
         )
         self._suppressed: ContextVar[bool] = ContextVar(
             "repro_trace_suppressed", default=False
@@ -308,12 +290,11 @@ class Tracer:
             trace_id, parent_id = _new_id(), None
         span = Span(self, trace_id, _new_id(4), parent_id, name, attributes)
         span._token = self._current.set(span)
-        if self._sink.get() is None:
-            with self._lock:
-                if trace_id not in self._pending:
-                    while len(self._pending) >= MAX_PENDING_TRACES:
-                        self._pending.pop(next(iter(self._pending)))
-                    self._pending[trace_id] = _Builder(trace_id, span.span_id)
+        with self._lock:
+            if trace_id not in self._pending:
+                while len(self._pending) >= MAX_PENDING_TRACES:
+                    self._pending.pop(next(iter(self._pending)))
+                self._pending[trace_id] = _Builder(trace_id, span.span_id)
         return span
 
     def _finish(self, span: Span) -> None:
@@ -326,10 +307,6 @@ class Tracer:
                 # (exotic, but not worth crashing a solve over).
                 self._current.set(None)
         record = span.to_dict()
-        sink = self._sink.get()
-        if sink is not None:
-            sink.append(record)
-            return
         finalized = None
         with self._lock:
             builder = self._pending.get(span.trace_id)
@@ -372,45 +349,6 @@ class Tracer:
         if span is None:
             return None
         return {"trace_id": span.trace_id, "span_id": span.span_id}
-
-    @contextlib.contextmanager
-    def capture(self):
-        """Divert spans finished in this context into ``.spans``.
-
-        Worker-side bracket: run it *inside* the function executing on
-        the worker thread/process (a sink is a contextvar and does not
-        cross executors either), ship ``capture.spans`` back with the
-        result, and feed them to :meth:`record_imported` on the caller.
-        """
-        cap = Capture()
-        if not self.enabled:
-            yield cap
-            return
-        token = self._sink.set(cap.spans)
-        try:
-            yield cap
-        finally:
-            self._sink.reset(token)
-
-    def record_imported(self, spans: list[dict]) -> None:
-        """Stitch spans captured elsewhere into their pending traces.
-
-        Inside an active :meth:`capture` the spans chain outward to the
-        sink instead (a worker forwarding deeper workers' spans).
-        Spans whose trace already finalized (or never started here) are
-        dropped — imports race trace completion by design.
-        """
-        if not spans or not self.enabled:
-            return
-        sink = self._sink.get()
-        if sink is not None:
-            sink.extend(spans)
-            return
-        with self._lock:
-            for span in spans:
-                builder = self._pending.get(span.get("trace_id"))
-                if builder is not None:
-                    builder.spans.append(dict(span))
 
     # -- inspection --------------------------------------------------------
 

@@ -101,6 +101,9 @@ from repro.service.telemetry import LATENCY_BOUNDS, ServiceTelemetry
 
 DEFAULT_PORT = 8711
 
+#: Solves admitted to run at once when the config leaves it unset.
+DEFAULT_MAX_CONCURRENCY = 4
+
 #: Request header a client (or the sharded frontend) sets to link the
 #: server-side trace into its own: ``"<trace_id>:<span_id>"``.
 TRACE_HEADER = "x-repro-trace"
@@ -131,12 +134,6 @@ def engine_metrics(
         stats.get("n_solves", 0),
         labels,
         "Full engine solves completed.",
-    )
-    builder.counter(
-        "engine_component_solves_total",
-        stats.get("component_solves", 0),
-        labels,
-        "Per-component solves completed (cache hits included).",
     )
     builder.counter(
         "engine_batched_components_total",
@@ -171,20 +168,6 @@ def engine_metrics(
         labels,
         "Warm-start dual vectors resident.",
     )
-    shipping = stats.get("shipping", {})
-    for counter in ("created", "reused", "freed"):
-        builder.counter(
-            f"engine_shipping_segments_{counter}_total",
-            shipping.get(f"segments_{counter}", 0),
-            labels,
-            f"Shared-memory shipping segments {counter}.",
-        )
-    builder.gauge(
-        "engine_shipping_segments_active",
-        shipping.get("active_segments", 0),
-        labels,
-        "Shared-memory segments currently mapped.",
-    )
 
 
 @dataclass(frozen=True)
@@ -196,9 +179,9 @@ class ServiceConfig:
     host, port:
         Bind address; port 0 asks the OS for a free port (tests).
     max_concurrency:
-        Solves running at once (``None``: the engine's worker count, or 4
-        for the serial executor — threads still overlap closed-form and
-        packaging work with GIL-releasing numeric kernels).
+        Solves running at once (``None``: 4 — threads overlap
+        closed-form and packaging work with GIL-releasing numeric
+        kernels).
     max_queue:
         Admitted-but-waiting solves beyond ``max_concurrency``; past
         both, requests get HTTP 429 (backpressure).
@@ -227,8 +210,8 @@ class ServiceConfig:
         Seconds a SIGTERM drain waits for in-flight solves to finish
         before the final snapshot and shutdown.
     engine:
-        Execution-engine knobs (executor, workers, component cache size,
-        ``cache_path`` for warm restarts).
+        Solver and engine knobs (component cache size, ``cache_path``
+        for warm restarts).
     """
 
     host: str = "127.0.0.1"
@@ -266,8 +249,7 @@ class PrivacyService:
         self.telemetry = ServiceTelemetry()
         concurrency = self.config.max_concurrency
         if concurrency is None:
-            workers = getattr(self.engine, "_executor", None)
-            concurrency = max(getattr(workers, "workers", 1), 4)
+            concurrency = DEFAULT_MAX_CONCURRENCY
         self.admission = AdmissionController(
             max_concurrency=concurrency, max_queue=self.config.max_queue
         )

@@ -7,10 +7,8 @@ same persisted identity.  The invariants asserted are the robustness
 acceptance bar for the elastic cluster:
 
 - zero failed client requests while workers die, join, and return;
-- no duplicate cache entries (each distinct component fingerprint is
-  looked up and cached exactly once, engine side);
-- posteriors bit-identical (scatter path) or within 1e-10 (service
-  path) to a single-engine run;
+- a slow wire is not a dead worker;
+- posteriors within 1e-10 of a single-engine run;
 - a respawned worker with a persisted identity reclaims its rendezvous
   slot without a re-routing storm (``moved == 0`` in the rebalance
   record).
@@ -23,36 +21,19 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.cluster import (
     ClusterCoordinator,
     ClusterError,
-    ClusterExecutor,
     MembershipConfig,
     ShardedFrontend,
 )
 from repro.cluster.chaos import ChaosProxy, FaultSchedule, WorkerProcess
 from repro.core.privacy_maxent import PrivacyMaxEnt
 from repro.data.paper_example import Q4, S1, paper_published
-from repro.engine.engine import PrivacyEngine
-from repro.engine.fingerprint import component_fingerprint
-from repro.experiments.workloads import (
-    build_synthetic_release,
-    per_bucket_statements,
-)
-from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalProbability
-from repro.maxent.config import MaxEntConfig
-from repro.maxent.constraints import ConstraintSystem, data_constraints
-from repro.maxent.decompose import decompose
-from repro.maxent.indexing import GroupVariableSpace
 from repro.service import BackgroundService, ServiceClient, ServiceConfig
-
-# Bitwise replay: the scatter tests prove fault tolerance by
-# bit-comparing posteriors, which only the per-component path promises.
-CONFIG = MaxEntConfig(raise_on_infeasible=False, replay="bitwise")
 
 #: One seed for the whole suite — date of the paper's conference run.
 SEED = 20080612
@@ -65,27 +46,6 @@ def wait_for(predicate, *, timeout: float = 30.0, message: str = "condition"):
             return
         time.sleep(0.05)
     pytest.fail(f"timed out after {timeout}s waiting for {message}")
-
-
-@pytest.fixture()
-def workload():
-    published = build_synthetic_release(
-        480, qi_domain_sizes=(40, 30, 20, 10), n_sa_values=8, l=8
-    )
-    space = GroupVariableSpace(published)
-    system = ConstraintSystem(space.n_vars)
-    system.extend(data_constraints(space))
-    system.extend(compile_statements(per_bucket_statements(published), space))
-    return space, system
-
-
-def _unique_numeric_fingerprints(space, system) -> set[str]:
-    components = decompose(space, system)
-    return {
-        component_fingerprint(c.system, c.mass, CONFIG.solve_key())
-        for c in components
-        if not c.is_irrelevant
-    }
 
 
 class TestFaultSchedule:
@@ -120,82 +80,6 @@ class TestFaultSchedule:
         counts = schedule.counts()
         assert sum(counts.values()) == 40
         assert set(counts) <= {"refuse", "pass"}
-
-
-class TestScatterUnderFire:
-    def test_wire_faults_cannot_corrupt_or_duplicate_solves(self, workload):
-        """Refusals, mid-response resets and latency spikes on one
-        worker's wire: the gathered posterior stays bit-identical to a
-        single engine's and no fingerprint is cached twice."""
-        space, system = workload
-        baseline = PrivacyEngine(cache_size=0).solve(space, system, CONFIG)
-        unique = _unique_numeric_fingerprints(space, system)
-        assert len(unique) > 20
-
-        schedule = FaultSchedule(
-            SEED, refuse=0.15, reset=0.10, delay=0.10, delay_seconds=0.02
-        )
-        with WorkerProcess(worker_id="chaos0") as clean, WorkerProcess(
-            worker_id="chaos1"
-        ) as victim:
-            clean.spawn()
-            victim.spawn()
-            with ChaosProxy(
-                victim.host, victim.port, schedule
-            ) as proxy:
-                coordinator = ClusterCoordinator.attach(
-                    f"chaos0@{clean.address},chaos1@{proxy.address}",
-                    chunk_size=4,
-                )
-                try:
-                    engine = PrivacyEngine(
-                        executor=ClusterExecutor(coordinator),
-                        cache_size=1024,
-                    )
-                    solution = engine.solve(space, system, CONFIG)
-                finally:
-                    coordinator.shutdown()
-
-            # The proxy really was on the request path.
-            assert proxy.connections > 0
-            assert sum(schedule.counts().values()) == proxy.connections
-
-            # Bit-identical despite whatever the schedule injected.
-            assert np.array_equal(solution.p, baseline.p)
-            assert solution.stats.converged == baseline.stats.converged
-
-            # No duplicate cache entries: one miss and one stored entry
-            # per distinct fingerprint, zero hits (nothing asked twice).
-            assert engine.cache.misses == len(unique)
-            assert engine.cache.hits == 0
-            assert len(engine.cache) == len(unique)
-
-    def test_latency_spikes_do_not_read_as_death(self, workload):
-        """A slow wire is not a dead worker: with every connection
-        delayed, the fleet stays fully alive and the result exact."""
-        space, system = workload
-        baseline = PrivacyEngine(cache_size=0).solve(space, system, CONFIG)
-        schedule = FaultSchedule(SEED, delay=1.0, delay_seconds=0.05)
-        with WorkerProcess(worker_id="slow0") as w0, WorkerProcess(
-            worker_id="slow1"
-        ) as w1:
-            w0.spawn()
-            w1.spawn()
-            with ChaosProxy(w1.host, w1.port, schedule) as proxy:
-                coordinator = ClusterCoordinator.attach(
-                    f"slow0@{w0.address},slow1@{proxy.address}",
-                    chunk_size=4,
-                )
-                try:
-                    engine = PrivacyEngine(
-                        executor=ClusterExecutor(coordinator), cache_size=0
-                    )
-                    solution = engine.solve(space, system, CONFIG)
-                    assert coordinator.dead_ids() == []
-                finally:
-                    coordinator.shutdown()
-            assert proxy.injected["delay"] == proxy.connections > 0
-        assert np.array_equal(solution.p, baseline.p)
 
 
 KNOWLEDGE = [
@@ -372,3 +256,41 @@ class TestElasticFrontend:
             counts = schedule.counts()
             assert proxy.connections > 0
             assert counts.get("refuse", 0) + counts.get("reset", 0) >= 1
+
+    def test_latency_spikes_do_not_read_as_death(self):
+        """A slow wire is not a dead worker: with every connection to
+        one worker delayed, the fleet stays fully alive and every
+        request succeeds."""
+        schedule = FaultSchedule(SEED, delay=1.0, delay_seconds=0.05)
+        with WorkerProcess(worker_id="slow0") as w0, WorkerProcess(
+            worker_id="slow1"
+        ) as w1:
+            w0.spawn()
+            w1.spawn()
+            with ChaosProxy(w1.host, w1.port, schedule) as proxy:
+                coordinator = ClusterCoordinator.attach(
+                    f"slow0@{w0.address},slow1@{proxy.address}"
+                )
+                service = ShardedFrontend(
+                    ServiceConfig(port=0),
+                    coordinator=coordinator,
+                    owns_coordinator=True,
+                )
+                with BackgroundService(service) as background:
+                    with ServiceClient(port=background.port) as client:
+                        client.wait_until_healthy(timeout=15)
+                        release_id = client.register(
+                            paper_published(), name="paper"
+                        )
+                        expected = PrivacyMaxEnt(
+                            paper_published(), knowledge=KNOWLEDGE
+                        ).posterior()
+                        for _ in range(4):
+                            result = client.posterior(release_id, KNOWLEDGE)
+                            assert result.posterior.prob(
+                                Q4, S1
+                            ) == pytest.approx(
+                                expected.prob(Q4, S1), abs=1e-10
+                            )
+                        assert coordinator.dead_ids() == []
+            assert proxy.injected["delay"] == proxy.connections > 0

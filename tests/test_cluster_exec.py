@@ -1,229 +1,35 @@
-"""Cluster execution: correctness-equivalence against the single engine.
+"""Fleet telemetry gathered by the coordinator from real shard workers.
 
-One module-scoped fleet of two real ``repro shard-worker`` subprocesses
-backs every test; each workload is solved by a fresh single-engine
-baseline and a fresh cluster-executor engine, and the probability
-vectors must match *bit for bit* (the acceptance bar is 1e-10; the wire
-protocol's raw-bytes float encoding delivers exactness).
+One module-scoped fleet of two ``repro shard-worker`` subprocesses; a
+release is registered and solved directly on one worker, and the
+coordinator's cross-shard aggregate must carry that worker's engine
+cache counters, broken down by cache-key prefix.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterCoordinator,
-    ClusterExecutor,
-    ClusterError,
-    ShardClient,
-    create_cluster_executor,
-)
+from repro.cluster import ClusterCoordinator
 from repro.data.paper_example import S1, paper_published
-from repro.engine.engine import PrivacyEngine
-from repro.experiments.workloads import (
-    build_adult_workload,
-    build_synthetic_release,
-    per_bucket_statements,
-)
-from repro.knowledge.bounds import TopKBound
-from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalProbability
-from repro.maxent.config import MaxEntConfig
-from repro.maxent.constraints import ConstraintSystem, data_constraints
-from repro.maxent.indexing import GroupVariableSpace
+
+KNOWLEDGE = [
+    ConditionalProbability(given={"gender": "male"}, sa_value=S1, probability=0.0)
+]
 
 
 @pytest.fixture(scope="module")
 def coordinator():
-    with ClusterCoordinator.spawn_local(2, chunk_size=8) as fleet:
+    with ClusterCoordinator.spawn_local(2) as fleet:
+        handle = fleet.handles[0]
+        with handle.client(timeout=30) as client:
+            release_id = client.register(paper_published(), name="paper")
+            client.posterior(release_id, KNOWLEDGE)
         yield fleet
 
 
-def _system_with(space, statements):
-    system = ConstraintSystem(space.n_vars)
-    system.extend(data_constraints(space))
-    if statements:
-        system.extend(compile_statements(list(statements), space))
-    return system
-
-
-def _paper_workload():
-    space = GroupVariableSpace(paper_published())
-    statements = [
-        ConditionalProbability(
-            given={"gender": "male"}, sa_value=S1, probability=0.0
-        )
-    ]
-    return space, _system_with(space, statements)
-
-
-def _adult_workload():
-    workload = build_adult_workload(n_records=600, max_antecedent=2)
-    space = GroupVariableSpace(workload.published)
-    statements = TopKBound(5, 5).statements(workload.rules)
-    return space, _system_with(space, statements)
-
-
-def _synthetic_workload():
-    published = build_synthetic_release(
-        480, qi_domain_sizes=(40, 30, 20, 10), n_sa_values=8, l=8
-    )
-    space = GroupVariableSpace(published)
-    return space, _system_with(space, per_bucket_statements(published))
-
-
-WORKLOADS = {
-    "paper": _paper_workload,
-    "adult": _adult_workload,
-    "synthetic": _synthetic_workload,
-}
-
-
-class TestClusterEquivalence:
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_bitwise_replay_round_trips_bit_for_bit(self, coordinator, name):
-        """``replay="bitwise"`` forces the per-component path on both
-        sides of the seam, so cluster posteriors round-trip bit-identical
-        to a single engine's (the raw-bytes wire encoding is lossless)."""
-        space, system = WORKLOADS[name]()
-        config = MaxEntConfig(raise_on_infeasible=False, replay="bitwise")
-        baseline = PrivacyEngine(cache_size=0).solve(space, system, config)
-        engine = PrivacyEngine(
-            executor=ClusterExecutor(coordinator), cache_size=0
-        )
-        solution = engine.solve(space, system, config)
-        assert np.array_equal(solution.p, baseline.p)
-        # The acceptance criterion as stated, implied by bit-equality:
-        assert np.abs(solution.p - baseline.p).max() <= 1e-10
-        assert solution.stats.n_components == baseline.stats.n_components
-        assert solution.stats.converged == baseline.stats.converged
-
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_default_config_matches_within_tolerance(
-        self, coordinator, name
-    ):
-        """The default (batched, tolerance-replay) contract across the
-        seam: cluster and single-engine results agree within solver
-        tolerance, not necessarily bit-for-bit — batch grouping differs
-        between a local engine and the shard fan-out."""
-        space, system = WORKLOADS[name]()
-        config = MaxEntConfig(raise_on_infeasible=False)
-        baseline = PrivacyEngine(cache_size=0).solve(space, system, config)
-        engine = PrivacyEngine(
-            executor=ClusterExecutor(coordinator), cache_size=0
-        )
-        solution = engine.solve(space, system, config)
-        assert np.abs(solution.p - baseline.p).max() <= 100 * config.tol
-        assert solution.stats.n_components == baseline.stats.n_components
-        assert solution.stats.converged == baseline.stats.converged
-
-    def test_merged_stats_cover_every_component(self, coordinator):
-        space, system = _synthetic_workload()
-        config = MaxEntConfig(raise_on_infeasible=False)
-        engine = PrivacyEngine(
-            executor=ClusterExecutor(coordinator), cache_size=0
-        )
-        solution = engine.solve(space, system, config)
-        assert len(solution.components) == solution.stats.n_components
-        numeric = [
-            record
-            for record in solution.components
-            if record.stats.solver != "closed-form"
-        ]
-        assert numeric
-        # cpu_seconds merges the per-shard compute the workers reported.
-        assert solution.stats.cpu_seconds == pytest.approx(
-            sum(record.stats.seconds for record in solution.components)
-        )
-
-    def test_infeasible_knowledge_error_crosses_the_wire(self, coordinator):
-        # Backend choice must not change the error contract: a worker's
-        # 409 comes back as the same exception type a local solve raises.
-        from repro.errors import InfeasibleKnowledgeError
-
-        space = GroupVariableSpace(paper_published())
-        statements = [
-            ConditionalProbability(
-                given={"gender": "male"}, sa_value=S1, probability=0.0
-            ),
-            ConditionalProbability(
-                given={"gender": "male"}, sa_value=S1, probability=0.5
-            ),
-        ]
-        system = _system_with(space, statements)
-        engine = PrivacyEngine(
-            executor=ClusterExecutor(coordinator), cache_size=0
-        )
-        with pytest.raises(InfeasibleKnowledgeError):
-            engine.solve(
-                space, system, MaxEntConfig(raise_on_infeasible=False)
-            )
-        assert coordinator.alive_ids()  # a 409 is a verdict, not a death
-
-    def test_repeat_solve_hits_coordinator_cache(self, coordinator):
-        space, system = _paper_workload()
-        config = MaxEntConfig(raise_on_infeasible=False)
-        engine = PrivacyEngine(
-            executor=ClusterExecutor(coordinator), cache_size=64
-        )
-        first = engine.solve(space, system, config)
-        again = engine.solve(space, system, config)
-        assert np.array_equal(first.p, again.p)
-        assert again.stats.cache_hits > 0
-
-
 class TestClusterExecutorPlumbing:
-    def test_rejects_foreign_tasks(self, coordinator):
-        executor = ClusterExecutor(coordinator)
-        with pytest.raises(ClusterError, match="component solve tasks"):
-            list(executor.imap(len, [([], None, None)]))
-
-    def test_empty_job_list(self, coordinator):
-        executor = ClusterExecutor(coordinator)
-        from repro.engine.component import solve_component_task
-
-        assert executor.map(solve_component_task, []) == []
-
-    def test_create_without_addresses_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CLUSTER_WORKERS", raising=False)
-        with pytest.raises(ClusterError, match="REPRO_CLUSTER_WORKERS"):
-            create_cluster_executor(None)
-
-    def test_engine_attaches_via_config(self, coordinator):
-        # Spawned workers carry stable identities decoupled from their
-        # ports; attach with the id@host:port form so routing matches.
-        addresses = ",".join(
-            f"{h.worker_id}@{h.host}:{h.port}" for h in coordinator.handles
-        )
-        config = MaxEntConfig(
-            executor="cluster",
-            cluster_workers=addresses,
-            raise_on_infeasible=False,
-        )
-        space, system = _paper_workload()
-        engine = PrivacyEngine.from_config(config)
-        try:
-            assert engine.executor_name == "cluster"
-            baseline = PrivacyEngine(cache_size=0).solve(
-                space, system, config
-            )
-            solution = engine.solve(space, system, config)
-            assert np.array_equal(solution.p, baseline.p)
-        finally:
-            # Attached coordinators close without touching the fleet the
-            # module fixture owns.
-            engine.close()
-        assert coordinator.alive_ids()  # fixture fleet untouched
-
-    def test_worker_state_endpoint_reports_counters(self, coordinator):
-        handle = coordinator.handles[0]
-        with ShardClient(handle.host, handle.port) as client:
-            state = client.shard_state()
-        assert state["worker"] == handle.worker_id
-        assert state["components_solved"] >= 0
-        assert "cache" in state["engine"]
-
     def test_worker_telemetry_exposes_prefix_counters(self, coordinator):
         telemetry = coordinator.aggregate_telemetry()
         aggregate = telemetry["aggregate"]

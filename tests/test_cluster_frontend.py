@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterCoordinator, ShardedFrontend
+from repro.cluster import (
+    SHARD_PROTOCOL,
+    ClusterCoordinator,
+    ShardClient,
+    ShardedFrontend,
+)
 from repro.core.privacy_maxent import PrivacyMaxEnt
 from repro.data.paper_example import Q4, S1, paper_published
 from repro.knowledge.statements import ConditionalProbability
@@ -68,11 +73,28 @@ class TestRouting:
 
     def test_telemetry_embeds_fleet_aggregates(self, frontend):
         fleet, service, client = frontend
-        client.register(paper_published(), name="paper")
+        release_id = client.register(paper_published(), name="paper")
+        client.posterior(release_id, KNOWLEDGE)
         telemetry = client.telemetry()
         cluster = telemetry["cluster"]
         assert len(cluster["workers"]) == fleet.n_workers
-        assert "cache_by_prefix" in cluster["aggregate"]
+        aggregate = cluster["aggregate"]
+        assert aggregate["n_solves"] >= 1
+        assert aggregate["cache_misses"] > 0
+        assert aggregate["cache_by_prefix"]
+        for counters in aggregate["cache_by_prefix"].values():
+            assert set(counters) == {"hits", "misses", "evictions"}
+
+    def test_worker_state_endpoint_reports_identity(self, frontend):
+        fleet, service, client = frontend
+        release_id = client.register(paper_published(), name="paper")
+        owner = fleet.worker(client.release(release_id)["shard"])
+        with ShardClient(owner.host, owner.port) as shard:
+            state = shard.shard_state()
+        assert state["protocol"] == SHARD_PROTOCOL
+        assert state["worker"] == owner.worker_id
+        assert state["releases"] >= 1
+        assert "cache" in state["engine"]
 
 
 class TestFailover:

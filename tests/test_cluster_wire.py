@@ -1,4 +1,4 @@
-"""Wire forms and the shard protocol: exactness, strictness, versioning."""
+"""The shard protocol: strictness and versioning."""
 
 from __future__ import annotations
 
@@ -14,35 +14,9 @@ from repro.cluster.protocol import (
     heartbeat_request_to_wire,
     join_request_from_wire,
     join_request_to_wire,
-    response_spans,
-    solve_request_from_wire,
-    solve_request_to_wire,
-    solve_response_from_wire,
-    solve_result_to_wire,
 )
-from repro.data.paper_example import paper_published
-from repro.engine.component import ComponentSolve, solve_component
-from repro.engine.fingerprint import component_fingerprint, fingerprint_system
+from repro.engine.component import ComponentSolve
 from repro.errors import ReproError
-from repro.maxent.config import MaxEntConfig
-from repro.maxent.constraints import ConstraintSystem, data_constraints
-from repro.maxent.decompose import decompose
-from repro.maxent.indexing import GroupVariableSpace
-from repro.maxent.wire import (
-    component_from_wire,
-    component_to_wire,
-    decode_array,
-    encode_array,
-    system_from_wire,
-    system_to_wire,
-)
-
-
-@pytest.fixture(scope="module")
-def paper_components():
-    space = GroupVariableSpace(paper_published())
-    system = data_constraints(space)
-    return space, decompose(space, system)
 
 
 def _json_round_trip(payload):
@@ -50,231 +24,22 @@ def _json_round_trip(payload):
     return json.loads(json.dumps(payload, separators=(",", ":")))
 
 
-class TestArrayEncoding:
-    def test_float_round_trip_is_bit_exact(self):
-        values = np.array([0.1, 1e-300, -np.pi, 3.0, np.nextafter(1.0, 2.0)])
-        decoded = decode_array(encode_array(values, "<f8"), "<f8")
-        assert decoded.tobytes() == values.tobytes()
-
-    def test_int_round_trip(self):
-        values = np.arange(17, dtype=np.int64) * 11
-        decoded = decode_array(encode_array(values, "<i8"), "<i8")
-        assert np.array_equal(decoded, values)
-
-    def test_decode_rejects_non_string(self):
-        with pytest.raises(ReproError, match="base64 string"):
-            decode_array([1.0, 2.0], "<f8")
-
-    def test_decode_rejects_bad_base64(self):
-        with pytest.raises(ReproError, match="undecodable"):
-            decode_array("not base64!!", "<f8")
-
-    def test_decode_rejects_misaligned_bytes(self):
-        import base64
-
-        payload = base64.b64encode(b"123").decode()
-        with pytest.raises(ReproError, match="item size"):
-            decode_array(payload, "<f8")
-
-
-class TestSystemWire:
-    def test_round_trip_preserves_fingerprint(self, paper_components):
-        _, components = paper_components
-        for component in components:
-            wire = _json_round_trip(system_to_wire(component.system))
-            back = system_from_wire(wire)
-            assert fingerprint_system(back, 1.0) == fingerprint_system(
-                component.system, 1.0
-            )
-            assert back.n_equalities == component.system.n_equalities
-            assert back.n_inequalities == component.system.n_inequalities
-
-    def test_round_trip_preserves_labels_and_kinds(self, paper_components):
-        _, components = paper_components
-        system = components[0].system
-        back = system_from_wire(_json_round_trip(system_to_wire(system)))
-        original = system.equality_arrays()
-        rebuilt = back.equality_arrays()
-        assert list(rebuilt.labels) == list(original.labels)
-        assert rebuilt.kinds() == original.kinds()
-
-    def test_unknown_field_rejected(self, paper_components):
-        _, components = paper_components
-        wire = system_to_wire(components[0].system)
-        wire["surprise"] = 1
-        with pytest.raises(ReproError, match="unknown field"):
-            system_from_wire(wire)
-
-    def test_malformed_rows_rejected(self, paper_components):
-        """Re-validation on decode: a hostile peer cannot smuggle rows."""
-        _, components = paper_components
-        wire = system_to_wire(components[0].system)
-        # Point a row at a variable outside the declared space.
-        wire["n_vars"] = 1
-        with pytest.raises(ReproError):
-            system_from_wire(wire)
-
-
-class TestComponentWire:
-    def test_round_trip(self, paper_components):
-        _, components = paper_components
-        config = MaxEntConfig()
-        for component in components:
-            back = component_from_wire(
-                _json_round_trip(component_to_wire(component))
-            )
-            assert back.buckets == component.buckets
-            assert np.array_equal(back.var_indices, component.var_indices)
-            assert back.mass == component.mass
-            assert back.knowledge_rows == component.knowledge_rows
-            assert back.is_irrelevant == component.is_irrelevant
-            assert component_fingerprint(
-                back.system, back.mass, config.solve_key()
-            ) == component_fingerprint(
-                component.system, component.mass, config.solve_key()
-            )
-
-    def test_solving_a_travelled_component_is_bit_identical(
-        self, paper_components
-    ):
-        _, components = paper_components
-        config = MaxEntConfig()
-        for component in components:
-            back = component_from_wire(
-                _json_round_trip(component_to_wire(component))
-            )
-            local = solve_component(component, config)
-            remote = solve_component(back, config)
-            assert np.array_equal(local.p, remote.p)
-
-    def test_unknown_field_rejected(self, paper_components):
-        _, components = paper_components
-        wire = component_to_wire(components[0])
-        wire["extra"] = True
-        with pytest.raises(ReproError, match="unknown field"):
-            component_from_wire(wire)
-
-
 class TestShardProtocol:
-    def test_solve_request_round_trip(self, paper_components):
-        _, components = paper_components
-        config = MaxEntConfig(tol=1e-8, raise_on_infeasible=False)
-        fingerprints = [
-            component_fingerprint(c.system, c.mass, config.solve_key())
-            for c in components
-        ]
-        warm = [None, np.array([0.5, -1.0]), None][: len(components)]
-        payload = _json_round_trip(
-            solve_request_to_wire(fingerprints, components, config, warm)
-        )
-        got_fps, got_components, got_config, got_warm, got_trace = (
-            solve_request_from_wire(payload)
-        )
-        assert got_fps == fingerprints
-        assert got_config == config
-        assert len(got_components) == len(components)
-        assert got_warm[0] is None
-        assert np.array_equal(got_warm[1], warm[1])
-        assert got_trace is None
-
-    def test_version_mismatch_rejected(self, paper_components):
-        _, components = paper_components
-        config = MaxEntConfig()
-        payload = solve_request_to_wire([], [], config, [])
-        payload["protocol"] = "privacy-maxent-shard/0"
-        with pytest.raises(ReproError, match="same version"):
-            solve_request_from_wire(payload)
+    def test_version_mismatch_rejected(self):
+        assert SHARD_PROTOCOL == "privacy-maxent-shard/6"
+        # A v5 peer (one that still scatters components) is refused with
+        # the designed version-mismatch error, not an unknown-key one.
+        for version in ("privacy-maxent-shard/5", "privacy-maxent-shard/0"):
+            payload = join_request_to_wire("shard0", "127.0.0.1", 9000)
+            payload["protocol"] = version
+            with pytest.raises(ReproError, match="same version"):
+                join_request_from_wire(payload)
         with pytest.raises(ReproError, match="same version"):
             check_protocol({"protocol": None}, "message")
 
-    def test_solve_response_round_trip(self, paper_components):
-        _, components = paper_components
-        config = MaxEntConfig()
-        solves = [solve_component(c, config) for c in components]
-        payload = _json_round_trip(
-            {
-                "protocol": SHARD_PROTOCOL,
-                "results": [
-                    solve_result_to_wire(f"fp-{i}", solve, cached=(i == 0))
-                    for i, solve in enumerate(solves)
-                ],
-            }
-        )
-        decoded = solve_response_from_wire(payload)
-        assert [fp for fp, _, _ in decoded] == [
-            f"fp-{i}" for i in range(len(solves))
-        ]
-        assert [cached for _, _, cached in decoded] == [
-            i == 0 for i in range(len(solves))
-        ]
-        for (_, got, _), sent in zip(decoded, solves):
-            assert np.array_equal(got.p, sent.p)
-            assert got.stats.converged == sent.stats.converged
-            assert got.stats.residual == sent.stats.residual
-            if sent.multipliers is None:
-                assert got.multipliers is None
-            else:
-                assert np.array_equal(got.multipliers, sent.multipliers)
-
-    def test_trace_context_round_trips(self, paper_components):
-        _, components = paper_components
-        config = MaxEntConfig()
-        ctx = {"trace_id": "aa" * 8, "span_id": "bb" * 4}
-        payload = _json_round_trip(
-            solve_request_to_wire(
-                ["fp"], components[:1], config, [None], trace_ctx=ctx
-            )
-        )
-        *_, got_trace = solve_request_from_wire(payload)
-        assert got_trace == ctx
-
-    def test_trace_context_span_id_is_optional(self, paper_components):
-        _, components = paper_components
-        config = MaxEntConfig()
-        payload = solve_request_to_wire(
-            ["fp"], components[:1], config, [None],
-            trace_ctx={"trace_id": "cc" * 8},
-        )
-        *_, got_trace = solve_request_from_wire(_json_round_trip(payload))
-        assert got_trace == {"trace_id": "cc" * 8, "span_id": None}
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "not-a-dict",
-            {"span_id": "orphan"},
-            {"trace_id": ""},
-            {"trace_id": 123},
-            None,
-        ],
-    )
-    def test_unusable_trace_context_decodes_to_none(
-        self, paper_components, bad
-    ):
-        """Tracing must never fail a solve: junk decodes to None."""
-        _, components = paper_components
-        payload = solve_request_to_wire(["fp"], components[:1], MaxEntConfig(), [None])
-        payload["trace"] = bad
-        *_, got_trace = solve_request_from_wire(_json_round_trip(payload))
-        assert got_trace is None
-
-    def test_response_spans_are_tolerant_freight(self):
-        span = {"trace_id": "t", "span_id": "s", "name": "shard.solve"}
-        assert response_spans({"spans": [span, "junk", 7]}) == [span]
-        assert response_spans({"spans": "junk"}) == []
-        assert response_spans({}) == []
-
-    def test_duplicate_warm_start_lengths_validated(self, paper_components):
-        _, components = paper_components
-        config = MaxEntConfig()
-        payload = solve_request_to_wire(["fp"], components[:1], config, [None])
-        payload["jobs"][0]["fingerprint"] = ""
-        with pytest.raises(ReproError, match="fingerprint"):
-            solve_request_from_wire(payload)
-
 
 class TestMembershipWire:
-    """The v5 additions: join/heartbeat announcements, same strictness."""
+    """Join/heartbeat announcements: round trips and strict decoding."""
 
     @pytest.mark.parametrize(
         "to_wire,from_wire",

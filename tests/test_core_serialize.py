@@ -131,6 +131,15 @@ class TestConfigsAndBounds:
         )
         payload = json_round_trip(wire.config_to_dict(config))
         assert wire.config_from_dict(payload) == config
+        # Older clients send the retired executor knobs too: the body
+        # is accepted and yields the same config as one without them.
+        parent_form = {
+            **payload,
+            "executor": "serial",
+            "workers": None,
+            "cluster_workers": None,
+        }
+        assert wire.config_from_dict(parent_form) == config
 
     def test_config_none_is_default(self):
         assert wire.config_from_dict(None) == MaxEntConfig()

@@ -1,4 +1,4 @@
-"""Engine integration of the batched dual path (plan, cache, cluster seam).
+"""Engine integration of the batched dual path (plan, cache, solve loop).
 
 The acceptance discipline: batched and per-component engine solves agree
 within the solver tolerance on every workload, and the *bookkeeping* —
@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from repro.data.paper_example import S1, paper_published
+import repro.engine.engine as engine_module
 from repro.engine import PrivacyEngine, bin_batch_groups, component_fingerprint
-from repro.engine.component import (
-    solve_component,
-    solve_component_group_task,
-)
+from repro.engine.component import solve_component, solve_component_group
 from repro.engine.plan import build_plan
-from repro.errors import ReproError
+from repro.errors import InfeasibleKnowledgeError, ReproError
 from repro.experiments.workloads import (
     build_adult_workload,
     build_synthetic_release,
@@ -29,8 +27,8 @@ from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalProbability
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, data_constraints
-from repro.maxent.decompose import decompose
 from repro.maxent.indexing import GroupVariableSpace
+from repro.obs.trace import get_tracer
 
 TOL = 1e-6
 
@@ -159,12 +157,6 @@ class TestBinning:
         groups = bin_batch_groups([1, 2, 3, 4, 5], config)
         assert groups == [[0, 1], [2, 3]]  # trailing singleton dropped
 
-    def test_workers_split_the_fanout(self):
-        config = MaxEntConfig(batch_components=100, batch_max_vars=10)
-        groups = bin_batch_groups(list(range(1, 9)), config, workers=4)
-        assert len(groups) == 4
-        assert all(len(g) == 2 for g in groups)
-
     def test_fewer_than_two_eligible(self):
         config = MaxEntConfig(batch_components=8, batch_max_vars=10)
         assert bin_batch_groups([5, 50, 60], config) == []
@@ -280,101 +272,94 @@ class TestEngineEquivalence:
             > 0
         )
 
-    def test_process_executor_ships_batch_groups(self):
-        space, system = _synthetic_workload()
-        config = MaxEntConfig(
-            raise_on_infeasible=False,
-            batch_components=512,
-            batch_max_vars=512,
-            executor="process",
-            workers=2,
+
+def _spy_group_solves(monkeypatch) -> list[list]:
+    """Record the components of every work unit the engine solves."""
+    calls: list[list] = []
+
+    def spy(components, config, warm_starts):
+        calls.append(list(components))
+        return solve_component_group(components, config, warm_starts)
+
+    monkeypatch.setattr(engine_module, "solve_component_group", spy)
+    return calls
+
+
+class TestFailFast:
+    """A contradiction stops the solve at the first bad work unit."""
+
+    BAD_BUCKET = 2
+
+    def _infeasible_workload(self):
+        published = build_synthetic_release(
+            480, qi_domain_sizes=(40, 30, 20, 10), n_sa_values=6, l=5
         )
-        with PrivacyEngine(
-            executor="process", workers=2, cache_size=0
-        ) as engine:
-            solution = engine.solve(space, system, config)
-        baseline = PrivacyEngine(cache_size=0).solve(space, system, PLAIN)
-        assert solution.stats.batched_components > 0
-        assert np.abs(solution.p - baseline.p).max() <= 100 * TOL
-
-
-class TestShardEntryPoint:
-    def _components(self, space, system, config):
-        components = decompose(space, system)
-        solve_key = config.solve_key()
-        fingerprints = [
-            component_fingerprint(c.system, c.mass, solve_key)
-            for c in components
+        space = GroupVariableSpace(published)
+        statements = per_bucket_statements(published)
+        bucket = published.buckets[self.BAD_BUCKET]
+        # P(a | x) + P(b | x) = 1.8 over a value x of one QI attribute:
+        # the rows span several variables, so presolve cannot see the
+        # clash and the dual solve ends far from feasible.
+        given = {published.schema.qi_attributes[0]: bucket.qi_tuples[0][0]}
+        statements += [
+            ConditionalProbability(
+                given=given, sa_value=sa_value, probability=0.9
+            )
+            for sa_value in bucket.sa_values[:2]
         ]
-        return components, fingerprints
+        return space, _system_with(space, statements)
 
-    def test_solve_components_bins_batches(self):
+    @pytest.mark.parametrize("batch_components", [0, 2])
+    def test_no_unit_after_the_bad_one_is_solved(
+        self, monkeypatch, batch_components
+    ):
+        space, system = self._infeasible_workload()
+        config = MaxEntConfig(batch_components=batch_components)
+        plan = build_plan(space, system, config)
+        n_units = len(plan.numeric) - sum(
+            len(group) - 1 for group in plan.batch_groups
+        )
+        calls = _spy_group_solves(monkeypatch)
+        with pytest.raises(InfeasibleKnowledgeError):
+            PrivacyEngine(cache_size=0).solve(space, system, config)
+        assert calls
+        assert any(
+            self.BAD_BUCKET in component.buckets for component in calls[-1]
+        )
+        for unit in calls[:-1]:
+            assert all(
+                self.BAD_BUCKET not in component.buckets
+                for component in unit
+            )
+        assert len(calls) < n_units
+
+
+class TestSolveGroupSpan:
+    def test_solve_group_is_a_child_of_dispatch(self):
         space, system = _synthetic_workload()
-        components, fingerprints = self._components(space, system, BATCHED)
-        engine = PrivacyEngine(cache_size=4096)
-        results = engine.solve_components(fingerprints, components, BATCHED)
-        assert len(results) == len(components)
-        assert engine.batched_components > 0
-        # Every converged component landed in the cache under the
-        # coordinator-supplied fingerprint.
-        for fingerprint, (solve, cached) in zip(fingerprints, results):
-            assert not cached
-            if solve.stats.converged:
-                assert engine.cache.lookup(fingerprint) is not None
-        # And the per-component results match plain solves within tol.
-        for component, (solve, _) in zip(components, results):
-            solo = solve_component(component, PLAIN)
-            assert np.abs(solo.p - solve.p).max() <= 100 * TOL
-
-    def test_solve_components_without_batching_unchanged(self):
-        space, system = _paper_workload()
-        components, fingerprints = self._components(space, system, PLAIN)
-        engine = PrivacyEngine(cache_size=64)
-        results = engine.solve_components(fingerprints, components, PLAIN)
-        assert engine.batched_components == 0
-        assert all(not cached for _, cached in results)
-
-
-class _CapturingExecutor:
-    """Executor stub recording the group jobs the engine dispatches."""
-
-    name = "capture"
-    workers = 1
-
-    def __init__(self):
-        self.jobs = []
-
-    def imap(self, fn, items):
-        assert fn is solve_component_group_task
-        items = list(items)
-        self.jobs.extend(items)
-        return (fn(job) for job in items)
-
-    def close(self):
-        pass
-
-
-class TestFingerprintPassthrough:
-    def test_engine_passes_cache_fingerprints_to_executor(self):
-        space, system = _synthetic_workload()
-        executor = _CapturingExecutor()
-        engine = PrivacyEngine(executor=executor, cache_size=4096)
-        engine.solve(space, system, BATCHED)
-        solve_key = BATCHED.solve_key()
-        seen = 0
-        for components, _, _, fingerprints, *_rest in executor.jobs:
-            for component, fingerprint in zip(components, fingerprints):
-                assert fingerprint == component_fingerprint(
-                    component.system, component.mass, solve_key
-                )
-                seen += 1
-        assert seen > 0
-
-    def test_cache_disabled_passes_none(self):
-        space, system = _paper_workload()
-        executor = _CapturingExecutor()
-        engine = PrivacyEngine(executor=executor, cache_size=0)
-        engine.solve(space, system, PLAIN)
-        assert executor.jobs
-        for _, _, _, fingerprints, *_rest in executor.jobs:
-            assert all(f is None for f in fingerprints)
+        tracer = get_tracer()
+        was_enabled, rate = tracer.enabled, tracer.sample_rate
+        tracer.set_enabled(True)
+        tracer.set_sample_rate(1.0)
+        tracer.reset()
+        try:
+            PrivacyEngine(cache_size=0).solve(space, system, BATCHED)
+            (trace,) = [
+                t for t in tracer.traces() if t["root"] == "engine.solve"
+            ]
+        finally:
+            tracer.set_enabled(was_enabled)
+            tracer.set_sample_rate(rate)
+        (dispatch,) = [
+            s for s in trace["spans"] if s["name"] == "engine.dispatch"
+        ]
+        groups = [
+            s for s in trace["spans"] if s["name"] == "engine.solve_group"
+        ]
+        assert groups
+        assert all(s["parent_id"] == dispatch["span_id"] for s in groups)
+        assert any(s["attributes"]["batched"] for s in groups)
+        assert all("phase.dual_seconds" in s["attributes"] for s in groups)
+        assert dispatch["attributes"]["n_components"] == sum(
+            s["attributes"]["n_components"] for s in groups
+        )

@@ -1,24 +1,10 @@
-"""Executor backends and the PrivacyEngine facade.
-
-The load-bearing property: serial, thread and process execution produce the
-*same* MaxEntSolution — parallelism is pure wall-clock optimization.
-"""
+"""The PrivacyEngine facade and its execution plan."""
 
 import numpy as np
 import pytest
 
 from repro.data.paper_example import paper_published
-from repro.engine import (
-    PrivacyEngine,
-    build_plan,
-    create_executor,
-    shared_engine,
-)
-from repro.engine.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.engine import PrivacyEngine, build_plan, shared_engine
 from repro.errors import ReproError
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalProbability
@@ -27,8 +13,6 @@ from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import data_constraints
 from repro.maxent.indexing import GroupVariableSpace
 from tests.helpers import random_published
-
-EXECUTORS = ("serial", "thread", "process")
 
 
 def paper_instance():
@@ -80,74 +64,6 @@ def multi_component_instance():
     return space, system
 
 
-class TestBackends:
-    def test_map_preserves_order(self):
-        for executor in (SerialExecutor(), ThreadExecutor(2)):
-            with executor:
-                assert executor.map(abs, [-3, 1, -2]) == [3, 1, 2]
-
-    def test_process_map_preserves_order(self):
-        with ProcessExecutor(2) as executor:
-            assert executor.map(abs, [-3, 1, -2]) == [3, 1, 2]
-
-    def test_single_item_skips_pool(self):
-        executor = ThreadExecutor(2)
-        assert executor.map(abs, [-5]) == [5]
-        assert executor._pool is None  # lazy pool never created
-        executor.close()
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ReproError):
-            create_executor("gpu")
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ReproError):
-            ThreadExecutor(0)
-
-    def test_close_is_idempotent(self):
-        executor = ThreadExecutor(2)
-        executor.map(abs, [-1, -2])
-        executor.close()
-        executor.close()
-
-
-class TestExecutorEquivalence:
-    """All three backends must produce the same MaxEntSolution."""
-
-    @pytest.mark.parametrize("instance", ["paper", "multi"])
-    def test_same_solution(self, instance):
-        space, system = (
-            paper_instance() if instance == "paper" else multi_component_instance()
-        )
-        solutions = {}
-        for name in EXECUTORS:
-            with PrivacyEngine(executor=name, workers=2, cache_size=0) as eng:
-                solutions[name] = eng.solve(
-                    space, system, MaxEntConfig(raise_on_infeasible=False)
-                )
-        reference = solutions["serial"]
-        for name in ("thread", "process"):
-            other = solutions[name]
-            assert np.abs(other.p - reference.p).max() < 1e-12
-            assert other.stats.converged == reference.stats.converged
-            assert other.stats.n_components == reference.stats.n_components
-            assert [r.stats.converged for r in other.components] == [
-                r.stats.converged for r in reference.components
-            ]
-
-    def test_parallel_timing_aggregates(self):
-        space, system = multi_component_instance()
-        with PrivacyEngine(executor="thread", workers=2, cache_size=0) as eng:
-            solution = eng.solve(space, system)
-        component_cpu = sum(
-            r.stats.seconds
-            for r in solution.components
-            if r.stats.solver not in ("closed-form",)
-        )
-        assert solution.stats.cpu_seconds == pytest.approx(component_cpu)
-        assert solution.stats.seconds > 0.0
-
-
 class TestPlan:
     def test_classifies_closed_form_and_numeric(self):
         space, system = paper_instance()
@@ -174,13 +90,26 @@ class TestEngineFacade:
         assert np.allclose(solution.p, closed_form_solution(space))
         assert solution.stats.iterations == 0
 
-    def test_from_config_reads_knobs(self):
+    def test_from_config_reads_knobs(self, tmp_path):
+        path = tmp_path / "cache.pkl"
         engine = PrivacyEngine.from_config(
-            MaxEntConfig(executor="thread", workers=3, cache_size=5)
+            MaxEntConfig(cache_size=5, cache_path=str(path))
         )
-        assert engine.executor_name == "thread"
         assert engine.cache.max_entries == 5
+        assert engine.cache_path == str(path)
         engine.close()
+
+    def test_cpu_seconds_sum_component_times(self):
+        space, system = multi_component_instance()
+        with PrivacyEngine(cache_size=0) as eng:
+            solution = eng.solve(space, system)
+        component_cpu = sum(
+            r.stats.seconds
+            for r in solution.components
+            if r.stats.solver not in ("closed-form",)
+        )
+        assert solution.stats.cpu_seconds == pytest.approx(component_cpu)
+        assert solution.stats.seconds > 0.0
 
     def test_shared_engine_reuses_instances(self):
         a = shared_engine(MaxEntConfig())
@@ -207,8 +136,8 @@ class TestEngineFacade:
 
     def test_config_validates_engine_knobs(self):
         with pytest.raises(ReproError):
-            MaxEntConfig(executor="gpu")
-        with pytest.raises(ReproError):
-            MaxEntConfig(workers=0)
-        with pytest.raises(ReproError):
             MaxEntConfig(cache_size=-1)
+        # The retired executor knobs are not config fields any more.
+        for retired in ("executor", "workers", "cluster_workers"):
+            with pytest.raises(TypeError):
+                MaxEntConfig(**{retired: None})

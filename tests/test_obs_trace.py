@@ -65,6 +65,26 @@ class TestNesting:
             }
         assert t.context() is None
 
+    def test_cross_thread_child_via_explicit_ctx(self):
+        """The run_in_executor pattern: ctx handed over to the thread."""
+        t = tracer()
+        with t.span("root") as root:
+            ctx = t.context()
+
+            def task():
+                with t.span("thread-child", ctx=ctx):
+                    pass
+
+            worker = threading.Thread(target=task)
+            worker.start()
+            worker.join()
+        trace = only_trace(t)
+        child = next(
+            s for s in trace["spans"] if s["name"] == "thread-child"
+        )
+        assert child["trace_id"] == root.trace_id
+        assert child["parent_id"] == root.span_id
+
 
 class TestRetention:
     def test_finishing_root_finalizes_the_trace(self):
@@ -142,72 +162,6 @@ class TestDisabled:
         with t.span("now-recorded"):
             pass
         assert only_trace(t)["root"] == "now-recorded"
-
-
-class TestCaptureAndImport:
-    def test_capture_diverts_spans_from_the_rings(self):
-        t = tracer()
-        with t.capture() as capture:
-            with t.span("worker-side"):
-                pass
-        assert [s["name"] for s in capture.spans] == ["worker-side"]
-        assert t.traces() == []
-
-    def test_record_imported_stitches_into_pending_trace(self):
-        t = tracer()
-        with t.span("root") as root:
-            shipped = [
-                {
-                    "trace_id": root.trace_id,
-                    "span_id": "remote01",
-                    "parent_id": root.span_id,
-                    "name": "remote.work",
-                    "started_at": root.started_at,
-                    "duration_seconds": 0.001,
-                    "attributes": {},
-                }
-            ]
-            t.record_imported(shipped)
-        trace = only_trace(t)
-        assert {s["name"] for s in trace["spans"]} == {"root", "remote.work"}
-
-    def test_imports_for_unknown_traces_are_dropped(self):
-        t = tracer()
-        t.record_imported(
-            [{"trace_id": "never-started", "span_id": "x", "name": "orphan"}]
-        )
-        with t.span("root"):
-            pass
-        assert only_trace(t)["n_spans"] == 1
-
-    def test_import_inside_capture_chains_outward(self):
-        """A worker forwarding deeper workers' spans to its own caller."""
-        t = tracer()
-        deeper = [{"trace_id": "t1", "span_id": "d1", "name": "deep"}]
-        with t.capture() as capture:
-            t.record_imported(deeper)
-        assert capture.spans == deeper
-        assert t.traces() == []
-
-    def test_cross_thread_child_via_explicit_ctx(self):
-        """The executor pattern: ctx handed over, bracket in the task."""
-        t = tracer()
-        with t.span("root") as root:
-            ctx = t.context()
-
-            def task():
-                with t.span("thread-child", ctx=ctx):
-                    pass
-
-            worker = threading.Thread(target=task)
-            worker.start()
-            worker.join()
-        trace = only_trace(t)
-        child = next(
-            s for s in trace["spans"] if s["name"] == "thread-child"
-        )
-        assert child["trace_id"] == root.trace_id
-        assert child["parent_id"] == root.span_id
 
 
 class TestFormatTrace:

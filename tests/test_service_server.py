@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.privacy_maxent import PrivacyMaxEnt, assess
+from repro.core.serialize import config_to_dict
 from repro.data.paper_example import (
     Q2,
     Q4,
@@ -228,6 +229,22 @@ class TestPosterior:
         assert excinfo.value.status == 409
         assert excinfo.value.code == "infeasible_knowledge"
 
+    def test_parent_form_config_is_accepted(self, client, release_id):
+        """Bodies from clients that still send the retired executor
+        knobs in ``config`` keep working."""
+        config = {
+            **config_to_dict(MaxEntConfig()),
+            "executor": "serial",
+            "workers": None,
+            "cluster_workers": None,
+        }
+        payload = client._request(
+            "POST",
+            f"/v1/releases/{release_id}/posterior",
+            {"config": config},
+        )
+        assert payload["stats"]["converged"] is True
+
     def test_unknown_config_knob_is_400(self, client, release_id):
         with pytest.raises(ServiceError) as excinfo:
             client._request(
@@ -326,7 +343,10 @@ class TestTelemetry:
         client.posterior(release_id)
         telemetry = client.telemetry()
         assert telemetry["status"] == "ok"
-        assert telemetry["engine"]["executor"] == "serial"
+        # The retired executor keys are gone from the engine snapshot.
+        assert not {"executor", "workers", "shipping", "component_solves"} & set(
+            telemetry["engine"]
+        )
         assert telemetry["queue"]["capacity"] > 0
         assert telemetry["store"]["releases"] >= 1
         assert telemetry["service"]["counters"]["requests_total"] > 0
@@ -336,9 +356,7 @@ class TestTelemetry:
         assert endpoint["count"] >= 1
         assert endpoint["p95_seconds"] >= endpoint["p50_seconds"]
         assert telemetry["batching"]["batched_requests"] >= 1
-        # PR6 surfaces: segment-kernel backend and shipping counters.
         assert telemetry["engine"]["kernel_backend"] in ("numpy", "numba")
-        assert telemetry["engine"]["shipping"]["active_segments"] == 0
 
     def test_construction_phase_timers_exposed(self, client, release_id):
         statements = [
