@@ -72,15 +72,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
             "per-component path so replays are bit-identical"
         ),
     )
-    group.add_argument(
-        "--kernel",
-        choices=("auto", "numpy", "numba"),
-        default=None,
-        help=(
-            "segment-kernel backend of the batched solver: 'auto' "
-            "(default) uses numba when installed, else the numpy reference"
-        ),
-    )
 
 
 def _engine_overrides(args: argparse.Namespace) -> dict:
@@ -90,8 +81,6 @@ def _engine_overrides(args: argparse.Namespace) -> dict:
         overrides["cache_size"] = args.cache_size
     if getattr(args, "replay", None) is not None:
         overrides["replay"] = args.replay
-    if getattr(args, "kernel", None) is not None:
-        overrides["kernel"] = args.kernel
     return overrides
 
 

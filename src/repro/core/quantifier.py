@@ -23,6 +23,22 @@ from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from repro.maxent.solution import MaxEntSolution
 
 
+def _project_rows(joint: np.ndarray) -> np.ndarray:
+    """Conditional rows of a joint array, each on the probability simplex.
+
+    A solution meets the data invariants (a row of the joint sums to its
+    QI marginal) only within the solver tolerance, so dividing by the
+    published marginal can leave a posterior slightly above 1.  Clipping
+    at 0 and dividing each row (the last axis) by its own sum keeps every
+    ``P(S | q)`` a distribution.  The engine's convergence and
+    infeasibility checks have already run on the solution, so this never
+    hides a failed solve.
+    """
+    rows = np.clip(joint, 0.0, None)
+    sums = rows.sum(axis=-1, keepdims=True)
+    return np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+
+
 class PosteriorTable:
     """``P(S | Q)`` for every published QI tuple, plus the weights ``P(Q)``.
 
@@ -82,8 +98,7 @@ class PosteriorTable:
 
         marginal = published.qi_marginal()
         weights = np.array([marginal[q] / n for q in qi_tuples])
-        matrix = joint / weights[:, None]
-        return cls(qi_tuples, sa_domain, matrix, weights)
+        return cls(qi_tuples, sa_domain, _project_rows(joint), weights)
 
     @classmethod
     def from_table(cls, table: Table) -> "PosteriorTable":
@@ -179,17 +194,19 @@ def person_posterior(solution: MaxEntSolution) -> dict[str, dict[str, float]]:
     """``P(s | i)`` for every pseudonym of a person-space solution.
 
     Each pseudonym occurs exactly once in the data (``P(i) = 1/N``), so the
-    posterior is ``N * sum over buckets of P(i, s, b)``.
+    posterior is ``N * sum over buckets of P(i, s, b)`` — up to solver
+    tolerance, so each pseudonym's row is projected onto the simplex the
+    same way :meth:`PosteriorTable.from_solution` projects its rows.
     """
     space = solution.space
     if not isinstance(space, PersonVariableSpace):
         raise ReproError("person_posterior needs a person-space solution")
-    n = space.n_records
     totals: dict[str, Counter] = {}
     for var in range(space.n_vars):
         name, s, _bucket = space.describe_var(var)
         totals.setdefault(name, Counter())[s] += solution.p[var]
-    return {
-        name: {s: float(n * mass) for s, mass in counter.items()}
-        for name, counter in totals.items()
-    }
+    posterior = {}
+    for name, counter in totals.items():
+        row = _project_rows(np.fromiter(counter.values(), dtype=float))
+        posterior[name] = dict(zip(counter, map(float, row)))
+    return posterior

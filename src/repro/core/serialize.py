@@ -34,6 +34,7 @@ from repro.knowledge.statements import (
     Statement,
 )
 from repro.maxent.config import MaxEntConfig
+from repro.maxent.kernels import KERNEL_NAMES
 from repro.maxent.solution import SolverStats
 
 
@@ -208,20 +209,40 @@ def config_to_dict(config: MaxEntConfig) -> dict:
 #: Servers never honoured them, so they are accepted and dropped.
 RETIRED_CONFIG_KEYS = frozenset({"executor", "workers", "cluster_workers"})
 
+#: Retired solver knobs older clients still send, with the values that
+#: asked for what every solve now runs: the L-BFGS dual on the full
+#: constraint system (any segment kernel — backends agree within
+#: ``tol``).  Those values are accepted and dropped; any other value
+#: asked for a different program and is rejected.
+RETIRED_SOLVER_KEYS = {
+    "solver": ("lbfgs",),
+    "drop_redundant": (False,),
+    "kernel": KERNEL_NAMES,
+}
+
 
 def config_from_dict(payload) -> MaxEntConfig:
     """Rebuild a :class:`MaxEntConfig`; unknown knobs are rejected.
 
-    Keys in :data:`RETIRED_CONFIG_KEYS` are dropped, so request bodies
-    from older clients keep working.
+    Keys in :data:`RETIRED_CONFIG_KEYS` are dropped, and so are keys in
+    :data:`RETIRED_SOLVER_KEYS` carrying an accepted value, so request
+    bodies from older clients keep working.  A retired solver key with
+    any other value raises, naming the key.
     """
     if payload is None:
         return MaxEntConfig()
     payload = _require_mapping(payload, "config")
+    for key, accepted in RETIRED_SOLVER_KEYS.items():
+        if key in payload and payload[key] not in accepted:
+            raise ReproError(
+                f"config field {key!r} is retired and accepts only "
+                f"{list(accepted)}, got {payload[key]!r}: every solve now "
+                "runs the L-BFGS dual on the full constraint system"
+            )
     payload = {
         key: value
         for key, value in payload.items()
-        if key not in RETIRED_CONFIG_KEYS
+        if key not in RETIRED_CONFIG_KEYS and key not in RETIRED_SOLVER_KEYS
     }
     fields = {f.name for f in dataclasses.fields(MaxEntConfig)}
     _check_keys(payload, fields, "config")

@@ -1,6 +1,6 @@
 """Bounded LRU stores for solved components and warm-start duals.
 
-The figure sweeps, skyline enumeration and solver ablations all re-solve
+The figure sweeps, skyline enumeration and bound sweeps all re-solve
 near-identical MaxEnt programs; after decomposition most of their
 components are *exactly* identical across solves.  :class:`SolveCache`
 keeps the most recently used component solutions (keyed by the canonical

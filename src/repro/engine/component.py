@@ -3,8 +3,8 @@
 These are the units of work the engine's solve loop runs.  Two
 granularities share one module so they stay in lockstep:
 
-- :func:`solve_component` — presolve one component, dispatch to the
-  configured solver, lift the solution back to component coordinates.
+- :func:`solve_component` — presolve one component, solve its L-BFGS
+  dual, lift the solution back to component coordinates.
 - :func:`solve_component_batch` — presolve *many* small components, stack
   the survivors into one block-diagonal dual and run the vectorized loop
   of :mod:`repro.maxent.batch_dual`, then unbundle per-component results
@@ -26,12 +26,8 @@ from repro.maxent.config import MaxEntConfig
 from repro.maxent.kernels import get_kernel
 from repro.maxent.decompose import Component
 from repro.maxent.dual import build_dual
-from repro.maxent.gis import solve_gis
-from repro.maxent.iis import solve_iis
 from repro.maxent.lbfgs import DualSolveResult, solve_dual_lbfgs
-from repro.maxent.newton import solve_dual_newton
 from repro.maxent.presolve import PresolveResult, presolve
-from repro.maxent.primal import solve_primal
 from repro.maxent.solution import SolverStats
 from repro.obs.trace import get_tracer
 from repro.utils.timer import Timer
@@ -43,42 +39,9 @@ class ComponentSolve:
 
     p: np.ndarray
     stats: SolverStats
-    #: Converged dual multipliers of the *presolved* system (quasi-Newton
-    #: solvers only) — reusable as a warm start for structurally identical
-    #: components.
+    #: Converged dual multipliers of the *presolved* system — reusable as
+    #: a warm start for structurally identical components.
     multipliers: np.ndarray | None = None
-
-
-def _dispatch(
-    system, mass: float, config: MaxEntConfig, warm_start: np.ndarray | None
-) -> DualSolveResult:
-    if config.solver == "lbfgs":
-        dual = build_dual(system, mass)
-        return solve_dual_lbfgs(
-            dual,
-            tol=config.tol,
-            max_iterations=config.max_iterations,
-            x0=_usable_warm_start(warm_start, dual.n_params),
-        )
-    if config.solver == "newton":
-        dual = build_dual(system, mass)
-        return solve_dual_newton(
-            dual,
-            tol=config.tol,
-            max_iterations=config.max_iterations,
-            x0=_usable_warm_start(warm_start, dual.n_params),
-        )
-    if config.solver == "gis":
-        return solve_gis(
-            system, mass, tol=config.tol, max_iterations=config.max_iterations
-        )
-    if config.solver == "iis":
-        return solve_iis(
-            system, mass, tol=config.tol, max_iterations=config.max_iterations
-        )
-    return solve_primal(
-        system, mass, tol=config.tol, max_iterations=config.max_iterations
-    )
 
 
 def _usable_warm_start(
@@ -144,7 +107,6 @@ def _forced_solve(
 
 def _package_solve(
     component: Component,
-    config: MaxEntConfig,
     reduction: PresolveResult | None,
     fixed_count: int,
     result: DualSolveResult,
@@ -156,7 +118,7 @@ def _package_solve(
     p_local = reduction.restore(result.p) if reduction is not None else result.p
     multipliers = result.multipliers if result.converged else None
     stats = SolverStats(
-        solver=config.solver,
+        solver="lbfgs",
         iterations=result.iterations,
         seconds=0.0,
         n_vars=component.n_vars,
@@ -191,10 +153,14 @@ def solve_component(
             solve = _forced_solve(component, config, reduction, fixed_count)
         else:
             with Timer() as dual_timer:
-                result = _dispatch(system, mass, config, warm_start)
-            solve = _package_solve(
-                component, config, reduction, fixed_count, result
-            )
+                dual = build_dual(system, mass)
+                result = solve_dual_lbfgs(
+                    dual,
+                    tol=config.tol,
+                    max_iterations=config.max_iterations,
+                    x0=_usable_warm_start(warm_start, dual.n_params),
+                )
+            solve = _package_solve(component, reduction, fixed_count, result)
             solve.stats.add_phase("dual", dual_timer.seconds)
     solve.stats.add_phase("presolve", presolve_timer.seconds)
     solve.stats.seconds = timer.seconds
@@ -218,19 +184,12 @@ def solve_component_batch(
     time is attributed across components proportionally to their size,
     so summed ``cpu_seconds`` telemetry stays meaningful.
 
-    Only the ``"lbfgs"`` solver batches; any other configuration falls
-    back to a per-component loop (the planner never groups for them, so
-    this is defense in depth).
+    The stacked dual runs on the ``"auto"`` segment kernel: numba when
+    the host can import it, else the numpy reference.
     """
     n = len(components)
     warm_list = list(warm_starts) if warm_starts is not None else [None] * n
-    if config.solver != "lbfgs":
-        return [
-            solve_component(component, config, warm)
-            for component, warm in zip(components, warm_list)
-        ]
-
-    kernel = get_kernel(config.kernel)
+    kernel = get_kernel("auto")
     with Timer() as timer:
         out: list[ComponentSolve | None] = [None] * n
         numeric: list[int] = []
@@ -267,7 +226,6 @@ def solve_component_batch(
             reduction, fixed_count = reductions[position]
             out[index] = _package_solve(
                 components[index],
-                config,
                 reduction,
                 fixed_count,
                 batch.results[position],

@@ -3,14 +3,13 @@
 :class:`PrivacyEngine` owns the component solve cache and the warm-start
 store, and runs the full Section 5.5 pipeline in process:
 
-1. (optionally) drop the per-bucket redundant row,
-2. build an :class:`~repro.engine.plan.ExecutionPlan`,
-3. solve every irrelevant component in one batched closed-form call,
-4. fingerprint each numeric component; cache hits return bit-identical
-   stored solutions, misses are solved one work unit (a batch group or
-   a single component) at a time, warm-started from structurally
-   identical past solves when available,
-5. reassemble the joint, aggregating per-component compute time
+1. build an :class:`~repro.engine.plan.ExecutionPlan`,
+2. solve every irrelevant component in one batched closed-form call,
+3. fingerprint each numeric component; cache hits return bit-identical
+   stored solutions, misses are solved on the L-BFGS dual one work unit
+   (a batch group or a single component) at a time, warm-started from
+   structurally identical past solves when available,
+4. reassemble the joint, aggregating per-component compute time
    (``cpu_seconds``) separately from wall time (``seconds``).
 
 The core library (:class:`repro.core.privacy_maxent.PrivacyMaxEnt`), the
@@ -32,12 +31,12 @@ from repro.engine.cache import CacheEntry, SolveCache, WarmStartStore
 from repro.engine.component import solve_component_group
 from repro.engine.fingerprint import component_fingerprint, structure_fingerprint
 from repro.engine.plan import ExecutionPlan, build_plan
-from repro.errors import InfeasibleKnowledgeError, ReproError, SolverError
+from repro.errors import InfeasibleKnowledgeError, ReproError
 from repro.maxent.closed_form import closed_form_batch
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.kernels import get_kernel
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.decompose import Component, drop_redundant_data_rows
+from repro.maxent.decompose import Component
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from repro.maxent.solution import ComponentRecord, MaxEntSolution, SolverStats
 from repro.obs.logging import get_logger
@@ -91,27 +90,17 @@ def _check_component(
     component: Component, stats: SolverStats, config: MaxEntConfig
 ) -> None:
     """Raise on an unconverged component per the config's failure policy."""
-    if stats.converged:
+    if stats.converged or not config.raise_on_infeasible:
         return
-    scale = max(abs(component.mass), 1e-12)
-    relative = stats.residual / scale
+    relative = stats.residual / max(abs(component.mass), 1e-12)
     if relative > config.infeasibility_threshold:
-        if config.raise_on_infeasible:
-            raise InfeasibleKnowledgeError(
-                "the constraint system appears infeasible "
-                f"(relative residual {relative:.2e} on the component "
-                f"covering buckets {component.buckets[:8]}...); "
-                "check the supplied background knowledge for "
-                "contradictions",
-                residual=stats.residual,
-            )
-    elif config.raise_on_infeasible and config.solver in ("gis", "iis"):
-        raise SolverError(
-            f"{config.solver} did not converge "
-            f"(residual {stats.residual:.2e}); increase "
-            "max_iterations or use solver='lbfgs'",
-            solver=config.solver,
-            iterations=stats.iterations,
+        raise InfeasibleKnowledgeError(
+            "the constraint system appears infeasible "
+            f"(relative residual {relative:.2e} on the component "
+            f"covering buckets {component.buckets[:8]}...); "
+            "check the supplied background knowledge for "
+            "contradictions",
+            residual=stats.residual,
         )
 
 
@@ -416,13 +405,8 @@ class PrivacyEngine:
             n_vars=space.n_vars,
         ) as solve_span:
             with Timer() as wall:
-                solve_system = system
-                with tracer.span(
-                    "engine.plan", drop_redundant=config.drop_redundant
-                ) as plan_span:
-                    if config.drop_redundant:
-                        solve_system = drop_redundant_data_rows(space, system)
-                    plan = build_plan(space, solve_system, config)
+                with tracer.span("engine.plan") as plan_span:
+                    plan = build_plan(space, system, config)
                     plan_span.set(
                         n_components=plan.n_components,
                         decompose_seconds=round(plan.decompose_seconds, 6),
@@ -456,7 +440,6 @@ class PrivacyEngine:
             solution = self._reassemble(
                 space,
                 system,
-                config,
                 plan,
                 p,
                 stats_by_position,
@@ -606,7 +589,6 @@ class PrivacyEngine:
         self,
         space: VariableSpace,
         system: ConstraintSystem,
-        config: MaxEntConfig,
         plan: ExecutionPlan,
         p: np.ndarray,
         stats_by_position: dict[int, SolverStats],
@@ -656,7 +638,7 @@ class PrivacyEngine:
                 phase_seconds[name] = phase_seconds.get(name, 0.0) + seconds
 
         aggregate = SolverStats(
-            solver=config.solver,
+            solver="lbfgs",
             iterations=total_iterations,
             seconds=wall_seconds,
             n_vars=space.n_vars,
@@ -691,7 +673,7 @@ def shared_engine(config: MaxEntConfig | None = None) -> PrivacyEngine:
     Engines are keyed by (cache_size, cache_path), so every
     ``solve_maxent`` call with the same knobs shares one cache — this is
     what makes repeated quantifications (figure sweeps, skyline
-    enumeration, solver ablations) reuse each other's component solutions
+    enumeration, bound sweeps) reuse each other's component solutions
     without any plumbing.
     """
     config = config or MaxEntConfig()

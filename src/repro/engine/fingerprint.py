@@ -117,8 +117,8 @@ def component_fingerprint(
     """Cache key of one component solve: system + mass + solver facets.
 
     ``solve_key`` is :meth:`repro.maxent.config.MaxEntConfig.solve_key` —
-    the configuration facets (solver, presolve, tolerance, budget) a cached
-    solution depends on.
+    the configuration facets (presolve, tolerance, budget, after the fixed
+    ``"lbfgs"`` tag) a cached solution depends on.
     """
     digest = hashlib.sha256()
     digest.update(fingerprint_system(system, mass).encode())

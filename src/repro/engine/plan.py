@@ -4,10 +4,11 @@ A plan is the engine's unit of scheduling: the decomposition's components,
 split into the *batched closed-form* path (irrelevant components of a
 group space, Definition 5.6 — all solved in one vectorized Eq. (9) call)
 and the *numeric* path (everything touched by knowledge, solved one
-work unit at a time).  When the config opts into the batched dual
-solver, the numeric path is additionally binned into *batch groups* —
-sets of small components the engine solves as one work unit through one
-stacked block-diagonal dual (:mod:`repro.maxent.batch_dual`).
+work unit at a time).  When the config allows batching
+(``MaxEntConfig.batching_enabled``), the numeric path is additionally
+binned into *batch groups* — sets of small components the engine solves
+as one work unit through one stacked block-diagonal dual
+(:mod:`repro.maxent.batch_dual`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class ExecutionPlan:
     components: list[Component]
     #: Positions (into ``components``) taking the batched Eq. (9) path.
     closed_form: list[int] = field(default_factory=list)
-    #: Positions solved numerically (presolve + configured solver).
+    #: Positions solved numerically (presolve + L-BFGS dual).
     numeric: list[int] = field(default_factory=list)
     #: Disjoint subsets of ``numeric`` (small components only) scheduled
     #: as single stacked-dual work units; positions in no group solve

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 
-_SOLVER_NAMES = ("lbfgs", "newton", "gis", "iis", "primal")
 _REPLAY_NAMES = ("tolerance", "bitwise")
-_KERNEL_NAMES = ("auto", "numpy", "numba")
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -42,17 +40,20 @@ def _env_str(name: str, fallback: str) -> str:
 class MaxEntConfig:
     """Tuning knobs of the MaxEnt pipeline.
 
+    The numeric solver is fixed: every component not settled by the
+    closed form or presolve is solved on the L-BFGS dual (the paper's
+    choice), one component at a time or stacked with others of its size
+    (``batch_components``).  The segment-kernel backend of the stacked
+    dual is picked from what the host can import
+    (:func:`repro.maxent.kernels.get_kernel` ``"auto"``).
+
     Parameters
     ----------
-    solver:
-        ``"lbfgs"`` (default, the paper's choice), ``"newton"``
-        (truncated-Newton on the dual), ``"gis"``, ``"iis"`` or
-        ``"primal"``.
     decompose:
         Solve per bucket-component (Section 5.5).  Disable to reproduce the
         paper's unoptimized performance experiments.
     use_presolve:
-        Eliminate forced variables first.  GIS/IIS require this.
+        Eliminate forced variables first.
     use_closed_form:
         Use Eq. (9) directly for components without knowledge rows.
     tol:
@@ -89,14 +90,6 @@ class MaxEntConfig:
         are keyed separately (see :meth:`solve_key`) so a bitwise
         replay never consumes a tolerance-path entry.  Default
         overridable via ``REPRO_REPLAY``.
-    kernel:
-        Segment-reduction backend of the stacked dual
-        (:mod:`repro.maxent.kernels`): ``"auto"`` (the default — numba
-        when importable, else numpy), ``"numpy"`` (the reference
-        ``reduceat`` backend), or ``"numba"`` (JIT-compiled, parallel
-        over blocks; requires ``pip install repro[numba]``).  Backends
-        agree within ``tol``, the tolerance contract.  Default
-        overridable via ``REPRO_KERNEL``.
     batch_components:
         Upper bound on how many small components the engine stacks into
         one block-diagonal dual and solves with a single vectorized
@@ -107,9 +100,8 @@ class MaxEntConfig:
         per-component solves within ``tol`` (the stacked trajectory
         differs in the last bits), not bit for bit.  ``0`` disables
         batching explicitly; ``replay="bitwise"`` disables it
-        regardless of this knob.  Only the ``"lbfgs"`` solver batches.
-        Default overridable via the ``REPRO_BATCH_COMPONENTS``
-        environment variable.
+        regardless of this knob.  Default overridable via the
+        ``REPRO_BATCH_COMPONENTS`` environment variable.
     batch_max_vars:
         Size threshold of the batched path: only components with at most
         this many variables are binned into batch groups (large
@@ -118,7 +110,6 @@ class MaxEntConfig:
         ``REPRO_BATCH_MAX_VARS``.
     """
 
-    solver: str = "lbfgs"
     decompose: bool = True
     use_presolve: bool = True
     use_closed_form: bool = True
@@ -126,21 +117,13 @@ class MaxEntConfig:
     max_iterations: int = 1000
     raise_on_infeasible: bool = True
     infeasibility_threshold: float = 1e-2
-    # Removing the per-bucket redundant row (Theorem 3) is available as an
-    # ablation; empirically the redundant rows *help* L-BFGS (they act as a
-    # mild preconditioner along bucket-mass directions), so default off.
-    drop_redundant: bool = False
     # Execution-engine knobs (see repro.engine).
     cache_size: int = 128
     cache_path: str | None = None
     warm_start: bool = True
-    # The solve-result reproducibility contract and the segment-kernel
-    # backend (repro.maxent.kernels).
+    # The solve-result reproducibility contract.
     replay: str = field(
         default_factory=lambda: _env_str("REPRO_REPLAY", "tolerance")
-    )
-    kernel: str = field(
-        default_factory=lambda: _env_str("REPRO_KERNEL", "auto")
     )
     # Batched block-diagonal dual solve (repro.maxent.batch_dual) —
     # default-on under the tolerance replay contract.
@@ -152,10 +135,6 @@ class MaxEntConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.solver not in _SOLVER_NAMES:
-            raise ReproError(
-                f"unknown solver {self.solver!r}; choose one of {_SOLVER_NAMES}"
-            )
         if self.tol <= 0:
             raise ReproError(f"tol must be positive, got {self.tol}")
         if self.max_iterations <= 0:
@@ -168,11 +147,6 @@ class MaxEntConfig:
             raise ReproError(
                 f"unknown replay contract {self.replay!r}; choose one of "
                 f"{_REPLAY_NAMES}"
-            )
-        if self.kernel not in _KERNEL_NAMES:
-            raise ReproError(
-                f"unknown kernel {self.kernel!r}; choose one of "
-                f"{_KERNEL_NAMES}"
             )
         if self.batch_components < 0:
             raise ReproError(
@@ -188,36 +162,37 @@ class MaxEntConfig:
     def batching_enabled(self) -> bool:
         """True when small components may take the batched dual path.
 
-        Batching stacks many components into one block-diagonal dual, so
-        it only applies to the L-BFGS dual solver, and its results agree
-        with per-component solves within ``tol`` rather than bit for bit
-        — so the ``"bitwise"`` replay contract turns it off regardless
-        of ``batch_components``.
+        Batching stacks many components into one block-diagonal dual, and
+        its results agree with per-component solves within ``tol`` rather
+        than bit for bit — so the ``"bitwise"`` replay contract turns it
+        off regardless of ``batch_components``.
         """
-        return (
-            self.replay != "bitwise"
-            and self.batch_components > 1
-            and self.solver == "lbfgs"
-        )
+        return self.replay != "bitwise" and self.batch_components > 1
 
     def solve_key(self) -> tuple:
         """The configuration facets a cached solution depends on.
 
         Two configs with equal ``solve_key()`` produce the same solution for
         the same constraint system, so cache entries are shared across
-        cache-bookkeeping differences but never across solver or
-        tolerance changes.  The batching and kernel knobs are
-        deliberately excluded: under the tolerance contract batched,
-        per-component and cross-kernel solves converge to the same
-        optimum within ``tol``, so their cache entries are
+        cache-bookkeeping differences but never across presolve or
+        tolerance changes.  The first slot is the literal ``"lbfgs"``:
+        it once named a configurable solver, and keeping it keeps
+        component fingerprints, persisted cache snapshots and service
+        result-cache keys valid across that knob's removal.  The
+        batching knobs are deliberately excluded: under the tolerance
+        contract batched, per-component and cross-kernel solves converge
+        to the same optimum within ``tol``, so their cache entries are
         interchangeable — and keys (hence persisted caches) stay
-        identical whichever path produced them.  The
-        ``"bitwise"`` contract appends a marker instead: a bitwise
-        replay must never be served a tolerance-path entry, because a
-        within-``tol`` vector is exactly what it promises not to return.
+        identical whichever path produced them.
+
+        The ``"bitwise"`` contract appends a marker instead, and still
+        needs its own namespace with one solver: a batched entry differs
+        from a per-component one in the last bits, so a bitwise replay
+        must never be served a tolerance-path entry — a within-``tol``
+        vector is exactly what it promises not to return.
         """
         key = (
-            self.solver,
+            "lbfgs",
             self.use_presolve,
             self.tol,
             self.max_iterations,

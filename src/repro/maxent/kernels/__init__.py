@@ -15,11 +15,12 @@ implementation:
   attempted lazily and failure simply leaves it unavailable.
 - ``"auto"`` — numba when importable, else numpy.  The default.
 
-Selection is ``MaxEntConfig.kernel`` (environment default
-``REPRO_KERNEL``); resolution happens per solve via :func:`get_kernel`,
-so a config naming ``"numba"`` on a host without numba fails loudly at
-solve time instead of quietly running something else.  Backends are
-tolerance-equivalent, not bit-identical — exactly the contract the
+The engine always asks for ``"auto"``: the backend follows from what the
+host can import, not from a user option.  Naming a backend explicitly
+(:func:`get_kernel`, ``solve_batch_dual(kernel=...)``) is for benchmarks
+and the kernel-equivalence tests; naming ``"numba"`` on a host without
+numba fails loudly instead of quietly running something else.  Backends
+are tolerance-equivalent, not bit-identical — exactly the contract the
 batched path already trades under (``MaxEntConfig.replay``).
 """
 
@@ -34,7 +35,7 @@ from repro.maxent.kernels.reference import (
     segment_sum,
 )
 
-#: Names accepted by :func:`get_kernel` and ``MaxEntConfig.kernel``.
+#: Names accepted by :func:`get_kernel`.
 KERNEL_NAMES = ("auto", "numpy", "numba")
 
 #: Lazily resolved numba backend: unset -> not yet attempted,

@@ -6,12 +6,12 @@ method gets genuine second-order convergence almost for free.  On systems
 with thousands of nearly-collinear knowledge rows — where limited-memory
 quasi-Newton plateaus — Newton-CG routinely reaches two-to-three orders of
 magnitude tighter residuals in comparable time, which is why the default
-L-BFGS path already uses it as a polish stage.  Exposed as a standalone
-solver (``MaxEntConfig(solver="newton")``) for the solver-comparison
-ablation.
+L-BFGS path already uses it as a polish stage.  Kept as a standalone
+function for the solver-comparison benchmark; the engine does not call
+it.
 
 Limitation: scipy's Newton-CG has no box-bound support, so inequality
-(vague) knowledge must go through ``solver="lbfgs"``.
+(vague) knowledge must go through :func:`repro.maxent.lbfgs.solve_dual_lbfgs`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def solve_dual_newton(
     if dual.n_inequalities:
         raise NotSupportedError(
             "the newton solver handles equality constraints only; use "
-            "solver='lbfgs' for inequality (vague) knowledge"
+            "the lbfgs solver for inequality (vague) knowledge"
         )
     scale = dual.residual_scale()
     result = minimize(

@@ -54,7 +54,7 @@ def solve_primal(
         raise NotSupportedError(
             f"the primal solver is a cross-validation oracle for small "
             f"problems (<= {_MAX_PRIMAL_VARS} variables); this one has "
-            f"{n_vars}. Use solver='lbfgs'."
+            f"{n_vars}. Use the lbfgs solver."
         )
 
     a_matrix, c = system.equality_matrix()

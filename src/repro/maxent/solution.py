@@ -16,9 +16,8 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 class SolverStats:
     """Performance and convergence record of one solve (or one component).
 
-    ``iterations`` counts outer solver iterations (L-BFGS iterations, GIS /
-    IIS scaling rounds, trust-constr iterations) — the quantity plotted on
-    the y-axis of the paper's Figures 7(a) and 7(c).
+    ``iterations`` counts outer L-BFGS iterations of the dual solve — the
+    quantity plotted on the y-axis of the paper's Figures 7(a) and 7(c).
 
     ``seconds`` is wall-clock time; ``cpu_seconds`` is the summed compute
     time of the individual component solves (equal to ``seconds`` up to

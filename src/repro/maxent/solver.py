@@ -7,9 +7,9 @@ implements the full Section 5.5 pipeline:
    the paper's unoptimized performance numbers),
 2. irrelevant components (Definition 5.6) take the closed-form Eq. (9)
    solution (Theorem 5) — batched over all of them in one vectorized call,
-3. the rest are presolved (forced variables eliminated) and handed to the
-   configured solver (L-BFGS dual by default; GIS / IIS / primal for the
-   solver-comparison ablation),
+3. the rest are presolved (forced variables eliminated) and solved on the
+   L-BFGS dual — the paper's solver; GIS / IIS / Newton / primal remain
+   as standalone modules for the solver-comparison benchmark only,
 4. per-component solutions are reassembled, statistics aggregated, and
    clear errors raised when the constraints turn out infeasible.
 

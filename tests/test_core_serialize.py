@@ -127,19 +127,32 @@ class TestStatements:
 class TestConfigsAndBounds:
     def test_config_round_trip(self):
         config = MaxEntConfig(
-            solver="newton", tol=1e-8, cache_path="/tmp/cache.pkl"
+            use_presolve=False, tol=1e-8, cache_path="/tmp/cache.pkl"
         )
         payload = json_round_trip(wire.config_to_dict(config))
         assert wire.config_from_dict(payload) == config
-        # Older clients send the retired executor knobs too: the body
-        # is accepted and yields the same config as one without them.
+        # Older clients send the retired executor and solver knobs too:
+        # the body is accepted and yields the same config as one without
+        # them.
         parent_form = {
             **payload,
             "executor": "serial",
             "workers": None,
             "cluster_workers": None,
+            "solver": "lbfgs",
+            "kernel": "numpy",
+            "drop_redundant": False,
         }
         assert wire.config_from_dict(parent_form) == config
+        # A retired knob that asked for a different program is rejected,
+        # naming the key, rather than silently solved on L-BFGS.
+        for key, value in (
+            ("solver", "gis"),
+            ("drop_redundant", True),
+            ("kernel", "fortran"),
+        ):
+            with pytest.raises(ReproError, match=key):
+                wire.config_from_dict({**parent_form, key: value})
 
     def test_config_none_is_default(self):
         assert wire.config_from_dict(None) == MaxEntConfig()

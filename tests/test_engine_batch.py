@@ -85,7 +85,6 @@ class TestConfigKnobs:
         config = MaxEntConfig()
         assert config.batch_components == 1024
         assert config.replay == "tolerance"
-        assert config.kernel == "auto"
         assert config.batching_enabled
 
     def test_bitwise_replay_disables_batching(self):
@@ -95,15 +94,11 @@ class TestConfigKnobs:
     def test_replay_and_kernel_validated(self):
         with pytest.raises(ReproError, match="replay"):
             MaxEntConfig(replay="exact")
-        with pytest.raises(ReproError, match="kernel"):
-            MaxEntConfig(kernel="fortran")
 
     def test_replay_and_kernel_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY", "bitwise")
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
         config = MaxEntConfig()
         assert config.replay == "bitwise"
-        assert config.kernel == "numpy"
         assert not config.batching_enabled
 
     def test_validation(self):
@@ -124,10 +119,6 @@ class TestConfigKnobs:
         monkeypatch.setenv("REPRO_BATCH_COMPONENTS", "many")
         with pytest.raises(ReproError, match="REPRO_BATCH_COMPONENTS"):
             MaxEntConfig()
-
-    def test_only_lbfgs_batches(self):
-        config = MaxEntConfig(batch_components=64, solver="newton")
-        assert not config.batching_enabled
 
     def test_solve_key_excludes_batching(self):
         assert MaxEntConfig().solve_key() == BATCHED.solve_key() == (

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.data.paper_example import paper_published
+from repro.engine import PrivacyEngine
 from repro.engine.fingerprint import (
     component_fingerprint,
     fingerprint_system,
     structure_fingerprint,
 )
-from repro.maxent.constraints import ConstraintSystem
+from repro.knowledge.compiler import compile_statements
+from repro.knowledge.statements import ConditionalProbability
+from repro.maxent.config import MaxEntConfig
+from repro.maxent.constraints import ConstraintSystem, data_constraints
+from repro.maxent.indexing import GroupVariableSpace
 
 
 def build_system(rows, n_vars=6, inequalities=()):
@@ -108,3 +114,32 @@ class TestComponentFingerprint:
         assert component_fingerprint(
             build_system(ROWS), 1.0, ("lbfgs",)
         ) == component_fingerprint(build_system(ROWS), 1.0, ("lbfgs",))
+
+
+class TestPinnedIdentity:
+    """Cache identity must survive refactors of the config.
+
+    Persisted solve-cache snapshots and the service's result cache are
+    keyed by these values; if either changes, every stored entry silently
+    goes cold.
+    """
+
+    def test_default_solve_key(self):
+        assert MaxEntConfig().solve_key() == ("lbfgs", True, 1e-06, 1000)
+
+    def test_paper_example_request_fingerprint(self):
+        space = GroupVariableSpace(paper_published())
+        system = data_constraints(space)
+        system.extend(
+            compile_statements(
+                [
+                    ConditionalProbability(
+                        given={"gender": "male"}, sa_value="Flu", probability=0.3
+                    )
+                ],
+                space,
+            )
+        )
+        assert PrivacyEngine().request_fingerprint(system) == (
+            "20996ab240ec0b930886c8b96e12e6eee549c47a9fe2166acc893491354684c5"
+        )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.paper_example import paper_published
-from repro.errors import NotSupportedError, ReproError
+from repro.errors import NotSupportedError
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalInterval, ConditionalProbability
 from repro.maxent.constraints import data_constraints
@@ -12,7 +12,6 @@ from repro.maxent.dual import build_dual
 from repro.maxent.indexing import GroupVariableSpace
 from repro.maxent.lbfgs import solve_dual_lbfgs
 from repro.maxent.newton import solve_dual_newton
-from repro.maxent.solver import MaxEntConfig, solve_maxent
 
 
 @pytest.fixture(scope="module")
@@ -84,16 +83,3 @@ class TestNewtonSolver:
         )
         # PSD spot-check: v' H v >= 0.
         assert float(v @ analytic) >= -1e-12
-
-
-class TestFacadeIntegration:
-    def test_solver_name_accepted(self, space, system):
-        solution = solve_maxent(
-            space, system, MaxEntConfig(solver="newton", tol=1e-8)
-        )
-        reference = solve_maxent(space, system, MaxEntConfig(tol=1e-8))
-        assert np.abs(solution.p - reference.p).max() < 1e-6
-
-    def test_unknown_solver_still_rejected(self):
-        with pytest.raises(ReproError):
-            MaxEntConfig(solver="quantum")

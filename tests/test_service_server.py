@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.privacy_maxent import PrivacyMaxEnt, assess
-from repro.core.serialize import config_to_dict
+from repro.core.serialize import config_to_dict, statement_to_dict
 from repro.data.paper_example import (
     Q2,
     Q4,
@@ -230,20 +230,41 @@ class TestPosterior:
         assert excinfo.value.code == "infeasible_knowledge"
 
     def test_parent_form_config_is_accepted(self, client, release_id):
-        """Bodies from clients that still send the retired executor
-        knobs in ``config`` keep working."""
+        """Bodies from clients that still send the retired executor and
+        solver knobs in ``config`` keep working and solve the same
+        program; a retired knob asking for an ablation is a 400."""
+        statements = [
+            statement_to_dict(
+                ConditionalProbability(
+                    given={"gender": "female"}, sa_value=S2, probability=0.35
+                )
+            )
+        ]
+        path = f"/v1/releases/{release_id}/posterior"
+        current = config_to_dict(MaxEntConfig())
+        plain = client._request(
+            "POST", path, {"statements": statements, "config": current}
+        )
         config = {
-            **config_to_dict(MaxEntConfig()),
+            **current,
             "executor": "serial",
             "workers": None,
             "cluster_workers": None,
+            "solver": "lbfgs",
+            "kernel": "numpy",
+            "drop_redundant": False,
         }
         payload = client._request(
-            "POST",
-            f"/v1/releases/{release_id}/posterior",
-            {"config": config},
+            "POST", path, {"statements": statements, "config": config}
         )
         assert payload["stats"]["converged"] is True
+        assert payload["posterior"] == plain["posterior"]
+        for key, value in (("solver", "gis"), ("drop_redundant", True)):
+            body = {"statements": statements, "config": {**config, key: value}}
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", path, body)
+            assert excinfo.value.status == 400
+            assert key in str(excinfo.value)
 
     def test_unknown_config_knob_is_400(self, client, release_id):
         with pytest.raises(ServiceError) as excinfo:
