@@ -1,8 +1,7 @@
 """The pure-numpy reference kernel: guarded ``reduceat`` reductions.
 
-These are the segment primitives the stacked dual solver and presolve
-both lean on, factored here so the empty-segment guard exists exactly
-once.  ``np.ufunc.reduceat`` treats an empty segment (a start equal to
+These are the segment primitives the stacked dual solver leans on,
+factored here so the empty-segment guard exists exactly once.  ``np.ufunc.reduceat`` treats an empty segment (a start equal to
 the next start) as a length-1 segment containing the *next* segment's
 first element — silently wrong.  Dropping the starts of empty segments
 keeps the reduction exact: an empty segment's start equals the next

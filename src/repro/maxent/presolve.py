@@ -11,19 +11,43 @@ fixed point
 - keeps the dual solvers away from boundary solutions (a variable forced to
   0 has no finite dual multiplier, so eliminating it is a numerical
   necessity, not just a speed-up),
-- detects structural infeasibility with a precise message.
+- detects structural infeasibility with a message naming the row.
 
-The reductions, iterated until quiescent:
+Both row families are stacked into one flat CSR (equalities first, then
+inequalities) and reduced in rounds.  Each round evaluates, as masks over
+the rows that can fire:
 
-1. substitute already-fixed variables into every row,
-2. an empty equality with non-zero rhs, or an empty inequality with
+1. an empty equality with non-zero rhs, or an empty inequality with
    negative rhs, is infeasible; otherwise the row is dropped,
-3. a single-variable equality fixes that variable (rejecting values outside
+2. a single-variable equality fixes that variable (rejecting values outside
    ``[0, 1]`` beyond round-off),
-4. an equality whose coefficients all share one sign and whose rhs is zero
-   fixes every variable in it to zero,
-5. duplicate equality rows are dropped (conflicting duplicates are
-   infeasible).
+3. an equality whose non-negligible coefficients all share one sign and
+   whose rhs is zero fixes every variable in it to zero,
+4. an inequality whose coefficients are all positive fixes every variable
+   in it to zero when its rhs is zero, and is infeasible when its rhs is
+   negative.
+
+The round's fixes, in row order, are substituted into every row with one
+``np.subtract.at`` over the entries they hit (unbuffered, so each row's
+rhs takes its hits one at a time in entry order and rounds exactly as a
+row-at-a-time loop would).  A variable fixed twice in one round keeps its
+first value, and the fixes must agree.  Each reduction
+needs a row that is short (at most one entry) or has rhs <= tol, and a row
+the substitution did not touch already failed to fire and is unchanged.
+So the first round examines every row, each later round only the touched
+rows that became short or reached rhs <= tol, and the loop stops when a
+round fixes nothing or no such row remains.
+
+5. Duplicate equalities (equal left sides) are dropped once, from the
+   quiescent rows; conflicting duplicates are infeasible.
+
+Substitution keeps a duplicate pair a pair, so running reduction 5 once
+at the end fixes the same values as running it every round; only which
+infeasibility a contradictory system reports first can differ.
+
+Fixes keep their first-fix order (round, then row) and surviving rows keep
+their order, kinds and labels.  A system on which nothing fires comes back
+as the same object.
 """
 
 from __future__ import annotations
@@ -34,7 +58,6 @@ import numpy as np
 
 from repro.errors import InfeasibleKnowledgeError
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.kernels import segment_max, segment_min
 
 #: Absolute tolerance for treating right-hand sides as zero.  Right-hand
 #: sides are rationals with denominator N (record count), so genuine zeros
@@ -50,7 +73,6 @@ class PresolveResult:
     fixed_values: dict[int, float]
     free_vars: np.ndarray
     system: ConstraintSystem
-    eliminated_rows: int
 
     @property
     def n_free(self) -> int:
@@ -76,423 +98,218 @@ class PresolveResult:
         return full
 
 
-class _WorkRow:
-    """Mutable row state during presolve."""
-
-    __slots__ = ("indices", "coefficients", "rhs", "kind", "label", "alive")
-
-    def __init__(self, indices, coefficients, rhs, kind, label):
-        if isinstance(indices, np.ndarray):
-            self.indices = indices.tolist()
-        else:
-            self.indices = list(int(i) for i in indices)
-        if isinstance(coefficients, np.ndarray):
-            self.coefficients = coefficients.tolist()
-        else:
-            self.coefficients = list(float(c) for c in coefficients)
-        self.rhs = float(rhs)
-        self.kind = kind
-        self.label = label
-        self.alive = True
-
-
-def _work_rows(arrays) -> list[_WorkRow]:
-    """Mutable work rows straight from a family's CSR arrays (no Row views)."""
-    indptr = arrays.indptr
-    kinds = arrays.kinds()
-    return [
-        _WorkRow(
-            arrays.indices[indptr[r] : indptr[r + 1]],
-            arrays.coefficients[indptr[r] : indptr[r + 1]],
-            arrays.rhs[r],
-            kinds[r],
-            arrays.labels[r],
-        )
-        for r in range(arrays.n_rows)
-    ]
-
-
-def _reduction4_fires(eq, row_mask: np.ndarray | None = None) -> bool:
-    """Would reduction 4 fire on any (masked) equality row?
-
-    A zero-rhs row whose non-negligible coefficients all share one sign
-    forces its variables to zero.  Shared by :func:`_quiescent` and the
-    :func:`_single_fix_round` pre-check — the fast path's quiescence
-    proof is only sound while the two use the *same* detection.
-    """
-    zero_rhs = np.abs(eq.rhs) <= _TOL
-    if row_mask is not None:
-        zero_rhs &= row_mask
-    if not bool(zero_rhs.any()):
-        return False
-    # The shared guarded reductions (repro.maxent.kernels) give empty
-    # rows max = min = 0, which lands them in the ``tiny`` bin below —
-    # exactly "reduction 4 cannot fire on this row".
-    row_max = segment_max(eq.coefficients, eq.indptr)
-    row_min = segment_min(eq.coefficients, eq.indptr)
-    mixed = (row_max > _TOL) & (row_min < -_TOL)
-    tiny = (np.abs(row_max) <= _TOL) & (np.abs(row_min) <= _TOL)
-    return bool((zero_rhs & ~mixed & ~tiny).any())
-
-
-def _quiescent(system: ConstraintSystem) -> bool:
-    """True when no reduction can fire on ``system`` as given.
-
-    The vectorized pre-check of the common case: a small decomposed
-    component whose rows eliminate nothing.  Conservative — any doubt
-    (a single-variable row, a zero-rhs same-sign row, a duplicate left
-    side, an all-positive inequality with non-positive rhs) falls back
-    to the full fixed-point loop, so this only skips work that loop
-    would prove to be a no-op.  It turns presolve from the dominant
-    per-component Python cost into a handful of ``reduceat`` calls,
-    which matters when a solve is thousands of tiny components.
-    """
-    eq = system.equality_arrays()
-    ineq = system.inequality_arrays()
-
-    if eq.n_rows:
-        lengths = eq.row_lengths()
-        if bool((lengths <= 1).any()):
-            return False
-        if _reduction4_fires(eq):
-            return False
-        # Reduction 5 fires on duplicate left sides: compare rows by
-        # their canonically sorted (index, coefficient) bytes.
-        row_ids = np.repeat(
-            np.arange(eq.n_rows, dtype=np.int64), lengths
-        )
-        order = np.lexsort((eq.indices, row_ids))
-        index_bytes = np.ascontiguousarray(
-            eq.indices[order], dtype=np.int64
-        ).tobytes()
-        coeff_bytes = np.round(eq.coefficients[order], 12).tobytes()
-        seen = set()
-        for row in range(eq.n_rows):
-            lo, hi = int(eq.indptr[row]) * 8, int(eq.indptr[row + 1]) * 8
-            key = (index_bytes[lo:hi], coeff_bytes[lo:hi])
-            if key in seen:
-                return False
-            seen.add(key)
-
-    if ineq.n_rows:
-        lengths = ineq.row_lengths()
-        if bool((lengths == 0).any()):
-            return False
-        row_min = segment_min(ineq.coefficients, ineq.indptr)
-        # An all-positive row fixes zeros (rhs ~ 0) or is infeasible
-        # (rhs < 0); either way the full loop must run.
-        if bool(((row_min > _TOL) & (ineq.rhs <= _TOL)).any()):
-            return False
-
-    return True
-
-
-def _single_fix_round(system: ConstraintSystem) -> PresolveResult | None:
-    """One vectorized round of single-variable eliminations.
-
-    The dominant decomposed-component shape — a handful of invariant
-    rows plus knowledge rows that each pin exactly one variable — runs
-    the full fixed-point loop for precisely one round of reduction 3
-    followed by one substitution pass.  This applies that round with
-    array operations and then *proves* (via :func:`_quiescent` on the
-    reduced system) that the loop would have stopped there; any other
-    shape returns ``None`` and takes the full loop.  Infeasibilities the
-    loop would raise in that round (a pin outside [0, 1]) raise
-    identically here.
-    """
-    eq = system.equality_arrays()
-    ineq = system.inequality_arrays()
-    if eq.n_rows == 0:
-        return None
-    lengths = eq.row_lengths()
-    if bool((lengths == 0).any()):
-        return None
-    single = np.nonzero(lengths == 1)[0]
-    if single.size == 0:
-        return None
-
-    # Reduction 4 (zero-rhs same-sign rows) fires in the same round as
-    # the single-variable fixes but substitution can move such a row's
-    # rhs off zero, hiding it from the post-round quiescence proof — so
-    # its absence on the *original* multi rows must be checked up front.
-    # (Duplicate rows, emptied rows and inequality reductions survive
-    # substitution in detectable form; the post-check handles them.)
-    if _reduction4_fires(eq, row_mask=lengths >= 2):
-        return None
-
-    entries = eq.indptr[single]
-    fixed_vars = eq.indices[entries]
-    if np.unique(fixed_vars).size != fixed_vars.size:
-        # Two rows pinning one variable: the full loop's conflict
-        # handling (identical values merge, conflicting ones raise)
-        # must decide.
-        return None
-    values = eq.rhs[single] / eq.coefficients[entries]
-    bad = (values < -_TOL) | (values > 1.0 + 1e-9)
-    if bool(bad.any()):
-        row = int(single[np.nonzero(bad)[0][0]])
-        value = float(values[np.nonzero(bad)[0][0]])
-        raise InfeasibleKnowledgeError(
-            f"constraint {eq.labels[row]!r} forces P = {value:.3e}, "
-            "outside [0, 1]"
-        )
-    values = np.clip(values, 0.0, 1.0)
-
-    n_vars = system.n_vars
-    fixed_mask = np.zeros(n_vars, dtype=bool)
-    fixed_mask[fixed_vars] = True
-    value_of = np.zeros(n_vars)
-    value_of[fixed_vars] = values
-    free_vars = np.nonzero(~fixed_mask)[0]
-    remap = np.full(n_vars, -1, dtype=np.int64)
-    remap[free_vars] = np.arange(free_vars.size, dtype=np.int64)
-
-    reduced = ConstraintSystem(int(free_vars.size))
-
-    def substitute_family(arrays, keep_rows: np.ndarray, append_batch) -> None:
-        kept = np.nonzero(keep_rows)[0]
-        if kept.size == 0:
-            return
-        row_ids = np.repeat(
-            np.arange(arrays.n_rows, dtype=np.int64), arrays.row_lengths()
-        )
-        entry_fixed = fixed_mask[arrays.indices]
-        rhs = arrays.rhs - np.bincount(
-            row_ids,
-            weights=np.where(
-                entry_fixed,
-                arrays.coefficients * value_of[arrays.indices],
-                0.0,
-            ),
-            minlength=arrays.n_rows,
-        )
-        keep_entry = keep_rows[row_ids] & ~entry_fixed
-        new_lengths = np.bincount(
-            row_ids, weights=keep_entry, minlength=arrays.n_rows
-        ).astype(np.int64)[kept]
-        indptr = np.zeros(kept.size + 1, dtype=np.int64)
-        np.cumsum(new_lengths, out=indptr[1:])
-        append_batch(
-            indptr,
-            remap[arrays.indices[keep_entry]],
-            arrays.coefficients[keep_entry],
-            rhs[kept],
-            kinds=arrays.kind_codes[kept],
-            labels=[arrays.labels[int(r)] for r in kept],
-            validate=False,
-        )
-
-    keep_eq = lengths >= 2
-    substitute_family(eq, keep_eq, reduced.add_equalities)
-    if ineq.n_rows:
-        substitute_family(
-            ineq,
-            np.ones(ineq.n_rows, dtype=bool),
-            reduced.add_inequalities,
-        )
-
-    if not _quiescent(reduced):
-        # The round uncovered follow-on work (a row emptied, a new
-        # single-variable row, a zero-rhs pattern): the fixed-point loop
-        # owns anything iterative.
-        return None
-    return PresolveResult(
-        original_n_vars=n_vars,
-        fixed_values={
-            int(var): float(value)
-            for var, value in zip(fixed_vars, values)
-        },
-        free_vars=free_vars,
-        system=reduced,
-        eliminated_rows=int(single.size),
-    )
-
-
 def presolve(system: ConstraintSystem) -> PresolveResult:
     """Run the reductions to a fixed point and return the reduced problem."""
     n_vars = system.n_vars
-    if _quiescent(system):
+    eq = system.equality_arrays()
+    ineq = system.inequality_arrays()
+    n_eq = eq.n_rows
+    n_rows = n_eq + ineq.n_rows
+    indptr = np.concatenate((eq.indptr, ineq.indptr[1:] + eq.indptr[-1]))
+    indices = np.concatenate((eq.indices, ineq.indices))
+    coefficients = np.concatenate((eq.coefficients, ineq.coefficients))
+    rhs = np.concatenate((eq.rhs, ineq.rhs))
+    labels = eq.labels + ineq.labels
+    is_eq = np.arange(n_rows) < n_eq
+    lengths = indptr[1:] - indptr[:-1]
+    row_of = np.repeat(np.arange(n_rows), lengths)
+
+    live = np.ones(n_rows, dtype=bool)
+    live_entry = np.ones(indices.size, dtype=bool)
+    is_fixed = np.zeros(n_vars, dtype=bool)
+    value_of = np.zeros(n_vars)
+    fixed: dict[int, float] = {}
+    # Every reduction needs a short row or an rhs <= tol: the first round
+    # examines every row, each later one the rows the substitution touched.
+    # (np.count_nonzero is the truth test: on masks this small it costs a
+    # quarter of ndarray.any, and presolve runs once per component.)
+    active = (lengths <= 1) | (rhs <= _TOL)
+    while np.count_nonzero(active):
+        zero_rhs = np.abs(rhs) <= _TOL
+        empty = active & (lengths == 0)
+        pin = active & is_eq & (lengths == 1)
+        infeasible = empty & np.where(is_eq, ~zero_rhs, rhs < -_TOL)
+        zeroes = np.zeros(n_rows, dtype=bool)
+        # Reductions 3-4 and the inequality bound read the signs of a
+        # row's live coefficients, and only fire at rhs <= tol on rows
+        # with at least two entries (equalities: one is a pin) or one
+        # (inequalities).
+        signed = active & (rhs <= _TOL) & (lengths > is_eq)
+        if np.count_nonzero(signed):
+            entries = (live_entry & signed[row_of]).nonzero()[0]
+            rows = row_of[entries]
+            signs = coefficients[entries]
+            n_positive = np.bincount(rows[signs > _TOL], minlength=n_rows)
+            n_negative = np.bincount(rows[signs < -_TOL], minlength=n_rows)
+            all_positive = signed & ~is_eq & (n_positive == lengths)
+            zeroes = signed & zero_rhs & (
+                all_positive | (is_eq & ((n_positive > 0) != (n_negative > 0)))
+            )
+            infeasible |= all_positive & (rhs < -_TOL)
+        consumed = pin | zeroes
+        if not np.count_nonzero(empty | consumed | infeasible):
+            break
+
+        entries = (live_entry & consumed[row_of]).nonzero()[0]
+        rows = row_of[entries]
+        variables = indices[entries]
+        values = np.zeros(entries.size)
+        pins = pin[rows]
+        values[pins] = rhs[rows[pins]] / coefficients[entries[pins]]
+        out_of_range = (values < -_TOL) | (values > 1.0 + 1e-9)
+        forced, values = values, np.minimum(np.maximum(values, 0.0), 1.0)
+        # A variable fixed twice in one round keeps its first value, which
+        # the later fixes must match.
+        first = np.ones(entries.size, dtype=bool)
+        conflict = np.zeros(entries.size, dtype=bool)
+        if np.count_nonzero(np.bincount(variables, minlength=n_vars) > 1):
+            _, first_at, inverse = np.unique(
+                variables, return_index=True, return_inverse=True
+            )
+            first_value = values[first_at][inverse]
+            conflict = np.abs(values - first_value) > 1e-8
+            first = np.zeros(entries.size, dtype=bool)
+            first[first_at] = True
+
+        bad = infeasible.copy()
+        bad[rows[out_of_range | conflict]] = True
+        if np.count_nonzero(bad):
+            row = int(np.argmax(bad))
+            label = labels[row]
+            if lengths[row] == 0:
+                relation = "=" if is_eq[row] else "<="
+                raise InfeasibleKnowledgeError(
+                    f"constraint {label!r} reduces to 0 {relation} "
+                    f"{rhs[row]:.3e}"
+                )
+            if infeasible[row]:
+                raise InfeasibleKnowledgeError(
+                    f"constraint {label!r} bounds a non-negative sum "
+                    f"above by {rhs[row]:.3e}"
+                )
+            at = ((rows == row) & (out_of_range | conflict)).nonzero()[0][0]
+            if out_of_range[at]:
+                raise InfeasibleKnowledgeError(
+                    f"constraint {label!r} forces P = {forced[at]:.3e}, "
+                    "outside [0, 1]"
+                )
+            raise InfeasibleKnowledgeError(
+                f"constraint {label!r} forces variable {variables[at]} to "
+                f"{values[at]:.3e}, but it was already fixed to "
+                f"{first_value[at]:.3e}"
+            )
+        live &= ~(empty | consumed)
+        if entries.size == 0:
+            break
+
+        new_vars, new_values = variables[first], values[first]
+        fixed.update(zip(new_vars.tolist(), new_values.tolist()))
+        is_fixed[new_vars] = True
+        value_of[new_vars] = new_values
+        hit = (live_entry & is_fixed[indices]).nonzero()[0]
+        live_entry[hit] = False
+        hit_rows = row_of[hit]
+        np.subtract.at(rhs, hit_rows, coefficients[hit] * value_of[indices[hit]])
+        lengths -= np.bincount(hit_rows, minlength=n_rows)
+        touched = np.zeros(n_rows, dtype=bool)
+        touched[hit_rows] = True
+        active = live & touched & ((lengths <= 1) | (rhs <= _TOL))
+
+    keep = live & ~_duplicates(
+        (live & is_eq).nonzero()[0], lengths, row_of, indices, coefficients,
+        rhs, live_entry, labels,
+    )
+    if not fixed and keep.all():
         return PresolveResult(
             original_n_vars=n_vars,
             fixed_values={},
             free_vars=np.arange(n_vars, dtype=np.int64),
             system=system,
-            eliminated_rows=0,
         )
-    fast = _single_fix_round(system)
-    if fast is not None:
-        return fast
-    eq_rows = _work_rows(system.equality_arrays())
-    ineq_rows = _work_rows(system.inequality_arrays())
 
-    fixed: dict[int, float] = {}
-    newly_fixed: dict[int, float] = {}
-
-    def fix(var: int, value: float, source: str) -> None:
-        if value < -_TOL or value > 1.0 + 1e-9:
-            raise InfeasibleKnowledgeError(
-                f"constraint {source!r} forces P = {value:.3e}, outside [0, 1]"
-            )
-        value = min(max(value, 0.0), 1.0)
-        for store in (fixed, newly_fixed):
-            if var in store and abs(store[var] - value) > 1e-8:
-                raise InfeasibleKnowledgeError(
-                    f"constraint {source!r} forces variable {var} to "
-                    f"{value:.3e}, but it was already fixed to "
-                    f"{store[var]:.3e}"
-                )
-        newly_fixed[var] = value
-
-    def substitute(row: _WorkRow, values: dict[int, float]) -> None:
-        if not row.alive:
-            return
-        kept_idx: list[int] = []
-        kept_coef: list[float] = []
-        for idx, coef in zip(row.indices, row.coefficients):
-            if idx in values:
-                row.rhs -= coef * values[idx]
-            elif idx in fixed:
-                row.rhs -= coef * fixed[idx]
-            else:
-                kept_idx.append(idx)
-                kept_coef.append(coef)
-        row.indices = kept_idx
-        row.coefficients = kept_coef
-
-    # First substitution pass handles nothing (no fixes yet) but normalizes
-    # the loop below: every iteration substitutes the previous round's fixes.
-    eliminated_rows = 0
-    pending: dict[int, float] = {}
-    while True:
-        for row in [*eq_rows, *ineq_rows]:
-            substitute(row, pending)
-        for var, value in pending.items():
-            fixed[var] = value
-        pending = {}
-
-        progress = False
-
-        # Reduction 5: duplicate equality rows.
-        seen: dict[tuple, float] = {}
-        for row in eq_rows:
-            if not row.alive or not row.indices:
-                continue
-            order = np.argsort(row.indices)
-            key = tuple(
-                (row.indices[i], round(row.coefficients[i], 12)) for i in order
-            )
-            if key in seen:
-                if abs(seen[key] - row.rhs) > 1e-9:
-                    raise InfeasibleKnowledgeError(
-                        f"constraints conflict: row {row.label!r} duplicates "
-                        f"another row's left side with a different value "
-                        f"({row.rhs:.3e} vs {seen[key]:.3e})"
-                    )
-                row.alive = False
-                eliminated_rows += 1
-                progress = True
-            else:
-                seen[key] = row.rhs
-
-        for row in eq_rows:
-            if not row.alive:
-                continue
-            if not row.indices:
-                if abs(row.rhs) > _TOL:
-                    raise InfeasibleKnowledgeError(
-                        f"constraint {row.label!r} reduces to 0 = {row.rhs:.3e}"
-                    )
-                row.alive = False
-                eliminated_rows += 1
-                progress = True
-                continue
-            if len(row.indices) == 1:
-                fix(row.indices[0], row.rhs / row.coefficients[0], row.label)
-                row.alive = False
-                eliminated_rows += 1
-                progress = True
-                continue
-            signs = {c > 0 for c in row.coefficients if abs(c) > _TOL}
-            if len(signs) == 1 and abs(row.rhs) <= _TOL:
-                for idx in row.indices:
-                    fix(idx, 0.0, row.label)
-                row.alive = False
-                eliminated_rows += 1
-                progress = True
-
-        for row in ineq_rows:
-            if not row.alive:
-                continue
-            if not row.indices:
-                if row.rhs < -_TOL:
-                    raise InfeasibleKnowledgeError(
-                        f"constraint {row.label!r} reduces to 0 <= {row.rhs:.3e}"
-                    )
-                row.alive = False
-                eliminated_rows += 1
-                progress = True
-                continue
-            # All-positive row with rhs 0 forces zeros (p >= 0 throughout).
-            if all(c > _TOL for c in row.coefficients) and abs(row.rhs) <= _TOL:
-                for idx in row.indices:
-                    fix(idx, 0.0, row.label)
-                row.alive = False
-                eliminated_rows += 1
-                progress = True
-            elif all(c > _TOL for c in row.coefficients) and row.rhs < -_TOL:
-                raise InfeasibleKnowledgeError(
-                    f"constraint {row.label!r} bounds a non-negative sum "
-                    f"above by {row.rhs:.3e}"
-                )
-
-        if newly_fixed:
-            pending = dict(newly_fixed)
-            newly_fixed.clear()
-            progress = True
-        if not progress:
-            break
-
-    free_mask = np.ones(n_vars, dtype=bool)
-    for var in fixed:
-        free_mask[var] = False
-    free_vars = np.nonzero(free_mask)[0]
-    # Old -> reduced index remap as one scatter; surviving rows reference
-    # free variables only (fixed ones were substituted out), so the gather
-    # below never reads a -1 slot.
-    remap = np.full(n_vars, -1, dtype=np.int64)
-    remap[free_vars] = np.arange(free_vars.size, dtype=np.int64)
-
+    free_vars = (~is_fixed).nonzero()[0]
+    # Old -> reduced index remap; surviving entries reference free
+    # variables only (fixed ones were substituted out), so the gather below
+    # never reads a fixed variable's slot.
+    remap = np.cumsum(~is_fixed) - 1
+    kind_codes = np.concatenate((eq.kind_codes, ineq.kind_codes))
+    kept_entry = live_entry & keep[row_of]
     reduced = ConstraintSystem(int(free_vars.size))
-
-    def rebuild(rows: list[_WorkRow], append_batch) -> None:
-        survivors = [row for row in rows if row.alive and row.indices]
-        if not survivors:
-            return
-        lengths = np.array([len(row.indices) for row in survivors])
-        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        flat_old = np.concatenate(
-            [np.asarray(row.indices, dtype=np.int64) for row in survivors]
-        )
+    for lo, hi, append_batch in (
+        (0, n_eq, reduced.add_equalities),
+        (n_eq, n_rows, reduced.add_inequalities),
+    ):
+        kept = keep[lo:hi].nonzero()[0] + lo
+        if kept.size == 0:
+            continue
+        entries = kept_entry[indptr[lo] : indptr[hi]].nonzero()[0]
+        entries += indptr[lo]
+        kept_indptr = np.zeros(kept.size + 1, dtype=np.int64)
+        np.cumsum(lengths[kept], out=kept_indptr[1:])
         append_batch(
-            indptr,
-            remap[flat_old],
-            np.concatenate(
-                [np.asarray(row.coefficients, float) for row in survivors]
-            ),
-            np.array([row.rhs for row in survivors]),
-            kinds=[row.kind for row in survivors],
-            labels=[row.label for row in survivors],
+            kept_indptr,
+            remap[indices[entries]],
+            coefficients[entries],
+            rhs[kept],
+            kinds=kind_codes[kept],
+            labels=[labels[row] for row in kept.tolist()],
             validate=False,
         )
-
-    rebuild(eq_rows, reduced.add_equalities)
-    rebuild(ineq_rows, reduced.add_inequalities)
-
     return PresolveResult(
         original_n_vars=n_vars,
         fixed_values=fixed,
         free_vars=free_vars,
         system=reduced,
-        eliminated_rows=eliminated_rows,
     )
+
+
+def _duplicates(
+    rows, lengths, row_of, indices, coefficients, rhs, live_entry, labels
+) -> np.ndarray:
+    """Mask of the ``rows`` whose live left side repeats an earlier row's.
+
+    Left sides compare as their index-sorted (index, coefficient) pairs,
+    coefficients rounded to 12 digits.  A repeat whose rhs differs from
+    the first row's by more than round-off is infeasible.
+    """
+    duplicate = np.zeros(rhs.size, dtype=bool)
+    # Equal left sides have equal sums of squared indices (reduced mod a
+    # prime, so the float sums are exact in any order): only rows sharing
+    # that sum with another row are compared entry by entry.
+    hash_sums = np.bincount(
+        row_of[live_entry],
+        weights=indices[live_entry] ** 2 % 1000003,
+        minlength=rhs.size,
+    )[rows]
+    order = np.argsort(hash_sums)
+    sorted_sums = hash_sums[order]
+    same = sorted_sums[1:] == sorted_sums[:-1]
+    if not np.count_nonzero(same):
+        return duplicate
+    shared = np.zeros(rows.size, dtype=bool)
+    shared[1:] = same
+    shared[:-1] |= same
+    rows = np.sort(rows[order[shared]])
+
+    in_rows = np.zeros(rhs.size, dtype=bool)
+    in_rows[rows] = True
+    entries = (live_entry & in_rows[row_of]).nonzero()[0]
+    entries = entries[np.lexsort((indices[entries], row_of[entries]))]
+    index_bytes = indices[entries].tobytes()
+    coeff_bytes = np.round(coefficients[entries], 12).tobytes()
+    seen: dict[tuple[bytes, bytes], float] = {}
+    end = 0
+    for row, length in zip(rows.tolist(), lengths[rows].tolist()):
+        start, end = end, end + 8 * length
+        key = (index_bytes[start:end], coeff_bytes[start:end])
+        if key not in seen:
+            seen[key] = rhs[row]
+            continue
+        if abs(seen[key] - rhs[row]) > 1e-9:
+            raise InfeasibleKnowledgeError(
+                f"constraints conflict: row {labels[row]!r} duplicates "
+                f"another row's left side with a different value "
+                f"({rhs[row]:.3e} vs {seen[key]:.3e})"
+            )
+        duplicate[row] = True
+    return duplicate
