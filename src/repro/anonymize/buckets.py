@@ -185,9 +185,10 @@ class BucketizedTable:
     def qv_count(self, qv: dict[str, str]) -> int:
         """Count of records whose QI tuple matches the partial spec ``qv``.
 
-        ``qv`` maps a subset of QI attribute names to values; used for the
-        ``P(Qv)`` right-hand sides of background-knowledge constraints
-        (Section 4.1).
+        ``qv`` maps a subset of QI attribute names to values.  A plain scan
+        of the QI marginal: the knowledge compiler resolves ``P(Qv)``
+        through the variable space's batch matcher instead, and the
+        compiler tests use this as the reference for it.
         """
         positions = {
             self._schema.qi_index(name): value for name, value in qv.items()

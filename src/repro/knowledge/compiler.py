@@ -10,10 +10,24 @@ undisguised in bucketization, so the published marginal equals the original
 one).  Inequality statements (Section 4.5) become ``G p <= d`` rows;
 individual statements (Section 6) compile over the pseudonym space.
 
-Compilation errors are diagnosed eagerly: a statement about a population
-absent from the data (``P(Qv) = 0``) or a strictly positive probability
-whose summation set is structurally empty cannot be satisfied, and raising
-here gives far better messages than a solver divergence later.
+A list compiles in one batch.  The antecedents of all its distribution
+statements (conditional, joint, interval, comparison) are resolved first,
+in one join per antecedent attribute subset against the space's coded QI
+tuples (:meth:`~repro.maxent.indexing.GroupVariableSpace.match_antecedents`),
+which yields every ``P(Qv)`` as an exact record count.  Rows are then built
+in input order: each summation set is one probe of the space's
+(QI tuple, SA value) index, individual statements look up their pseudonyms'
+variables, and each row family reaches the constraint system in one batch
+append, in statement order.
+
+Compilation errors are diagnosed eagerly: a statement naming an attribute
+that is not a QI attribute, a statement about a population absent from the
+data (``P(Qv) = 0``), or a strictly positive probability whose summation
+set is structurally empty cannot be satisfied, and raising here gives far
+better messages than a solver divergence later.  Each error names its
+statement (its ``describe()`` text), and a list raises the error of its
+first failing statement in input order — the batch resolution itself
+raises nothing.
 """
 
 from __future__ import annotations
@@ -48,27 +62,14 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 _RHS_TOL = 1e-12
 
 
-def _antecedent_probability(space: VariableSpace, given: dict[str, str]) -> float:
-    probability = space.qv_probability(given)
-    if probability <= 0.0:
-        antecedent = ", ".join(f"{k}={v}" for k, v in sorted(given.items()))
-        raise CompilationError(
-            f"antecedent {{{antecedent}}} matches no published record, so "
-            "P(Qv) = 0 and the statement constrains nothing"
-        )
-    return probability
+_DISTRIBUTION = (
+    ConditionalProbability, JointProbability, ConditionalInterval, Comparison,
+)
 
 
-def _joint_row(
-    space: VariableSpace,
-    given: dict[str, str],
-    sa_value: str,
-    rhs: float,
-    *,
-    label: str,
-    system: ConstraintSystem,
+def _equality_row(
+    label: str, indices: np.ndarray, rhs: float, rows: _RowBatch
 ) -> None:
-    indices = space.vars_matching(given, sa_value)
     if indices.size == 0:
         if rhs > _RHS_TOL:
             raise InfeasibleKnowledgeError(
@@ -78,119 +79,98 @@ def _joint_row(
             )
         # A zero-probability statement over an empty set is vacuously true.
         return
-    system.add_equality(
-        indices, np.ones(indices.size), rhs, kind="bk", label=label
-    )
+    rows.add_equality(indices, np.ones(indices.size), rhs, kind="bk", label=label)
 
 
-def compile_statement(
-    statement: Statement | IndividualStatement,
+def _compile_distribution(
+    statement: Statement,
     space: VariableSpace,
-    system: ConstraintSystem | _RowBatch,
+    qids: np.ndarray,
+    count: int,
+    unknown: str | None,
+    rows: _RowBatch,
 ) -> None:
-    """Append the rows of one statement to ``system`` (dispatch by type).
-
-    ``system`` is anything exposing ``add_equality`` / ``add_inequality``
-    — a real :class:`ConstraintSystem`, or the :class:`_RowBatch`
-    accumulator :func:`compile_statements` uses to emit one batch append
-    per family.
-    """
-    if isinstance(statement, ConditionalProbability):
-        p_qv = _antecedent_probability(space, statement.given)
-        _joint_row(
-            space,
-            statement.given,
-            statement.sa_value,
-            statement.probability * p_qv,
-            label=statement.describe(),
-            system=system,
+    """Rows of one Section 4.1/4.5 statement, given its resolved antecedent:
+    the ids of the QI tuples extending it, their record count and the
+    first attribute that is not a QI attribute (if any)."""
+    label = statement.describe()
+    if unknown is not None:
+        raise CompilationError(f"{label}: {unknown!r} is not a QI attribute")
+    if isinstance(statement, JointProbability):
+        # The joint form's rhs is the probability itself; P(Qv) plays no part.
+        _equality_row(
+            label,
+            space.vars_of_qis(qids, statement.sa_value),
+            statement.probability,
+            rows,
         )
         return
+    if count == 0:
+        antecedent = ", ".join(
+            f"{k}={v}" for k, v in sorted(statement.given.items())
+        )
+        raise CompilationError(
+            f"{label}: antecedent {{{antecedent}}} matches no published "
+            "record, so P(Qv) = 0 and the statement constrains nothing"
+        )
+    p_qv = float(count) / space.n_records
 
-    if isinstance(statement, JointProbability):
-        _joint_row(
-            space,
-            statement.given,
-            statement.sa_value,
-            statement.probability,
-            label=statement.describe(),
-            system=system,
+    if isinstance(statement, ConditionalProbability):
+        _equality_row(
+            label,
+            space.vars_of_qis(qids, statement.sa_value),
+            statement.probability * p_qv,
+            rows,
         )
         return
 
     if isinstance(statement, ConditionalInterval):
-        p_qv = _antecedent_probability(space, statement.given)
-        indices = space.vars_matching(statement.given, statement.sa_value)
+        indices = space.vars_of_qis(qids, statement.sa_value)
         if indices.size == 0:
             if statement.low > _RHS_TOL:
                 raise InfeasibleKnowledgeError(
-                    f"statement {statement.describe()!r} has an empty "
-                    "summation set but a strictly positive lower bound"
+                    f"statement {label!r} has an empty summation set but a "
+                    "strictly positive lower bound"
                 )
             return
         ones = np.ones(indices.size)
         # sum <= high * P(Qv)
-        system.add_inequality(
-            indices,
-            ones,
-            statement.high * p_qv,
-            kind="bk",
-            label=f"{statement.describe()} [upper]",
+        rows.add_inequality(
+            indices, ones, statement.high * p_qv, kind="bk",
+            label=f"{label} [upper]",
         )
         # sum >= low * P(Qv), encoded as -sum <= -low * P(Qv)
         if statement.low > 0.0:
-            system.add_inequality(
-                indices,
-                -ones,
-                -statement.low * p_qv,
-                kind="bk",
-                label=f"{statement.describe()} [lower]",
+            rows.add_inequality(
+                indices, -ones, -statement.low * p_qv, kind="bk",
+                label=f"{label} [lower]",
             )
         return
 
-    if isinstance(statement, Comparison):
-        p_qv = _antecedent_probability(space, statement.given)
-        more = space.vars_matching(statement.given, statement.more_likely)
-        less = space.vars_matching(statement.given, statement.less_likely)
-        if more.size == 0 and statement.margin > _RHS_TOL and less.size == 0:
+    more = space.vars_of_qis(qids, statement.more_likely)
+    less = space.vars_of_qis(qids, statement.less_likely)
+    if more.size == 0 and less.size == 0:
+        if statement.margin > _RHS_TOL:
             # 0 >= 0 + margin is infeasible.
             raise InfeasibleKnowledgeError(
-                f"statement {statement.describe()!r}: both sides are "
-                "structurally zero but the margin is positive"
+                f"statement {label!r}: both sides are structurally zero but "
+                "the margin is positive"
             )
-        # P(less|Qv) - P(more|Qv) <= -margin, scaled by P(Qv):
-        indices = np.concatenate([less, more])
-        coefficients = np.concatenate([np.ones(less.size), -np.ones(more.size)])
-        if indices.size == 0:
-            return
-        system.add_inequality(
-            indices,
-            coefficients,
-            -statement.margin * p_qv,
-            kind="bk",
-            label=statement.describe(),
-        )
         return
-
-    if isinstance(statement, IndividualStatement):
-        if not isinstance(space, PersonVariableSpace):
-            raise CompilationError(
-                f"statement {statement.describe()!r} is about an individual; "
-                "build the engine with a PersonVariableSpace "
-                "(PrivacyMaxEnt(..., individuals=True))"
-            )
-        _compile_individual(statement, space, system)
-        return
-
-    raise CompilationError(
-        f"unsupported statement type {type(statement).__name__}"
+    # P(less|Qv) - P(more|Qv) <= -margin, scaled by P(Qv):
+    rows.add_inequality(
+        np.concatenate([less, more]),
+        np.concatenate([np.ones(less.size), -np.ones(more.size)]),
+        -statement.margin * p_qv,
+        kind="bk",
+        label=label,
     )
 
 
 def _compile_individual(
     statement: IndividualStatement,
     space: PersonVariableSpace,
-    system: ConstraintSystem,
+    rows: _RowBatch,
 ) -> None:
     n = space.n_records
     if isinstance(statement, IndividualProbability):
@@ -203,7 +183,7 @@ def _compile_individual(
                     f"never carry {statement.sa_value!r} (no bucket offers it)"
                 )
             return
-        system.add_equality(
+        rows.add_equality(
             indices, np.ones(indices.size), rhs, kind="bk",
             label=statement.describe(),
         )
@@ -220,7 +200,7 @@ def _compile_individual(
                 f"{statement.describe()}: none of the listed values is "
                 f"available to {statement.person.name} in any bucket"
             )
-        system.add_equality(
+        rows.add_equality(
             indices, np.ones(indices.size), 1.0 / n, kind="bk",
             label=statement.describe(),
         )
@@ -242,16 +222,16 @@ def _compile_individual(
             )
         ones = np.ones(indices.size)
         if isinstance(statement, GroupCount):
-            system.add_equality(
+            rows.add_equality(
                 indices, ones, rhs, kind="bk", label=statement.describe()
             )
         elif isinstance(statement, GroupCountAtLeast):
             # sum >= count/N, encoded as -sum <= -count/N.
-            system.add_inequality(
+            rows.add_inequality(
                 indices, -ones, -rhs, kind="bk", label=statement.describe()
             )
         else:
-            system.add_inequality(
+            rows.add_inequality(
                 indices, ones, rhs, kind="bk", label=statement.describe()
             )
         return
@@ -264,10 +244,9 @@ def _compile_individual(
 class _RowBatch:
     """Accumulates compiled rows, emitted as one batch append per family.
 
-    Duck-types the two append methods :func:`compile_statement` uses, so
-    per-statement compilation stays row-at-a-time (where the eager
-    diagnostics live) while the constraint system receives the whole
-    knowledge block through the array-native batch API.
+    Statements are compiled row-at-a-time (where the eager diagnostics
+    live) while the constraint system receives the whole knowledge block
+    through the array-native batch API.
     """
 
     def __init__(self) -> None:
@@ -310,12 +289,31 @@ def compile_statements(
 
     The returned system holds only the background-knowledge rows; callers
     merge it with :func:`repro.maxent.constraints.data_constraints`.
-    Rows are accumulated per statement and appended through the batch CSR
-    API in one shot per family.
+    Every antecedent is resolved up front in one batch; rows are then
+    built in input order and appended in one batch per family.  The
+    first statement (in input order) that cannot compile raises.
     """
-    system = ConstraintSystem(space.n_vars)
-    batch = _RowBatch()
+    statements = list(statements)
+    matches = space.match_antecedents(
+        [s.given for s in statements if isinstance(s, _DISTRIBUTION)]
+    )
+    resolved = zip(matches.ids, matches.counts, matches.unknown)
+    rows = _RowBatch()
     for statement in statements:
-        compile_statement(statement, space, batch)
-    batch.emit(system)
+        if isinstance(statement, _DISTRIBUTION):
+            _compile_distribution(statement, space, *next(resolved), rows)
+        elif isinstance(statement, IndividualStatement):
+            if not isinstance(space, PersonVariableSpace):
+                raise CompilationError(
+                    f"statement {statement.describe()!r} is about an "
+                    "individual; build the engine with a PersonVariableSpace "
+                    "(PrivacyMaxEnt(..., individuals=True))"
+                )
+            _compile_individual(statement, space, rows)
+        else:
+            raise CompilationError(
+                f"unsupported statement type {type(statement).__name__}"
+            )
+    system = ConstraintSystem(space.n_vars)
+    rows.emit(system)
     return system

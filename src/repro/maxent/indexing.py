@@ -11,22 +11,32 @@ Both spaces expose the same query surface used by the knowledge compiler
 and the solvers:
 
 - ``n_vars`` and per-variable bucket ids (for decomposition),
-- ``vars_matching(qv, sa_value)`` — all variables whose QI tuple extends a
-  partial assignment ``Qv`` and whose SA value matches (the summation sets
-  of Section 4.1 constraints),
-- ``qv_probability(qv)`` — the published marginal ``P(Qv)`` used for
-  right-hand sides.
+- ``match_antecedents(qvs)`` — resolves a batch of partial QI assignments
+  ``Qv`` to the ids of the distinct QI tuples extending each, and the
+  record count behind each (``N * P(Qv)``, an exact integer),
+- ``vars_of_qis(qids, sa_value)`` — the variables of those tuples carrying
+  an SA value (the summation sets of Section 4.1 constraints),
+- ``vars_matching(qv, sa_value)`` and ``qv_probability(qv)`` — the same
+  two queries for one antecedent.
 
 Everything on the hot construction path is array-native: variable
 enumeration is built with ``repeat`` / ``tile`` per bucket, invariant
 cardinality lookups resolve through sorted key tables
-(:class:`_CountTable`), and the vars-matching summation sets come from one
-precomputed composite-key sort (:class:`_PairIndex`) instead of a
-full-length boolean mask per query.  The triple -> variable dict needed by
-point lookups (``index_of``) is built lazily, off the construction path.
+(:class:`_CountTable`), and summation sets come from one precomputed
+composite-key sort (:class:`_PairIndex`) probed with ``searchsorted``
+ranges.  Antecedents resolve through per-attribute integer codes of the
+distinct QI tuples (:class:`_QIRegistry`): the antecedents of a batch are
+grouped by attribute subset, and each group costs one ``lexsort`` of the
+projected codes plus one ``searchsorted`` — never a string comparison per
+tuple.  The codes, the pair index and the triple -> variable dict needed
+by point lookups (``index_of``) are built lazily, off the construction
+path.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,37 +46,116 @@ from repro.errors import CompilationError, KnowledgeError
 from repro.knowledge.individuals import Pseudonym, PseudonymTable
 
 
+class AntecedentMatches(NamedTuple):
+    """A batch of partial QI assignments resolved against the registry.
+
+    The three lists are parallel to the queried antecedents: ``ids[j]``
+    holds the distinct-QI ids extending antecedent ``j``, ``counts[j]``
+    the number of published records those tuples carry (an exact
+    integer: ``P(Qv) = counts[j] / N``), and ``unknown[j]`` the first of
+    its attribute names that is not a QI attribute — in which case its
+    ids are empty and its count is 0 — or None.
+    """
+
+    ids: list[np.ndarray]
+    counts: np.ndarray
+    unknown: list[str | None]
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
 class _QIRegistry:
     """Distinct QI tuples of a published table, indexed for fast matching.
 
-    Matching is by value string rather than domain code so that generalized
-    releases (Mondrian output re-expressed as buckets, whose QI values are
-    range labels like ``{17-21|22-26}``) work with the same machinery.
+    Tuples are matched by value string rather than schema domain code, so
+    generalized releases (Mondrian output re-expressed as buckets, whose QI
+    values are range labels like ``{17-21|22-26}``) work with the same
+    machinery: each attribute's distinct published strings get their own
+    integer codes, built on the first match.
     """
 
     def __init__(self, published: BucketizedTable) -> None:
-        schema = published.schema
-        self._attrs = schema.qi
-        self._positions = {attr.name: i for i, attr in enumerate(self._attrs)}
+        self._names = published.schema.qi_attributes
+        self._positions = {name: i for i, name in enumerate(self._names)}
         marginal = published.qi_marginal()
         self.tuples: list[QITuple] = list(marginal)
         self.id_of: dict[QITuple, int] = {q: i for i, q in enumerate(self.tuples)}
         self.counts = np.array([marginal[q] for q in self.tuples], dtype=np.int64)
-        self.values = np.array(
-            [list(q) for q in self.tuples], dtype=object
-        ).reshape(len(self.tuples), len(self._attrs))
+        self._coded: tuple[np.ndarray, list[dict[str, int]]] | None = None
 
-    def matching_ids(self, qv: dict[str, str]) -> np.ndarray:
-        """Ids of distinct QI tuples extending the partial assignment."""
-        if not qv:
-            raise KnowledgeError("the partial assignment Qv must be non-empty")
-        mask = np.ones(len(self.tuples), dtype=bool)
-        for name, value in qv.items():
-            if name not in self._positions:
-                raise CompilationError(f"{name!r} is not a QI attribute")
-            position = self._positions[name]
-            mask &= self.values[:, position] == value
-        return np.nonzero(mask)[0]
+    def _codes(self) -> tuple[np.ndarray, list[dict[str, int]]]:
+        """Per-attribute integer codes of the tuples, and value -> code."""
+        if self._coded is None:
+            codes = np.empty((len(self.tuples), len(self._names)), dtype=np.int64)
+            code_of: list[dict[str, int]] = []
+            for position in range(len(self._names)):
+                lookup: dict[str, int] = {}
+                codes[:, position] = [
+                    lookup.setdefault(q[position], len(lookup)) for q in self.tuples
+                ]
+                code_of.append(lookup)
+            self._coded = (codes, code_of)
+        return self._coded
+
+    def match(self, qvs: Sequence[dict[str, str]]) -> AntecedentMatches:
+        """Resolve every partial assignment in ``qvs`` in one batch.
+
+        Antecedents are grouped by attribute subset.  Per subset, the
+        tuples' projected codes and the antecedents' wanted codes are
+        ranked by one ``lexsort``; each antecedent's ids are then one
+        ``searchsorted`` range of the tuples in rank order, and its count
+        a difference of one cumulative sum over their counts.  A value
+        absent from an attribute gets code -1 and so matches nothing.
+        """
+        ids = [_NO_IDS] * len(qvs)
+        counts = np.zeros(len(qvs), dtype=np.int64)
+        unknown: list[str | None] = [None] * len(qvs)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for j, qv in enumerate(qvs):
+            if not qv:
+                raise KnowledgeError("the partial assignment Qv must be non-empty")
+            missing = [name for name in qv if name not in self._positions]
+            if missing:
+                unknown[j] = missing[0]
+            else:
+                subset = tuple(sorted(self._positions[name] for name in qv))
+                groups.setdefault(subset, []).append(j)
+        n_tuples = len(self.tuples)
+        for subset, members in groups.items():
+            codes, code_of = self._codes()
+            wanted = np.array(
+                [
+                    [code_of[p].get(qvs[j][self._names[p]], -1) for p in subset]
+                    for j in members
+                ],
+                dtype=np.int64,
+            )
+            stacked = np.concatenate([codes[:, list(subset)], wanted])
+            order = np.lexsort(stacked.T[::-1])
+            ordered = stacked[order]
+            new_key = np.ones(order.size, dtype=bool)
+            new_key[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+            rank = np.empty(order.size, dtype=np.int64)
+            rank[order] = np.cumsum(new_key)
+            # Tuple ids in rank order; their ranks are then ascending.
+            tuple_order = order[order < n_tuples]
+            tuple_ranks = rank[tuple_order]
+            starts = np.searchsorted(tuple_ranks, rank[n_tuples:], side="left")
+            ends = np.searchsorted(tuple_ranks, rank[n_tuples:], side="right")
+            cumulative = np.zeros(n_tuples + 1, dtype=np.int64)
+            np.cumsum(self.counts[tuple_order], out=cumulative[1:])
+            counts[members] = cumulative[ends] - cumulative[starts]
+            for j, start, end in zip(members, starts.tolist(), ends.tolist()):
+                ids[j] = tuple_order[start:end]
+        return AntecedentMatches(ids, counts, unknown)
+
+    def match_one(self, qv: dict[str, str]) -> tuple[np.ndarray, int]:
+        """Ids and record count of the tuples extending one assignment."""
+        matches = self.match([qv])
+        if matches.unknown[0] is not None:
+            raise CompilationError(f"{matches.unknown[0]!r} is not a QI attribute")
+        return matches.ids[0], int(matches.counts[0])
 
 
 class _CountTable:
@@ -167,7 +256,39 @@ def _take_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     )
 
 
-class GroupVariableSpace:
+class _KnowledgeQueries:
+    """The knowledge-compiler query surface, shared by both spaces.
+
+    A space provides ``_registry``, ``sa_id_of``, ``n_records`` and
+    ``_summation_index()`` (variables keyed by (QI tuple id, SA id)).
+    """
+
+    def match_antecedents(self, qvs: Sequence[dict[str, str]]) -> AntecedentMatches:
+        """Resolve a batch of partial QI assignments (one pass per
+        attribute subset; see :class:`AntecedentMatches`)."""
+        return self._registry.match(qvs)
+
+    def vars_of_qis(self, qids: np.ndarray, sa_value: str) -> np.ndarray:
+        """Variables whose QI tuple id is in ``qids`` and whose SA value is
+        ``sa_value``, ascending (empty for an SA value the release lacks)."""
+        sid = self.sa_id_of.get(sa_value)
+        if sid is None:
+            return np.empty(0, dtype=np.int64)
+        return self._summation_index().lookup_many(qids, sid)
+
+    def vars_matching(self, qv: dict[str, str], sa_value: str) -> np.ndarray:
+        """Indices of all variables with QI extending ``qv`` and SA value
+        ``sa_value`` — the summation set of a Section 4.1 constraint."""
+        qids, _ = self._registry.match_one(qv)
+        return self.vars_of_qis(qids, sa_value)
+
+    def qv_probability(self, qv: dict[str, str]) -> float:
+        """Published marginal ``P(Qv)`` of a partial QI assignment."""
+        _, count = self._registry.match_one(qv)
+        return float(count) / self.n_records
+
+
+class GroupVariableSpace(_KnowledgeQueries):
     """Variables ``P(q, s, b)`` over valid (QI tuple, SA value, bucket).
 
     "Group" refers to the paper's main model where knowledge is about the
@@ -327,24 +448,13 @@ class GroupVariableSpace:
 
     # -- knowledge-compiler queries ---------------------------------------------
 
-    def vars_matching(self, qv: dict[str, str], sa_value: str) -> np.ndarray:
-        """Indices of all variables with QI extending ``qv`` and SA value
-        ``sa_value`` — the summation set of a Section 4.1 constraint."""
-        sid = self.sa_id_of.get(sa_value)
-        if sid is None:
-            return np.empty(0, dtype=np.int64)
-        qids = self._registry.matching_ids(qv)
+    def _summation_index(self) -> _PairIndex:
         if self._qi_sa_index is None:
             self._qi_sa_index = _PairIndex(self.var_qi, self.var_sa)
-        return self._qi_sa_index.lookup_many(qids, sid)
-
-    def qv_probability(self, qv: dict[str, str]) -> float:
-        """Published marginal ``P(Qv)`` of a partial QI assignment."""
-        qids = self._registry.matching_ids(qv)
-        return float(self._registry.counts[qids].sum()) / self.n_records
+        return self._qi_sa_index
 
 
-class PersonVariableSpace:
+class PersonVariableSpace(_KnowledgeQueries):
     """Variables ``P(i, s, b)`` over the pseudonym model (Section 6).
 
     Pseudonym ``i`` with QI tuple ``q`` may occupy any bucket containing
@@ -543,19 +653,10 @@ class PersonVariableSpace:
             np.array([pid], dtype=np.int64), sid
         )
 
-    def vars_matching(self, qv: dict[str, str], sa_value: str) -> np.ndarray:
-        """Data-distribution summation set, lifted to the pseudonym space."""
-        sid = self.sa_id_of.get(sa_value)
-        if sid is None:
-            return np.empty(0, dtype=np.int64)
-        qids = self._registry.matching_ids(qv)
+    def _summation_index(self) -> _PairIndex:
+        # Data-distribution summation sets, lifted to the pseudonym space.
         if self._qi_sa_index is None:
             self._qi_sa_index = _PairIndex(
                 self._person_qi[self.var_person], self.var_sa
             )
-        return self._qi_sa_index.lookup_many(qids, sid)
-
-    def qv_probability(self, qv: dict[str, str]) -> float:
-        """Published marginal ``P(Qv)``."""
-        qids = self._registry.matching_ids(qv)
-        return float(self._registry.counts[qids].sum()) / self.n_records
+        return self._qi_sa_index
