@@ -8,8 +8,6 @@ regenerates the three series and asserts the decay shape.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import PAPER_SCALE, save_result
 from repro.experiments.figures import Figure5Config, figure5
 
@@ -20,12 +18,9 @@ def _config() -> Figure5Config:
     return Figure5Config(n_records=1200, max_antecedent=2, max_k=1024, points=6)
 
 
-@pytest.mark.benchmark(group="figure5")
-def test_figure5(benchmark, results_dir):
-    result = benchmark.pedantic(
-        figure5, args=(_config(),), rounds=1, iterations=1
-    )
-    save_result(results_dir, "figure5", result.render())
+def test_figure5():
+    result = figure5(_config())
+    save_result("figure5", result.render())
 
     # Shape assertions (who wins, qualitatively), not absolute numbers.
     for name in ("K+", "K-", "(K+, K-)"):

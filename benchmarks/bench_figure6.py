@@ -9,8 +9,6 @@ series per T and reports the ordering at the largest common K.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import PAPER_SCALE, save_result
 from repro.experiments.figures import Figure6Config, figure6
 
@@ -23,13 +21,10 @@ def _config() -> Figure6Config:
     )
 
 
-@pytest.mark.benchmark(group="figure6")
-def test_figure6(benchmark, results_dir):
+def test_figure6():
     config = _config()
-    result = benchmark.pedantic(
-        figure6, args=(config,), rounds=1, iterations=1
-    )
-    save_result(results_dir, "figure6", result.render())
+    result = figure6(config)
+    save_result("figure6", result.render())
 
     for size in config.sizes:
         xs, ys = result.series_xy(f"T={size}")

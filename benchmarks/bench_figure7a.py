@@ -8,8 +8,6 @@ in the paper's measurements.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import PAPER_SCALE, save_result
 from repro.experiments.figures import Figure7aConfig, figure7a
 
@@ -24,12 +22,9 @@ def _config() -> Figure7aConfig:
     )
 
 
-@pytest.mark.benchmark(group="figure7")
-def test_figure7a(benchmark, results_dir):
-    result = benchmark.pedantic(
-        figure7a, args=(_config(),), rounds=1, iterations=1
-    )
-    save_result(results_dir, "figure7a", result.render())
+def test_figure7a():
+    result = figure7a(_config())
+    save_result("figure7a", result.render())
 
     xs, times = result.series_xy("running time (s)")
     _xs, iterations = result.series_xy("iterations")

@@ -8,8 +8,6 @@ paper's unoptimized setup).
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import PAPER_SCALE, save_result
 from repro.experiments.figures import Figure7bcConfig, figure7bc
 
@@ -24,12 +22,9 @@ def _config() -> Figure7bcConfig:
     )
 
 
-@pytest.mark.benchmark(group="figure7")
-def test_figure7b(benchmark, results_dir):
-    time_result, _iteration_result = benchmark.pedantic(
-        figure7bc, args=(_config(),), rounds=1, iterations=1
-    )
-    save_result(results_dir, "figure7b", time_result.render())
+def test_figure7b():
+    time_result, _iteration_result = figure7bc(_config())
+    save_result("figure7b", time_result.render())
 
     # Shape: more knowledge never makes the sweep faster overall, and time
     # grows with bucket count within each series.

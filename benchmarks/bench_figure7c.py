@@ -8,8 +8,6 @@ data size.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import PAPER_SCALE, save_result
 from repro.experiments.figures import Figure7bcConfig, figure7bc
 
@@ -24,12 +22,9 @@ def _config() -> Figure7bcConfig:
     )
 
 
-@pytest.mark.benchmark(group="figure7")
-def test_figure7c(benchmark, results_dir):
-    _time_result, iteration_result = benchmark.pedantic(
-        figure7bc, args=(_config(),), rounds=1, iterations=1
-    )
-    save_result(results_dir, "figure7c", iteration_result.render())
+def test_figure7c():
+    _time_result, iteration_result = figure7bc(_config())
+    save_result("figure7c", iteration_result.render())
 
     # Shape: iterations grow dramatically slower than data size.  Compare
     # the largest-vs-smallest bucket count per knowledge series.

@@ -21,28 +21,17 @@ the many-small-component synthetic workloads (shared
 - *warm repeat* — a second batched solve must replay entirely from the
   solve cache (batching must not disturb cache semantics).
 
-A second bench races the segment-kernel backends
-(`repro.maxent.kernels`) through the stacked dual of the largest
-workload: the numpy reference always runs (the fallback path is
-exercised every run), and when numba is installed its JIT backend must
-hold ``KERNEL_SPEEDUP_FLOOR`` over numpy while agreeing within
-tolerance.
-
-Besides the usual ``benchmarks/results/`` artifacts it appends each
-run's trajectory (workload rows plus per-kernel entries) to
-``BENCH_solver.json`` at the repo root, so the speedup can be diffed
-across commits.
+The floor assumes one BLAS thread.  Unpinned, OpenBLAS threads fight
+over the stacked solve's small matvecs and the floor can fail on a
+2-vCPU host; that failure is the regression case for pinning the BLAS
+pool inside the program, so the floor is not to be relaxed for it.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
-import pytest
 
-from benchmarks.conftest import PAPER_SCALE, save_json, save_result
+from benchmarks.conftest import PAPER_SCALE, save_result
 from repro.engine import PrivacyEngine
 from repro.experiments.workloads import (
     build_synthetic_release,
@@ -55,8 +44,6 @@ from repro.maxent.indexing import GroupVariableSpace
 from repro.utils.tabulate import render_table
 from repro.utils.timer import Timer
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 #: Minimum cold-solve speedup (largest workload) the batched path must
 #: hold over per-component dispatch.  Measured ~4.4x on the container
 #: this floor was set on.
@@ -66,11 +53,6 @@ SPEEDUP_FLOOR = 3.0
 #: a different last-ulps point of the same optimum, so posteriors agree
 #: to a small multiple of the solver tolerance (1e-6), not bit-for-bit.
 EQUIVALENCE_ATOL = 1e-4
-
-#: Minimum stacked-kernel speedup the numba backend must hold over the
-#: numpy reference on the largest workload (asserted only where numba
-#: is installed — the optional-extras CI job).
-KERNEL_SPEEDUP_FLOOR = 1.5
 
 #: Wide QI domains keep bucket components decoupled (a shared QI tuple
 #: merges buckets into one large component); small l and few SA values
@@ -98,115 +80,87 @@ def _build(n_records: int):
     return space, system
 
 
-@pytest.mark.benchmark(group="solver")
-def test_batched_solver_scaling(benchmark, results_dir):
-    # batch_components is pinned on BOTH configs: the default reads
-    # REPRO_BATCH_COMPONENTS, and a deploy-wide opt-in must not turn the
-    # per-component baseline into a second batched run.
+def test_batched_solver_scaling():
     plain = MaxEntConfig(raise_on_infeasible=False, batch_components=0)
     batched = MaxEntConfig(
         raise_on_infeasible=False, batch_components=4096, batch_max_vars=256
     )
 
-    def run_all():
-        rows = []
-        trajectory = []
-        for name, n_records in _workloads().items():
-            space, system = _build(n_records)
+    rows = []
+    for name, n_records in _workloads().items():
+        space, system = _build(n_records)
 
-            with PrivacyEngine(cache_size=0) as per_component_engine:
-                with Timer() as t:
-                    baseline = per_component_engine.solve(
-                        space, system, plain
-                    )
-            per_component_seconds = t.seconds
-
-            cache_size = 4 * baseline.stats.n_components
-            batch_engine = PrivacyEngine(cache_size=cache_size)
+        with PrivacyEngine(cache_size=0) as per_component_engine:
             with Timer() as t:
-                stacked = batch_engine.solve(space, system, batched)
-            batched_seconds = t.seconds
+                baseline = per_component_engine.solve(space, system, plain)
+        per_component_seconds = t.seconds
 
-            # The knob-free default: batching is on out of the box
-            # (v3 contract), so MaxEntConfig() itself must batch and
-            # hold the floor — the speedup ships, it is not opt-in.
-            default = MaxEntConfig(raise_on_infeasible=False)
-            with PrivacyEngine(cache_size=0) as default_engine:
-                with Timer() as t:
-                    shipped = default_engine.solve(space, system, default)
-            default_seconds = t.seconds
-            assert shipped.stats.converged
-            assert shipped.stats.batched_components > 0
-            assert np.abs(shipped.p - baseline.p).max() <= EQUIVALENCE_ATOL
+        cache_size = 4 * baseline.stats.n_components
+        batch_engine = PrivacyEngine(cache_size=cache_size)
+        with Timer() as t:
+            stacked = batch_engine.solve(space, system, batched)
+        batched_seconds = t.seconds
 
-            # Correctness-equivalence is the precondition for any
-            # speedup number.
-            assert baseline.stats.converged
-            assert stacked.stats.converged
-            assert (
-                np.abs(stacked.p - baseline.p).max() <= EQUIVALENCE_ATOL
-            )
-            assert stacked.stats.batched_components > 0
-
-            # Cache semantics survive batching: the per-component
-            # fingerprints recorded by the batched engine are exactly
-            # the ones a per-component engine would record, and a warm
-            # repeat replays from them without further batch work.
-            check_engine = PrivacyEngine(cache_size=cache_size)
-            check_engine.solve(space, system, plain)
-            assert {key for key, _ in batch_engine.cache.items()} == {
-                key for key, _ in check_engine.cache.items()
-            }
-            check_engine.close()
+        # The knob-free default: batching is on out of the box
+        # (v3 contract), so MaxEntConfig() itself must batch and
+        # hold the floor — the speedup ships, it is not opt-in.
+        default = MaxEntConfig(raise_on_infeasible=False)
+        with PrivacyEngine(cache_size=0) as default_engine:
             with Timer() as t:
-                warm = batch_engine.solve(space, system, batched)
-            warm_seconds = t.seconds
-            assert warm.stats.cache_hits > 0
-            assert warm.stats.batched_components == 0
-            batch_engine.close()
+                shipped = default_engine.solve(space, system, default)
+        default_seconds = t.seconds
+        assert shipped.stats.converged
+        assert shipped.stats.batched_components > 0
+        assert np.abs(shipped.p - baseline.p).max() <= EQUIVALENCE_ATOL
 
-            speedup = (
-                per_component_seconds / batched_seconds
-                if batched_seconds > 0
-                else float("inf")
-            )
-            default_speedup = (
-                per_component_seconds / default_seconds
-                if default_seconds > 0
-                else float("inf")
-            )
-            rows.append(
-                [
-                    name,
-                    space.published.n_buckets,
-                    baseline.stats.n_components,
-                    stacked.stats.batched_components,
-                    per_component_seconds,
-                    batched_seconds,
-                    default_seconds,
-                    warm_seconds,
-                    speedup,
-                    default_speedup,
-                ]
-            )
-            trajectory.append(
-                {
-                    "workload": name,
-                    "n_records": n_records,
-                    "n_buckets": space.published.n_buckets,
-                    "n_components": baseline.stats.n_components,
-                    "batched_components": stacked.stats.batched_components,
-                    "per_component_seconds": per_component_seconds,
-                    "batched_seconds": batched_seconds,
-                    "default_config_seconds": default_seconds,
-                    "warm_repeat_seconds": warm_seconds,
-                    "speedup": speedup,
-                    "default_config_speedup": default_speedup,
-                }
-            )
-        return rows, trajectory
+        # Correctness-equivalence is the precondition for any
+        # speedup number.
+        assert baseline.stats.converged
+        assert stacked.stats.converged
+        assert np.abs(stacked.p - baseline.p).max() <= EQUIVALENCE_ATOL
+        assert stacked.stats.batched_components > 0
 
-    rows, trajectory = benchmark.pedantic(run_all, rounds=1, iterations=1)
+        # Cache semantics survive batching: the per-component
+        # fingerprints recorded by the batched engine are exactly
+        # the ones a per-component engine would record, and a warm
+        # repeat replays from them without further batch work.
+        check_engine = PrivacyEngine(cache_size=cache_size)
+        check_engine.solve(space, system, plain)
+        assert {key for key, _ in batch_engine.cache.items()} == {
+            key for key, _ in check_engine.cache.items()
+        }
+        check_engine.close()
+        with Timer() as t:
+            warm = batch_engine.solve(space, system, batched)
+        warm_seconds = t.seconds
+        assert warm.stats.cache_hits > 0
+        assert warm.stats.batched_components == 0
+        batch_engine.close()
+
+        speedup = (
+            per_component_seconds / batched_seconds
+            if batched_seconds > 0
+            else float("inf")
+        )
+        default_speedup = (
+            per_component_seconds / default_seconds
+            if default_seconds > 0
+            else float("inf")
+        )
+        rows.append(
+            [
+                name,
+                space.published.n_buckets,
+                baseline.stats.n_components,
+                stacked.stats.batched_components,
+                per_component_seconds,
+                batched_seconds,
+                default_seconds,
+                warm_seconds,
+                speedup,
+                default_speedup,
+            ]
+        )
 
     columns = [
         "workload",
@@ -225,21 +179,7 @@ def test_batched_solver_scaling(benchmark, results_dir):
         rows,
         title="Batched block-diagonal dual vs per-component dispatch",
     )
-    save_result(results_dir, "solver_batching", table)
-    save_json(results_dir, "solver_batching", columns, rows)
-
-    bench_path = REPO_ROOT / "BENCH_solver.json"
-    payload = {"name": "solver_batching", "runs": []}
-    if bench_path.exists():
-        try:
-            existing = json.loads(bench_path.read_text())
-            if isinstance(existing.get("runs"), list):
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload["speedup_floor"] = SPEEDUP_FLOOR
-    payload["runs"].append({"workloads": trajectory})
-    bench_path.write_text(json.dumps(payload, indent=2) + "\n")
+    save_result("solver_batching", table)
 
     largest = rows[-1]
     assert largest[0] == "large"
@@ -252,94 +192,3 @@ def test_batched_solver_scaling(benchmark, results_dir):
         f"largest workload fell below the {SPEEDUP_FLOOR:.1f}x floor — "
         "the default-on batching contract is not delivering"
     )
-
-
-@pytest.mark.benchmark(group="solver")
-def test_segment_kernel_backends(benchmark, results_dir):
-    """Race the kernel backends through the largest workload's stack.
-
-    The numpy reference always runs — so the fallback path every
-    numba-less host takes is exercised in the same run — and when numba
-    is importable its backend must agree within tolerance and hold
-    ``KERNEL_SPEEDUP_FLOOR`` over numpy.  Every backend timed here gets
-    a ``kernel=<name>`` entry in ``BENCH_solver.json``.
-    """
-    from repro.engine.component import _reduce
-    from repro.engine.plan import build_plan
-    from repro.maxent.batch_dual import DualBlock, solve_batch_dual
-    from repro.maxent.kernels import available_backends
-
-    config = MaxEntConfig(raise_on_infeasible=False)
-    space, system = _build(_workloads()["large"])
-    plan = build_plan(space, system, config)
-    blocks = []
-    for position in plan.numeric:
-        component = plan.components[position]
-        reduced, mass, _, _ = _reduce(component, config)
-        if reduced.n_vars == 0 or mass <= 1e-15:
-            continue
-        blocks.append(DualBlock.from_system(reduced, mass))
-    assert len(blocks) > 100, "workload must stack many small blocks"
-
-    def race():
-        timings = {}
-        posteriors = {}
-        for name in available_backends():
-            # One untimed pass absorbs one-time costs (JIT compilation
-            # for numba) so the race measures steady-state kernels.
-            solve_batch_dual(blocks[:32], tol=config.tol, kernel=name)
-            with Timer() as t:
-                result = solve_batch_dual(
-                    blocks, tol=config.tol, kernel=name
-                )
-            timings[name] = t.seconds
-            posteriors[name] = result
-        return timings, posteriors
-
-    timings, posteriors = benchmark.pedantic(race, rounds=1, iterations=1)
-
-    reference = posteriors["numpy"]
-    assert all(r.converged for r in reference.results)
-    for name, batch in posteriors.items():
-        for ref, got in zip(reference.results, batch.results):
-            assert np.abs(got.p - ref.p).max() <= EQUIVALENCE_ATOL
-
-    rows = [
-        [name, len(blocks), timings[name], timings["numpy"] / timings[name]]
-        for name in sorted(timings)
-    ]
-    columns = ["kernel", "blocks", "stacked solve (s)", "vs numpy"]
-    table = render_table(
-        columns, rows, title="Segment-kernel backends (stacked dual)"
-    )
-    save_result(results_dir, "solver_kernels", table)
-    save_json(results_dir, "solver_kernels", columns, rows)
-
-    bench_path = REPO_ROOT / "BENCH_solver.json"
-    payload = {"name": "solver_batching", "runs": []}
-    if bench_path.exists():
-        try:
-            existing = json.loads(bench_path.read_text())
-            if isinstance(existing.get("runs"), list):
-                payload = existing
-        except json.JSONDecodeError:
-            pass
-    payload.setdefault("kernel_speedup_floor", KERNEL_SPEEDUP_FLOOR)
-    kernel_entries = payload.setdefault("kernels", [])
-    for name in sorted(timings):
-        kernel_entries.append(
-            {
-                "kernel": name,
-                "blocks": len(blocks),
-                "stacked_seconds": timings[name],
-                "speedup_vs_numpy": timings["numpy"] / timings[name],
-            }
-        )
-    bench_path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    if "numba" in timings:
-        speedup = timings["numpy"] / timings["numba"]
-        assert speedup >= KERNEL_SPEEDUP_FLOOR, (
-            f"numba stacked-kernel speedup {speedup:.2f}x fell below "
-            f"the {KERNEL_SPEEDUP_FLOOR:.1f}x floor"
-        )

@@ -5,51 +5,23 @@ records and a 2008 Pentium-M; we target a CI-friendly suite).  Set
 ``REPRO_BENCH_SCALE=paper`` to run the full-size sweeps — expect hours, as
 the original evaluation took.
 
-Each figure bench renders its table/plot to stdout *and* writes it under
-``benchmarks/results/`` so the numbers survive pytest's output capture and
-feed EXPERIMENTS.md.
+Each bench renders its table/plot to stdout *and* writes it under
+``benchmarks/results/`` so the numbers survive pytest's output capture.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-
-import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 PAPER_SCALE = os.environ.get("REPRO_BENCH_SCALE", "").lower() == "paper"
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-def save_result(results_dir: Path, name: str, rendered: str) -> None:
+def save_result(name: str, rendered: str) -> None:
     """Print and persist one experiment's rendered output."""
-    path = results_dir / f"{name}.txt"
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"{name}.txt"
     path.write_text(rendered + "\n")
     print(f"\n{rendered}\n[saved to {path}]")
-
-
-def save_json(
-    results_dir: Path, name: str, columns: list[str], rows: list[list]
-) -> None:
-    """Persist one experiment's raw rows as machine-readable JSON.
-
-    Same tabular shape every bench renders: ``{"name", "columns", "rows"}``
-    with one JSON array per table row, so downstream tooling can diff
-    numbers across runs without parsing the pretty tables.
-    """
-    path = results_dir / f"{name}.json"
-    path.write_text(
-        json.dumps(
-            {"name": name, "columns": columns, "rows": rows}, indent=2
-        )
-        + "\n"
-    )
-    print(f"[saved to {path}]")

@@ -34,7 +34,6 @@ from repro.knowledge.statements import (
     Statement,
 )
 from repro.maxent.config import MaxEntConfig
-from repro.maxent.kernels import KERNEL_NAMES
 from repro.maxent.solution import SolverStats
 
 
@@ -211,13 +210,14 @@ RETIRED_CONFIG_KEYS = frozenset({"executor", "workers", "cluster_workers"})
 
 #: Retired solver knobs older clients still send, with the values that
 #: asked for what every solve now runs: the L-BFGS dual on the full
-#: constraint system (any segment kernel — backends agree within
-#: ``tol``).  Those values are accepted and dropped; any other value
-#: asked for a different program and is rejected.
+#: constraint system (any of the old segment-kernel names — they only
+#: picked how the same reductions ran).  Those values are accepted and
+#: dropped; any other value asked for a different program and is
+#: rejected.
 RETIRED_SOLVER_KEYS = {
     "solver": ("lbfgs",),
     "drop_redundant": (False,),
-    "kernel": KERNEL_NAMES,
+    "kernel": ("auto", "numpy", "numba"),
 }
 
 

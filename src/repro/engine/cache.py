@@ -38,9 +38,9 @@ class CacheEntry:
 
         Iterations and residuals describe the stored solution (they are
         properties of the returned vector); ``seconds``, ``cpu_seconds``,
-        ``batched_components``, ``kernel_backend`` and the
-        ``phase_seconds`` breakdown are zeroed because this run did no
-        numeric work (batched or otherwise).
+        ``batched_components`` and the ``phase_seconds`` breakdown are
+        zeroed because this run did no numeric work (batched or
+        otherwise).
         """
         return replace(
             self.stats,
@@ -48,7 +48,6 @@ class CacheEntry:
             cpu_seconds=0.0,
             cache_hits=1,
             batched_components=0,
-            kernel_backend="",
             phase_seconds={},
         )
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.maxent.batch_dual import DualBlock, solve_batch_dual
 from repro.maxent.config import MaxEntConfig
-from repro.maxent.kernels import get_kernel
 from repro.maxent.decompose import Component
 from repro.maxent.dual import build_dual
 from repro.maxent.lbfgs import DualSolveResult, solve_dual_lbfgs
@@ -112,7 +111,6 @@ def _package_solve(
     result: DualSolveResult,
     *,
     batched: bool = False,
-    kernel_backend: str = "",
 ) -> ComponentSolve:
     """Lift a dual result back to component coordinates with stats."""
     p_local = reduction.restore(result.p) if reduction is not None else result.p
@@ -130,7 +128,6 @@ def _package_solve(
         presolve_fixed=fixed_count,
         message=result.message,
         batched_components=1 if batched else 0,
-        kernel_backend=kernel_backend if batched else "",
     )
     return ComponentSolve(p=p_local, stats=stats, multipliers=multipliers)
 
@@ -183,13 +180,9 @@ def solve_component_batch(
     convergence flags — matches per-component dispatch.  The total task
     time is attributed across components proportionally to their size,
     so summed ``cpu_seconds`` telemetry stays meaningful.
-
-    The stacked dual runs on the ``"auto"`` segment kernel: numba when
-    the host can import it, else the numpy reference.
     """
     n = len(components)
     warm_list = list(warm_starts) if warm_starts is not None else [None] * n
-    kernel = get_kernel("auto")
     with Timer() as timer:
         out: list[ComponentSolve | None] = [None] * n
         numeric: list[int] = []
@@ -220,7 +213,6 @@ def solve_component_batch(
                 tol=config.tol,
                 max_iterations=config.max_iterations,
                 x0s=x0s,
-                kernel=kernel,
             )
         for position, index in enumerate(numeric):
             reduction, fixed_count = reductions[position]
@@ -230,7 +222,6 @@ def solve_component_batch(
                 fixed_count,
                 batch.results[position],
                 batched=batch.batched[position],
-                kernel_backend=kernel.name,
             )
 
     solves = [solve for solve in out if solve is not None]

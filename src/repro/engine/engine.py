@@ -34,7 +34,6 @@ from repro.engine.plan import ExecutionPlan, build_plan
 from repro.errors import InfeasibleKnowledgeError, ReproError
 from repro.maxent.closed_form import closed_form_batch
 from repro.maxent.config import MaxEntConfig
-from repro.maxent.kernels import get_kernel
 from repro.maxent.constraints import ConstraintSystem
 from repro.maxent.decompose import Component
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
@@ -48,12 +47,11 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 _log = get_logger("engine")
 
 #: Version tag of the persisted-cache pickle; bump on incompatible changes.
-#: (v3: the solve-result contract is versioned — ``SolverStats`` grew
-#: ``kernel_backend`` and entries are produced under the tolerance replay
-#: contract by default.  v4: ``SolverStats`` grew the ``phase_seconds``
-#: breakdown ``dataclasses.replace`` needs on cache replay.  v1 and v3
-#: snapshots migrate on load; any other version is rejected loudly,
-#: never silently served.)
+#: (v3: the solve-result contract is versioned — entries are produced
+#: under the tolerance replay contract by default.  v4: ``SolverStats``
+#: grew the ``phase_seconds`` breakdown ``dataclasses.replace`` needs on
+#: cache replay.  v1 and v3 snapshots migrate on load; any other version
+#: is rejected loudly, never silently served.)
 _CACHE_FORMAT = "privacy-maxent-solve-cache/4"
 
 #: Older snapshot formats :meth:`PrivacyEngine.load_cache` can migrate
@@ -69,13 +67,14 @@ _CACHE_FORMAT_PREFIX = "privacy-maxent-solve-cache/"
 
 
 def _migrate_stats(stats) -> SolverStats:
-    """Rebuild a :class:`SolverStats` pickled by an older schema.
+    """Rebuild a pickled :class:`SolverStats` under the current schema.
 
     Unpickling a dataclass restores ``__dict__`` without running
-    ``__init__``, so a pre-v3 record lacks fields added since (e.g.
-    ``kernel_backend``) and would break ``dataclasses.replace`` on
-    replay.  Reconstruct through the constructor with defaults filled
-    in; unknown extra attributes are dropped.
+    ``__init__``: an older record lacks fields added since (and would
+    break ``dataclasses.replace`` on replay), and a record from a build
+    that still had a since-retired field keeps it as a stray attribute.
+    Reconstruct through the constructor, defaults filled in and unknown
+    attributes dropped.
     """
     import dataclasses
 
@@ -164,8 +163,6 @@ class PrivacyEngine:
         # rather than their own optimizer call (the default-on batched
         # path under the tolerance replay contract).
         self.batched_components = 0
-        # Segment-kernel backends batched work actually ran on.
-        self.kernel_backends: set[str] = set()
         self.wall_seconds = 0.0
         self.cpu_seconds = 0.0
         # Construction-side phase accumulators (the observability
@@ -234,7 +231,6 @@ class PrivacyEngine:
         with self._telemetry_lock:
             n_solves = self.n_solves
             batched_components = self.batched_components
-            kernel_backends = sorted(self.kernel_backends)
             wall = self.wall_seconds
             cpu = self.cpu_seconds
             build = self.build_seconds
@@ -243,12 +239,6 @@ class PrivacyEngine:
         return {
             "n_solves": n_solves,
             "batched_components": batched_components,
-            # The backend batched work ran on (joined when an engine's
-            # lifetime spans configs); before any batched work, the
-            # backend "auto" would resolve to on this host.
-            "kernel_backend": (
-                ",".join(kernel_backends) or get_kernel("auto").name
-            ),
             "wall_seconds": wall,
             "cpu_seconds": cpu,
             "build_seconds": build,
@@ -322,14 +312,16 @@ class PrivacyEngine:
 
         A missing or truncated file is treated as a cold start (returns
         0) — restart resilience must not depend on the snapshot's
-        health.  A *recognized but older* snapshot (v1, written before
-        the versioned solve-result contract) is migrated in place: the
-        entry layout is unchanged and per-component fingerprints are
-        stable across the versions, so only the pickled stats records
-        need their defaulted new fields filled in.  A snapshot carrying
-        an *unrecognized* cache version is rejected with a clear
-        :class:`ReproError` — serving entries whose semantics this build
-        cannot vouch for is how stale results masquerade as fresh ones.
+        health.  Every pickled stats record is rebuilt under the current
+        schema (:func:`_migrate_stats`), so a *recognized but older*
+        snapshot (v1, written before the versioned solve-result
+        contract) loads in place — the entry layout is unchanged and
+        per-component fingerprints are stable across the versions — and
+        so does one whose stats still carry a retired field.  A
+        snapshot carrying an *unrecognized* cache version is rejected
+        with a clear :class:`ReproError` — serving entries whose
+        semantics this build cannot vouch for is how stale results
+        masquerade as fresh ones.
         Returns the number of entries restored.
         """
         path = os.fspath(path or self.cache_path or "")
@@ -347,8 +339,7 @@ class PrivacyEngine:
             _CACHE_FORMAT_PREFIX
         ):
             return 0
-        migrate = fmt in _MIGRATABLE_CACHE_FORMATS
-        if fmt != _CACHE_FORMAT and not migrate:
+        if fmt != _CACHE_FORMAT and fmt not in _MIGRATABLE_CACHE_FORMATS:
             raise ReproError(
                 f"cache snapshot {path!r} has format {fmt!r}, but this "
                 f"build reads {_CACHE_FORMAT!r} (migratable: "
@@ -358,9 +349,7 @@ class PrivacyEngine:
             )
         restored = 0
         for key, p, stats in payload.get("entries", []):
-            if migrate:
-                stats = _migrate_stats(stats)
-            self.cache.put(key, CacheEntry(p=p, stats=stats))
+            self.cache.put(key, CacheEntry(p=p, stats=_migrate_stats(stats)))
             restored += 1
         for key, multipliers in payload.get("warm_starts", []):
             self.warm_starts.put(key, multipliers)
@@ -454,7 +443,6 @@ class PrivacyEngine:
                 n_components=stats.n_components,
                 cache_hits=stats.cache_hits,
                 batched_components=stats.batched_components,
-                kernel_backend=stats.kernel_backend,
                 **{
                     f"phase.{name}_seconds": round(seconds, 6)
                     for name, seconds in stats.phase_seconds.items()
@@ -554,7 +542,6 @@ class PrivacyEngine:
         ]
         cpu_seconds = 0.0
         batched = 0
-        kernels_used: set[str] = set()
         for unit, unit_warm_starts in zip(units, warm_starts):
             results = solve_component_group(
                 [component for _, component, _, _ in unit],
@@ -568,8 +555,6 @@ class PrivacyEngine:
                 stats_by_position[pos] = result.stats
                 cpu_seconds += result.stats.seconds
                 batched += result.stats.batched_components
-                if result.stats.kernel_backend:
-                    kernels_used.add(result.stats.kernel_backend)
                 if fingerprint is not None and result.stats.converged:
                     self.cache.put(
                         fingerprint, CacheEntry(p=result.p, stats=result.stats)
@@ -580,7 +565,6 @@ class PrivacyEngine:
         if batched:
             with self._telemetry_lock:
                 self.batched_components += batched
-                self.kernel_backends |= kernels_used
         return cpu_seconds, fingerprint_seconds
 
     # -- reassembly ----------------------------------------------------------
@@ -607,7 +591,6 @@ class PrivacyEngine:
         presolve_fixed = 0
         cache_hits = 0
         batched_components = 0
-        kernel_backends: set[str] = set()
         phase_seconds: dict[str, float] = {}
 
         for pos, component in enumerate(plan.components):
@@ -622,8 +605,6 @@ class PrivacyEngine:
             presolve_fixed += stats.presolve_fixed
             cache_hits += stats.cache_hits
             batched_components += stats.batched_components
-            if stats.kernel_backend:
-                kernel_backends.add(stats.kernel_backend)
             for name, seconds in stats.phase_seconds.items():
                 phase_seconds[name] = phase_seconds.get(name, 0.0) + seconds
 
@@ -655,7 +636,6 @@ class PrivacyEngine:
             build_seconds=build_seconds,
             decompose_seconds=plan.decompose_seconds,
             fingerprint_seconds=fingerprint_seconds,
-            kernel_backend=",".join(sorted(kernel_backends)),
             phase_seconds=phase_seconds,
         )
         return MaxEntSolution(space, p, aggregate, records)

@@ -40,9 +40,8 @@ replay contract (``MaxEntConfig.replay``) batching runs under by
 default; ``replay="bitwise"`` opts back into per-component dispatch.
 
 The segment reductions themselves — per-block logsumexp/softmax,
-residual maxima, Hessian inner products — run on a pluggable kernel
-backend (:mod:`repro.maxent.kernels`): the numpy reference, or a
-JIT-compiled parallel backend when numba is installed.
+residual maxima, Hessian inner products — are the guarded ``reduceat``
+helpers below (:func:`segment_max`, :func:`segment_sum`, ...).
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from scipy.optimize import Bounds, minimize
 
 from repro.maxent.constraints import ConstraintSystem
 from repro.maxent.dual import DualProblem, build_dual
-from repro.maxent.kernels import KernelBackend, get_kernel, segment_max
 from repro.maxent.lbfgs import DualSolveResult, solve_dual_lbfgs
 
 __all__ = [
@@ -63,13 +61,81 @@ __all__ = [
     "BatchDualResult",
     "DualBlock",
     "block_from_dual",
-    "segment_max",  # re-exported from repro.maxent.kernels (the guard's home)
+    "segment_max",
+    "segment_min",
+    "segment_sum",
     "solve_batch_dual",
 ]
 
 #: L-BFGS legs (each with the full per-component iteration budget) the
 #: round loop runs before stragglers fall back to per-component solves.
 MAX_ROUNDS = 3
+
+
+def _guarded_reduceat(
+    ufunc: np.ufunc,
+    values: np.ndarray,
+    indptr: np.ndarray,
+    fill: float,
+) -> np.ndarray:
+    """Apply ``ufunc.reduceat`` per CSR segment; empty segments -> ``fill``.
+
+    ``np.ufunc.reduceat`` treats an empty segment (a start equal to the
+    next start) as a length-1 segment holding the *next* segment's first
+    element — silently wrong.  Dropping the starts of empty segments
+    leaves exactly the non-empty segment boundaries, and the dropped
+    segments take ``fill`` instead.
+    """
+    n_segments = indptr.size - 1
+    out = np.full(n_segments, fill)
+    nonempty = indptr[:-1] < indptr[1:]
+    if values.size and bool(nonempty.any()):
+        out[nonempty] = ufunc.reduceat(values, indptr[:-1][nonempty])
+    return out
+
+
+def segment_max(
+    values: np.ndarray, indptr: np.ndarray, fill: float = 0.0
+) -> np.ndarray:
+    """Per-segment maxima; empty segments contribute ``fill``."""
+    return _guarded_reduceat(np.maximum, values, indptr, fill)
+
+
+def segment_min(
+    values: np.ndarray, indptr: np.ndarray, fill: float = 0.0
+) -> np.ndarray:
+    """Per-segment minima; empty segments contribute ``fill``."""
+    return _guarded_reduceat(np.minimum, values, indptr, fill)
+
+
+def segment_sum(
+    values: np.ndarray, indptr: np.ndarray, fill: float = 0.0
+) -> np.ndarray:
+    """Per-segment sums; empty segments contribute ``fill``."""
+    return _guarded_reduceat(np.add, values, indptr, fill)
+
+
+def _softmax_parts(
+    theta: np.ndarray,
+    var_indptr: np.ndarray,
+    var_counts: np.ndarray,
+    masses: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment mass-scaled softmax and logsumexp of ``theta``.
+
+    Returns ``(p, logsumexp)`` where segment ``k`` of ``p`` is
+    ``masses[k] * softmax(theta[k])`` and ``logsumexp[k]`` is the
+    shift-stable log of segment ``k``'s exp-sum — the two quantities one
+    stacked dual evaluation needs.
+    """
+    shift = segment_max(theta, var_indptr)
+    weights = np.exp(theta - np.repeat(shift, var_counts))
+    totals = segment_sum(weights, var_indptr)
+    safe = np.where(totals > 0.0, totals, 1.0)
+    p = np.repeat(masses / safe, var_counts) * weights
+    with np.errstate(divide="ignore"):
+        logsumexp = shift + np.log(totals)
+    return p, logsumexp
 
 
 @dataclass
@@ -175,19 +241,14 @@ class _StackedDual:
 
     Mirrors the evaluation surface of :class:`DualProblem`
     (``value_and_grad``/``hess_vec``/``primal``) but over the stacked
-    multipliers, with every per-block reduction done by the configured
-    segment kernel over the block offsets.  Assembly is pure
+    multipliers, with every per-block reduction a segment reduction over
+    the block offsets.  Assembly is pure
     concatenation: the blocks' CSR pieces line up into one CSR matrix
     after offsetting.
     """
 
-    def __init__(
-        self,
-        blocks: list[DualBlock],
-        kernel: KernelBackend | None = None,
-    ) -> None:
+    def __init__(self, blocks: list[DualBlock]) -> None:
         self.blocks = blocks
-        self.kernel = kernel if kernel is not None else get_kernel("numpy")
         n = len(blocks)
         var_counts = np.array([b.n_vars for b in blocks], dtype=np.int64)
         row_counts = np.array([b.n_params for b in blocks], dtype=np.int64)
@@ -258,7 +319,7 @@ class _StackedDual:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(stacked primal point, per-block logsumexp)."""
         theta = -(self.matrix.T @ x)
-        return self.kernel.softmax_parts(
+        return _softmax_parts(
             theta, self.var_indptr, self.var_counts, self.masses
         )
 
@@ -278,7 +339,7 @@ class _StackedDual:
         p = self.primal(x)
         w = self.matrix.T @ v
         rp = self.matrix @ p
-        pw = self.kernel.segment_sum(p * w, self.var_indptr)
+        pw = segment_sum(p * w, self.var_indptr)
         return self.matrix @ (p * w) - rp * np.repeat(
             pw / self.masses, self.row_counts
         )
@@ -308,11 +369,11 @@ class _StackedDual:
         indptr = np.empty(starts.size + 1, dtype=np.int64)
         indptr[:-1] = starts
         indptr[-1] = stops[-1] if stops.size else 0
-        # Family segments are [start, stop) but kernel segments run to
+        # Family segments are [start, stop) but reduceat segments run to
         # the next start; rows between stop and the next start belong to
         # the other family and were zeroed by the caller, so including
         # them never changes the max (violations are non-negative).
-        return self.kernel.segment_max(values, indptr)
+        return segment_max(values, indptr)
 
     def converged_mask(self, p: np.ndarray, tol: float) -> np.ndarray:
         """Which blocks meet their own relative residual target at ``p``."""
@@ -343,7 +404,6 @@ def solve_batch_dual(
     max_iterations: int = 1000,
     x0s: list[np.ndarray | None] | None = None,
     max_rounds: int = MAX_ROUNDS,
-    kernel: str | KernelBackend = "numpy",
 ) -> BatchDualResult:
     """Solve many independent duals as one block-diagonal program.
 
@@ -361,11 +421,7 @@ def solve_batch_dual(
     individually — the fallback keeps worst-case robustness identical to
     per-component dispatch, and such blocks are reported with
     ``batched = False``.
-
-    ``kernel`` names (or is) the segment-reduction backend every stacked
-    evaluation runs on (:mod:`repro.maxent.kernels`).
     """
-    kernel = get_kernel(kernel)
     blocks = [
         block if isinstance(block, DualBlock) else block_from_dual(block)
         for block in blocks
@@ -397,7 +453,7 @@ def solve_batch_dual(
     rounds = 0
     while active and rounds < max_rounds:
         rounds += 1
-        stacked = _StackedDual([blocks[k] for k in active], kernel)
+        stacked = _StackedDual([blocks[k] for k in active])
         x = np.concatenate([current[k] for k in active])
         if rounds == 1:
             # Blocks already at their optimum (converged warm starts)
@@ -412,7 +468,7 @@ def solve_batch_dual(
                 if not active:
                     break
                 if len(active) < len(mask):
-                    stacked = _StackedDual([blocks[k] for k in active], kernel)
+                    stacked = _StackedDual([blocks[k] for k in active])
                     x = np.concatenate([current[k] for k in active])
         # The projected-gradient stop of the stacked problem must serve
         # its strictest block, hence the min scale (matching the
@@ -504,7 +560,7 @@ def solve_batch_dual(
     results: list[DualSolveResult | None] = [None] * n
     settled = [k for k in range(n) if k not in fallback]
     if settled:
-        stacked = _StackedDual([blocks[k] for k in settled], kernel)
+        stacked = _StackedDual([blocks[k] for k in settled])
         x = np.concatenate([current[k] for k in settled])
         p = stacked.primal(x)
         eq, ineq = stacked.block_residuals(p)

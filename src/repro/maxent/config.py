@@ -17,19 +17,6 @@ from repro.errors import ReproError
 _REPLAY_NAMES = ("tolerance", "bitwise")
 
 
-def _env_int(name: str, fallback: int) -> int:
-    """Integer default read from the environment (deploy-time override)."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ReproError(
-            f"environment variable {name}={raw!r} is not an integer"
-        ) from None
-
-
 def _env_str(name: str, fallback: str) -> str:
     """String default read from the environment (deploy-time override)."""
     raw = os.environ.get(name, "").strip()
@@ -43,9 +30,7 @@ class MaxEntConfig:
     The numeric solver is fixed: every component not settled by the
     closed form or presolve is solved on the L-BFGS dual (the paper's
     choice), one component at a time or stacked with others of its size
-    (``batch_components``).  The segment-kernel backend of the stacked
-    dual is picked from what the host can import
-    (:func:`repro.maxent.kernels.get_kernel` ``"auto"``).
+    (``batch_components``).
 
     Parameters
     ----------
@@ -82,7 +67,7 @@ class MaxEntConfig:
     replay:
         The solve-result reproducibility contract.  ``"tolerance"`` (the
         default) guarantees results equal within ``tol`` across
-        grouping, caching and kernel-backend differences — which lets
+        grouping and caching differences — which lets
         the batched block-diagonal dual run by default.  ``"bitwise"``
         forces the per-component solve path (batching off), restoring
         bit-identical replays across re-runs for
@@ -100,14 +85,12 @@ class MaxEntConfig:
         per-component solves within ``tol`` (the stacked trajectory
         differs in the last bits), not bit for bit.  ``0`` disables
         batching explicitly; ``replay="bitwise"`` disables it
-        regardless of this knob.  Default overridable via the
-        ``REPRO_BATCH_COMPONENTS`` environment variable.
+        regardless of this knob.
     batch_max_vars:
         Size threshold of the batched path: only components with at most
         this many variables are binned into batch groups (large
         components amortize their own dispatch overhead and keep better
-        per-problem curvature handling solo).  Default overridable via
-        ``REPRO_BATCH_MAX_VARS``.
+        per-problem curvature handling solo).
     """
 
     decompose: bool = True
@@ -127,12 +110,8 @@ class MaxEntConfig:
     )
     # Batched block-diagonal dual solve (repro.maxent.batch_dual) —
     # default-on under the tolerance replay contract.
-    batch_components: int = field(
-        default_factory=lambda: _env_int("REPRO_BATCH_COMPONENTS", 1024)
-    )
-    batch_max_vars: int = field(
-        default_factory=lambda: _env_int("REPRO_BATCH_MAX_VARS", 96)
-    )
+    batch_components: int = 1024
+    batch_max_vars: int = 96
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
@@ -180,8 +159,8 @@ class MaxEntConfig:
         component fingerprints, persisted cache snapshots and service
         result-cache keys valid across that knob's removal.  The
         batching knobs are deliberately excluded: under the tolerance
-        contract batched, per-component and cross-kernel solves converge
-        to the same optimum within ``tol``, so their cache entries are
+        contract batched and per-component solves converge to the same
+        optimum within ``tol``, so their cache entries are
         interchangeable — and keys (hence persisted caches) stay
         identical whichever path produced them.
 

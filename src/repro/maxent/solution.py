@@ -64,9 +64,6 @@ class SolverStats:
     build_seconds: float = 0.0
     decompose_seconds: float = 0.0
     fingerprint_seconds: float = 0.0
-    #: Segment-kernel backend the batched path ran on (``"numpy"`` /
-    #: ``"numba"``); empty when no work took the batched path.
-    kernel_backend: str = ""
     #: Per-phase wall-second breakdown (``{"presolve": ..., "dual": ...}``).
     phase_seconds: dict = field(default_factory=dict)
 

@@ -15,8 +15,7 @@ accumulated per-cell view:
   all into a JSON-ready trajectory, with :class:`ServiceBackend` (HTTP)
   and :class:`EmbeddedBackend` (in-process) posterior sources.
 
-Run one with ``repro workload`` (see also ``benchmarks/bench_ingest.py``
-which tracks workload latency alongside ingestion throughput).
+Run one with ``repro workload``.
 """
 
 from repro.workload.driver import (

@@ -10,7 +10,7 @@ the answers revealed into the attacker's accumulated view, and scores
 the posterior bounds.  The output is a JSON-ready trajectory: per-batch
 privacy scores, per-shape query latencies, solve latencies, and the
 attacker's coverage/disclosure curve — the artifact ``repro workload``
-prints and ``bench_ingest.py`` tracks over time.
+prints.
 """
 
 from __future__ import annotations

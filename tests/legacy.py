@@ -3,16 +3,13 @@
 These are the pre-array-native algorithms, preserved verbatim (modulo the
 per-row append API they go through): one boolean mask per invariant row,
 Python union-find over the bucket graph with per-variable/per-row loops,
-and per-row ``argsort`` fingerprint encoding.  They exist for two reasons:
+and per-row ``argsort`` fingerprint encoding.  They are the oracle of
+the equivalence suite (``test_pipeline_equivalence.py``), which proves the
+array-native pipeline produces identical systems, identical fingerprints,
+identical component partitions and identical posteriors.
 
-- the **equivalence suite** proves the array-native pipeline produces
-  identical systems, identical fingerprints, identical component
-  partitions and identical posteriors,
-- the **pipeline benchmark** measures the array-native speedup against
-  the real former cost, not a synthetic straw man.
-
-They are deliberately NOT exported from ``repro.maxent``: production code
-must route through :func:`repro.maxent.constraints.data_constraints`,
+They live with the tests, not in ``repro``: production code routes
+through :func:`repro.maxent.constraints.data_constraints`,
 :func:`repro.maxent.decompose.decompose` and
 :mod:`repro.engine.fingerprint`.  The per-row :class:`ConstraintSystem`
 append API itself remains fully supported — use it for hand-built or

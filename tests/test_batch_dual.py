@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 from repro.maxent.batch_dual import (
     DualBlock,
+    _softmax_parts,
     block_from_dual,
     segment_max,
+    segment_min,
+    segment_sum,
     solve_batch_dual,
 )
 from repro.maxent.constraints import ConstraintSystem
@@ -78,6 +81,92 @@ class TestSegmentMax:
     def test_all_empty(self):
         out = segment_max(np.empty(0), np.array([0, 0, 0]))
         assert out.tolist() == [0.0, 0.0]
+
+
+def random_csr(rng, n_segments, empty_fraction=0.3):
+    """Random segment lengths with a controllable share of empties."""
+    lengths = rng.integers(1, 7, size=n_segments)
+    empty = rng.random(n_segments) < empty_fraction
+    lengths[empty] = 0
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    values = rng.standard_normal(int(indptr[-1]))
+    return values, indptr.astype(np.int64), lengths
+
+
+class TestGuardedReductions:
+    """The shared empty-segment guard (consolidated from batch_dual and
+    presolve, which used to carry duplicate copies)."""
+
+    def test_matches_python_loop(self):
+        rng = np.random.default_rng(0)
+        values, indptr, lengths = random_csr(rng, 40)
+        got_max = segment_max(values, indptr)
+        got_min = segment_min(values, indptr)
+        got_sum = segment_sum(values, indptr)
+        for k in range(40):
+            seg = values[indptr[k] : indptr[k + 1]]
+            if lengths[k] == 0:
+                assert got_max[k] == got_min[k] == got_sum[k] == 0.0
+            else:
+                assert got_max[k] == seg.max()
+                assert got_min[k] == seg.min()
+                assert got_sum[k] == pytest.approx(seg.sum())
+
+    def test_empty_segments_take_fill(self):
+        values = np.array([2.0, -3.0])
+        indptr = np.array([0, 0, 2, 2])
+        assert segment_max(values, indptr, fill=-np.inf).tolist() == [
+            -np.inf, 2.0, -np.inf,
+        ]
+        assert segment_min(values, indptr, fill=7.5).tolist() == [
+            7.5, -3.0, 7.5,
+        ]
+        assert segment_sum(values, indptr).tolist() == [0.0, -1.0, 0.0]
+
+    def test_all_segments_empty(self):
+        values = np.empty(0)
+        indptr = np.zeros(4, dtype=np.int64)
+        assert segment_max(values, indptr, fill=1.0).tolist() == [1.0] * 3
+        assert segment_sum(values, indptr).tolist() == [0.0] * 3
+
+    def test_no_segments(self):
+        out = segment_sum(np.empty(0), np.zeros(1, dtype=np.int64))
+        assert out.shape == (0,)
+
+    def test_trailing_empty_segment(self):
+        # The classic reduceat trap: a start index == len(values).
+        values = np.array([1.0, 4.0])
+        indptr = np.array([0, 2, 2])
+        assert segment_max(values, indptr).tolist() == [4.0, 0.0]
+
+
+class TestSoftmaxParts:
+    def test_matches_naive_softmax(self):
+        rng = np.random.default_rng(1)
+        counts = np.array([3, 1, 5])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        theta = rng.standard_normal(int(indptr[-1])) * 10
+        masses = np.array([0.5, 1.0, 0.25])
+        p, lse = _softmax_parts(theta, indptr, counts, masses)
+        for k in range(3):
+            seg = theta[indptr[k] : indptr[k + 1]]
+            expected = masses[k] * np.exp(seg) / np.exp(seg).sum()
+            np.testing.assert_allclose(
+                p[indptr[k] : indptr[k + 1]], expected, rtol=1e-12
+            )
+            assert lse[k] == pytest.approx(
+                np.log(np.exp(seg).sum()), rel=1e-12
+            )
+
+    def test_shift_stability_at_extreme_theta(self):
+        theta = np.array([1000.0, 999.0, -1000.0, -1001.0])
+        indptr = np.array([0, 2, 4])
+        counts = np.array([2, 2])
+        masses = np.ones(2)
+        p, lse = _softmax_parts(theta, indptr, counts, masses)
+        assert np.isfinite(p).all() and np.isfinite(lse).all()
+        assert p[:2].sum() == pytest.approx(1.0)
+        assert p[2:].sum() == pytest.approx(1.0)
 
 
 class TestDualBlock:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.accuracy import estimation_accuracy
 from repro.core.privacy_maxent import PrivacyMaxEnt, baseline_posterior
 from repro.core.quantifier import PosteriorTable
 from repro.core.utility import (
@@ -14,7 +15,10 @@ from repro.core.utility import (
 )
 from repro.data.paper_example import S1, S2, paper_published, paper_table
 from repro.errors import ReproError
+from repro.experiments.workloads import build_adult_workload
+from repro.knowledge.bounds import TopKBound
 from repro.knowledge.statements import ConditionalProbability
+from repro.maxent.config import MaxEntConfig
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +154,31 @@ class TestRelativeError:
             queries,
         )
         assert report.mean_relative_error < 0.6
+
+    def test_knowledge_sharpens_privacy_and_utility(self):
+        """One posterior serves analyst and adversary alike: growing
+        Top-(K+, K-) knowledge lowers estimation accuracy (the adversary
+        gets closer to the truth) and does not raise aggregate query
+        error."""
+        workload = build_adult_workload(n_records=400, max_antecedent=2)
+        queries = query_workload(
+            workload.table, n_queries=30, n_qi_attributes=1,
+            min_true_count=5, seed=11,
+        )
+        accuracies, errors = [], []
+        for size in (0, 10, 40):
+            bound = TopKBound(size // 2, size - size // 2)
+            posterior = PrivacyMaxEnt(
+                workload.published,
+                knowledge=bound.statements(workload.rules),
+                config=MaxEntConfig(raise_on_infeasible=False),
+            ).posterior()
+            accuracies.append(estimation_accuracy(workload.truth, posterior))
+            errors.append(
+                relative_query_error(
+                    workload.table, workload.published, posterior, queries
+                ).mean_relative_error
+            )
+        for fewer, more in zip(accuracies, accuracies[1:]):
+            assert more <= fewer + 1e-6
+        assert errors[-1] <= errors[0] + 0.05

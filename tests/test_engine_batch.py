@@ -72,8 +72,6 @@ WORKLOADS = {
     "synthetic": _synthetic_workload,
 }
 
-# batch_components pinned to 0 so a REPRO_BATCH_COMPONENTS in the test
-# environment cannot silently batch the per-component baseline.
 PLAIN = MaxEntConfig(raise_on_infeasible=False, batch_components=0)
 BATCHED = MaxEntConfig(
     raise_on_infeasible=False, batch_components=512, batch_max_vars=512
@@ -91,11 +89,11 @@ class TestConfigKnobs:
         config = MaxEntConfig(replay="bitwise", batch_components=512)
         assert not config.batching_enabled
 
-    def test_replay_and_kernel_validated(self):
+    def test_replay_validated(self):
         with pytest.raises(ReproError, match="replay"):
             MaxEntConfig(replay="exact")
 
-    def test_replay_and_kernel_env_overrides(self, monkeypatch):
+    def test_replay_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY", "bitwise")
         config = MaxEntConfig()
         assert config.replay == "bitwise"
@@ -106,19 +104,6 @@ class TestConfigKnobs:
             MaxEntConfig(batch_components=-1)
         with pytest.raises(ReproError, match="batch_max_vars"):
             MaxEntConfig(batch_max_vars=0)
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_COMPONENTS", "64")
-        monkeypatch.setenv("REPRO_BATCH_MAX_VARS", "32")
-        config = MaxEntConfig()
-        assert config.batch_components == 64
-        assert config.batch_max_vars == 32
-        assert config.batching_enabled
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_COMPONENTS", "many")
-        with pytest.raises(ReproError, match="REPRO_BATCH_COMPONENTS"):
-            MaxEntConfig()
 
     def test_solve_key_excludes_batching(self):
         assert MaxEntConfig().solve_key() == BATCHED.solve_key() == (

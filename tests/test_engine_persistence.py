@@ -117,7 +117,7 @@ class TestResilience:
         payload["format"] = "privacy-maxent-solve-cache/1"
         for _, _, stats in payload["entries"]:
             # A real v1 writer never pickled the post-v1 stats fields.
-            stats.__dict__.pop("kernel_backend")
+            stats.__dict__.pop("phase_seconds")
         with open(path, "wb") as handle:
             pickle.dump(payload, handle)
 
@@ -127,7 +127,36 @@ class TestResilience:
             assert second.stats.cache_hits > 0
             np.testing.assert_array_equal(second.p, first.p)
             for _, entry in warm.cache.items():
-                assert entry.stats.kernel_backend == ""
+                assert entry.stats.phase_seconds == {}
+
+    def test_v4_snapshot_with_retired_stats_field_loads(self, tmp_path):
+        """A v4 snapshot from a build whose stats still had the retired
+        segment-kernel field loads without a format bump: every entry
+        serves, bit-identical, and no record keeps the stray field."""
+        path = tmp_path / "v4.pkl"
+        with PrivacyEngine(cache_path=path) as old:
+            first = solve_once(old)
+            old.save_cache()
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        assert payload["format"] == "privacy-maxent-solve-cache/4"
+        for _, _, stats in payload["entries"]:
+            # What that build pickled: the field sat in the record's dict.
+            stats.__dict__["kernel_backend"] = "numpy"
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+
+        with PrivacyEngine(cache_path=path) as warm:
+            restored = len(warm.cache)
+            assert restored == len(payload["entries"]) > 0
+            second = solve_once(warm)
+            assert second.stats.cache_hits == restored
+            assert warm.cache.misses == 0
+            np.testing.assert_array_equal(second.p, first.p)
+            for _, entry in warm.cache.items():
+                assert "kernel_backend" not in vars(entry.stats)
+            for record in second.components:
+                assert "kernel_backend" not in vars(record.stats)
 
     def test_unknown_cache_version_is_rejected(self, tmp_path):
         """A recognized-prefix, unknown-version snapshot must fail loudly

@@ -5,13 +5,17 @@ import pytest
 
 from repro.data.paper_example import Q1, S2, S3, paper_published, paper_table
 from repro.core.quantifier import PosteriorTable
+from repro.core.accuracy import estimation_accuracy
 from repro.core.privacy_maxent import PrivacyMaxEnt
+from repro.experiments.workloads import build_adult_workload
+from repro.knowledge.bounds import TopKBound
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import (
     Comparison,
     ConditionalInterval,
     ConditionalProbability,
 )
+from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import data_constraints
 from repro.maxent.dual import build_dual
 from repro.maxent.indexing import GroupVariableSpace
@@ -195,3 +199,26 @@ class TestEndToEndVagueness:
         assert exact.prob(Q1, S3) == pytest.approx(
             degenerate.prob(Q1, S3), abs=1e-6
         )
+
+    def test_accuracy_monotone_in_epsilon(self):
+        """Vaguer knowledge drifts the estimate back toward the
+        no-knowledge baseline: estimation accuracy grows with the
+        vagueness radius and never passes the baseline."""
+        workload = build_adult_workload(n_records=400, max_antecedent=2)
+        baseline = estimation_accuracy(
+            workload.truth, PrivacyMaxEnt(workload.published).posterior()
+        )
+        accuracies = []
+        for epsilon in (0.0, 0.05, 0.5):
+            statements = TopKBound(20, 20, epsilon=epsilon).statements(
+                workload.rules
+            )
+            posterior = PrivacyMaxEnt(
+                workload.published,
+                knowledge=statements,
+                config=MaxEntConfig(raise_on_infeasible=False),
+            ).posterior()
+            accuracies.append(estimation_accuracy(workload.truth, posterior))
+        for tighter, wider in zip(accuracies, accuracies[1:]):
+            assert tighter <= wider + 1e-6
+        assert accuracies[-1] <= baseline + 1e-6

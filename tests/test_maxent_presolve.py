@@ -207,6 +207,25 @@ class TestReduction:
         assert result.n_free == 3
 
 
+class TestAdultNegativeRules:
+    def test_negative_heavy_knowledge_is_presolved(self):
+        """Confidence-1 negative rules compile to zero rows whose
+        variables presolve eliminates outright, so a negative-heavy
+        Top-(K+, K-) bound on Adult leaves variables fixed."""
+        from repro.core.privacy_maxent import PrivacyMaxEnt
+        from repro.experiments.workloads import build_adult_workload
+        from repro.knowledge.bounds import TopKBound
+        from repro.maxent.config import MaxEntConfig
+
+        workload = build_adult_workload(n_records=400, max_antecedent=2)
+        solution = PrivacyMaxEnt(
+            workload.published,
+            knowledge=TopKBound(10, 30).statements(workload.rules),
+            config=MaxEntConfig(raise_on_infeasible=False),
+        ).solve()
+        assert solution.stats.presolve_fixed > 0
+
+
 class TestPaperDeduction:
     """Presolve alone reproduces the breast-cancer chain of Section 3.1.
 

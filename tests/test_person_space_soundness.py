@@ -10,8 +10,13 @@ running example and on randomized instances.
 import numpy as np
 import pytest
 
+from repro.anonymize.anatomy import anatomize
+from repro.core.privacy_maxent import PrivacyMaxEnt
+from repro.core.quantifier import person_posterior
+from repro.data.adult import load_adult_synthetic
 from repro.data.paper_example import RECORDS, paper_published, paper_table
-from repro.knowledge.individuals import PseudonymTable
+from repro.knowledge.individuals import IndividualProbability, PseudonymTable
+from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import data_constraints
 from repro.maxent.indexing import PersonVariableSpace
 
@@ -83,3 +88,45 @@ class TestRandomizedInstances:
         system = data_constraints(space)
         solution = solve_maxent(space, system, MaxEntConfig(tol=1e-8))
         assert solution.entropy() >= entropy(truth) - 1e-9
+
+
+class TestIndividualKnowledge:
+    def test_disclosure_grows_with_facts(self):
+        """Each "person i does not have s" fact can only sharpen the
+        person-level posterior: the largest P(s | person) never drops
+        as the adversary learns more such facts."""
+        table = load_adult_synthetic(n_records=150, seed=13)
+        published = anatomize(table, l=5, seed=13)
+        pseudonyms = PseudonymTable(published)
+        educations = table.labels("education")
+        facts = []
+        seen: dict[tuple, int] = {}
+        for row, q in enumerate(table.qi_tuples()):
+            index = seen.get(q, 0)
+            seen[q] = index + 1
+            candidates = set()
+            for bucket in published.buckets:
+                if q in bucket.distinct_qi():
+                    candidates.update(bucket.distinct_sa())
+            # Rule out a value the person does NOT have.
+            candidates.discard(educations[row])
+            if candidates:
+                facts.append(
+                    IndividualProbability(
+                        person=pseudonyms.of_qi(q)[index],
+                        sa_value=sorted(candidates)[0],
+                        probability=0.0,
+                    )
+                )
+        sharpest = []
+        for count in (0, 10, 40):
+            solution = PrivacyMaxEnt(
+                published,
+                knowledge=facts[:count],
+                individuals=True,
+                config=MaxEntConfig(raise_on_infeasible=False),
+            ).solve()
+            posterior = person_posterior(solution)
+            sharpest.append(max(max(d.values()) for d in posterior.values()))
+        for fewer, more in zip(sharpest, sharpest[1:]):
+            assert more >= fewer - 1e-9

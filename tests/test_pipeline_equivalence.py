@@ -5,7 +5,7 @@ decomposition, one-pass CSR fingerprinting) must be *indistinguishable*
 from the historical row-wise path: identical systems row by row, identical
 canonical fingerprints (bit-for-bit — persisted solve caches survive the
 rewrite), identical component partitions, and identical posteriors.  The
-row-wise reference lives in :mod:`repro.maxent.legacy`.
+row-wise reference lives in ``tests/legacy.py``.
 """
 
 import numpy as np
@@ -22,11 +22,11 @@ from repro.experiments.workloads import build_adult_workload
 from repro.knowledge.bounds import TopKBound
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.individuals import PseudonymTable
-from repro.maxent import legacy
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, data_constraints
 from repro.maxent.decompose import decompose, drop_redundant_data_rows
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
+from tests import legacy
 
 
 @pytest.fixture(scope="module")

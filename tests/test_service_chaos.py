@@ -106,6 +106,9 @@ class TestCrashRecovery:
             with server.client() as client:
                 release_id = client.register(paper_published(), name="paper")
                 baseline = client.posterior(release_id, KNOWLEDGE)
+                # One fsync'd journal record per acknowledged registration.
+                durable = client.telemetry()["durability"]
+                assert durable["journal_records_appended"] == 1
 
             server.kill()
             server.respawn()
