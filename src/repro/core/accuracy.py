@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.quantifier import PosteriorTable
 from repro.errors import ReproError
-from repro.utils.probability import kl_divergence
+from repro.utils.probability import kl_divergence_rows
 
 
 def estimation_accuracy(
@@ -35,18 +37,13 @@ def estimation_accuracy(
     readout flags inconsistent inputs.
     """
     aligned = estimate.aligned_to(truth)
-    total = 0.0
-    for i, q in enumerate(truth.qi_tuples):
-        weight = truth.weights[i]
-        if weight <= 0:
-            continue
-        divergence = kl_divergence(
-            truth.matrix[i], aligned.matrix[i], base=base
-        )
-        if math.isinf(divergence):
-            return math.inf
-        total += weight * divergence
-    return total
+    rows = truth.weights > 0
+    divergence = kl_divergence_rows(
+        truth.matrix[rows], aligned.matrix[rows], base=base
+    )
+    if np.isinf(divergence).any():
+        return math.inf
+    return float((truth.weights[rows] * divergence).sum())
 
 
 def per_tuple_accuracy(
@@ -61,10 +58,8 @@ def per_tuple_accuracy(
     exposes most — the per-q terms of the Estimation Accuracy sum.
     """
     aligned = estimate.aligned_to(truth)
-    result = {}
-    for i, q in enumerate(truth.qi_tuples):
-        result[q] = kl_divergence(truth.matrix[i], aligned.matrix[i], base=base)
-    return result
+    divergence = kl_divergence_rows(truth.matrix, aligned.matrix, base=base)
+    return dict(zip(truth.qi_tuples, divergence.tolist()))
 
 
 def joint_kl(

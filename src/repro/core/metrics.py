@@ -20,7 +20,12 @@ import numpy as np
 from repro.anonymize.buckets import BucketizedTable
 from repro.core.quantifier import PosteriorTable
 from repro.data.table import Table
-from repro.utils.probability import entropy, normalize, total_variation
+from repro.utils.probability import (
+    entropy,
+    entropy_rows,
+    normalize,
+    total_variation,
+)
 from repro.utils.validation import check_fraction, check_positive_int
 
 # --- syntactic metrics on tables / releases ---------------------------------
@@ -182,7 +187,5 @@ def top_disclosures(
 def expected_posterior_entropy(posterior: PosteriorTable) -> float:
     """``sum over q of P(q) * H(P*(. | q))`` in bits — the adversary's
     average remaining uncertainty about SA after seeing QI."""
-    total = 0.0
-    for i in range(len(posterior.qi_tuples)):
-        total += posterior.weights[i] * entropy(posterior.matrix[i], base=2.0)
-    return float(total)
+    entropies = entropy_rows(posterior.matrix, base=2.0)
+    return float((posterior.weights * entropies).sum())

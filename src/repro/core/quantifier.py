@@ -104,12 +104,14 @@ class PosteriorTable:
     def from_table(cls, table: Table) -> "PosteriorTable":
         """The ground-truth posterior, straight from the original data."""
         sa_domain = table.schema.sa.domain
-        joint_counts = table.joint_counts()
-        qi_counts = table.qi_counts()
+        record_tuples = table.qi_tuples()
+        qi_counts = Counter(record_tuples)
         qi_tuples = list(qi_counts)
+        row_of = {q: i for i, q in enumerate(qi_tuples)}
         matrix = np.zeros((len(qi_tuples), len(sa_domain)))
-        for (q, s), count in joint_counts.items():
-            matrix[qi_tuples.index(q), sa_domain.index(s)] = count
+        np.add.at(
+            matrix, ([row_of[q] for q in record_tuples], table.sa_codes()), 1.0
+        )
         row_totals = matrix.sum(axis=1, keepdims=True)
         matrix = matrix / row_totals
         weights = np.array(

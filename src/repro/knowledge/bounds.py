@@ -70,9 +70,13 @@ class TopKBound:
     def select(self, rules: RuleSet) -> list[AssociationRule]:
         """The selected rules: top K+ positive, then top K- negative.
 
-        Mixed selections are deduplicated on (antecedent, SA value); when a
-        family has fewer rules than requested, the selection simply takes
-        what exists (the bound is an upper bound on the adversary).
+        Each family is read as a prefix slice, so only the rules the bound
+        selects (widened to every rule tied with the last on confidence
+        and support) are built and sorted; repeat selections reuse the
+        family's memoized prefix.  Mixed selections are deduplicated on
+        (antecedent, SA value); when a family has fewer rules than
+        requested, the selection simply takes what exists (the bound is an
+        upper bound on the adversary).
         """
         chosen: list[AssociationRule] = []
         chosen.extend(rules.positive[: self.k_positive])

@@ -8,18 +8,35 @@ and negative rules ``Qv => not s`` whose support clears a minimum count
 Because the antecedent contains at most one value per QI attribute, mining
 reduces to, for every subset of QI attributes up to ``max_antecedent`` in
 size, counting the distinct projected value combinations jointly with the
-SA column — one vectorized ``np.unique`` pass per subset instead of an
-Apriori candidate join.  The original data (Section 4.2: the best source of
-background knowledge is the original data itself) is the mining input.
+SA column.  Each subset is counted with integer keys instead of an Apriori
+candidate join: the QI codes are combined one attribute at a time and
+dense-ranked after each attribute (so a key stays below the row count for
+any antecedent size), and one ``np.bincount`` over ``rank * |SA| + sa``
+gives the joint count matrix.  Antecedent counts are its row sums and
+negative counts are ``antecedent - joint``.  The original data (Section
+4.2: the best source of background knowledge is the original data itself)
+is the mining input.
+
+The mined families stay as these count arrays (:class:`RuleFamily`).  A
+Top-K bound reads only the strongest few of tens of thousands of rules, so
+a family builds rule objects only for the prefix a caller reads: it ranks
+the arrays on (confidence, support), widens the cut to every rule tied
+with the last one requested, and sorts just those rules by
+:meth:`AssociationRule.sort_key`.  That yields exactly the first rules of
+the full sorted family, because the key orders ties on (confidence,
+support) by text alone.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
+from repro.data.schema import Attribute
 from repro.data.table import Table
 from repro.errors import KnowledgeError
 from repro.knowledge.rules import AssociationRule, NegativeRule, PositiveRule
@@ -69,12 +86,169 @@ class MiningConfig:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class _Antecedents:
+    """Every mined antecedent, across all QI attribute subsets.
+
+    Antecedent ``a`` constrains the QI positions ``positions[subset[a]]``;
+    record ``row[a]`` matches it (its codes at those positions decode the
+    labels), and ``count[a]`` records match it in total.  ``qi`` and
+    ``sa_domain`` come from the mined table's schema.
+    """
+
+    qi: tuple[Attribute, ...]
+    sa_domain: tuple[str, ...]
+    qi_codes: np.ndarray
+    positions: tuple[tuple[int, ...], ...]
+    subset: np.ndarray
+    row: np.ndarray
+    count: np.ndarray
+
+    def labels(self, a: int) -> dict[str, str]:
+        """Antecedent ``a`` as the rule's ``{attribute: value}`` mapping."""
+        qi = self.qi
+        codes = self.qi_codes[self.row[a]].tolist()
+        return {
+            qi[p].name: qi[p].domain[codes[p]]
+            for p in self.positions[self.subset[a]]
+        }
+
+    def sizes(self) -> np.ndarray:
+        """Number of QI attributes in each antecedent."""
+        return np.array([len(p) for p in self.positions], dtype=np.int64)[
+            self.subset
+        ]
+
+
+class RuleFamily(Sequence):
+    """One mined rule family, read in ``AssociationRule.sort_key`` order.
+
+    The family is stored as one array entry per rule: its antecedent, its
+    SA code and its support count, plus float64 confidence and support
+    (bitwise equal to the ``int / int`` fields of the rules).  ``len`` is
+    O(1); rule objects are built lazily:
+
+    - An int index or a prefix slice ``family[:k]`` is served from a
+      memoized *exact sorted prefix*.  To extend it, the rules are ranked
+      by ``np.lexsort`` on (-confidence, -support), the cut is widened to
+      every rule tied with the k-th on (confidence, support), and only the
+      rules past the memo up to that cut are built and sorted by
+      ``sort_key``.  A longer prefix is published with a single attribute
+      assignment, never by mutation, so concurrent readers each see a
+      consistent prefix and a race only recomputes.
+    - Iteration, or any other slice, sorts the whole family once (the
+      prefix of full length) and reuses it.
+    """
+
+    def __init__(
+        self,
+        rule_type: type[AssociationRule],
+        antecedents: _Antecedents,
+        antecedent: np.ndarray,
+        sa: np.ndarray,
+        count: np.ndarray,
+        n_rows: int,
+    ) -> None:
+        self._rule_type = rule_type
+        self._antecedents = antecedents
+        self._antecedent = antecedent
+        self._sa = sa
+        self._count = count
+        self._n_rows = n_rows
+        self._confidence = count / antecedents.count[antecedent]
+        self._support = count / n_rows
+        self._order: np.ndarray | None = None
+        self._prefix: tuple[AssociationRule, ...] = ()
+
+    def __len__(self) -> int:
+        return int(self._sa.size)
+
+    def __getitem__(self, key):
+        n = len(self)
+        if isinstance(key, slice):
+            start, stop, step = key.indices(n)
+            if start == 0 and step == 1:
+                return self._sorted_prefix(stop)[:stop]
+            return self._sorted_prefix(n)[key]
+        index = operator.index(key)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("rule index out of range")
+        return self._sorted_prefix(index + 1)[index]
+
+    def __iter__(self) -> Iterator[AssociationRule]:
+        return iter(self._sorted_prefix(len(self)))
+
+    def restricted_to_size(self, size: int) -> "RuleFamily":
+        """The rules whose antecedents have exactly ``size`` attributes."""
+        keep = self._antecedents.sizes()[self._antecedent] == size
+        return RuleFamily(
+            self._rule_type,
+            self._antecedents,
+            self._antecedent[keep],
+            self._sa[keep],
+            self._count[keep],
+            self._n_rows,
+        )
+
+    def _sorted_prefix(self, k: int) -> tuple[AssociationRule, ...]:
+        """At least the first ``min(k, len)`` rules, in exact sort order."""
+        prefix = self._prefix
+        if k <= len(prefix):
+            return prefix
+        order = self._order
+        if order is None:
+            order = np.lexsort((-self._support, -self._confidence))
+            self._order = order
+        cut = order.size
+        if k < cut:
+            last, tail = order[k - 1], order[k:]
+            differs = np.flatnonzero(
+                (self._confidence[tail] != self._confidence[last])
+                | (self._support[tail] != self._support[last])
+            )
+            if differs.size:
+                cut = k + int(differs[0])
+        fresh = self._build(order[len(prefix) : cut])
+        fresh.sort(key=AssociationRule.sort_key)
+        prefix = prefix + tuple(fresh)
+        self._prefix = prefix
+        return prefix
+
+    def _build(self, rules: np.ndarray) -> list[AssociationRule]:
+        antecedents = self._antecedents
+        antecedent = self._antecedent[rules]
+        sa_domain = antecedents.sa_domain
+        return [
+            self._rule_type(
+                antecedent=antecedents.labels(a),
+                sa_value=sa_domain[sa],
+                support=support,
+                confidence=confidence,
+                antecedent_count=count,
+            )
+            for a, sa, support, confidence, count in zip(
+                antecedent.tolist(),
+                self._sa[rules].tolist(),
+                self._support[rules].tolist(),
+                self._confidence[rules].tolist(),
+                antecedents.count[antecedent].tolist(),
+            )
+        ]
+
+
 @dataclass(frozen=True)
 class RuleSet:
-    """Mined rules, each family sorted by descending confidence."""
+    """Mined rules: the positive and the negative :class:`RuleFamily`.
 
-    positive: tuple[PositiveRule, ...]
-    negative: tuple[NegativeRule, ...]
+    Both families share one table of antecedents and keep their rules as
+    count arrays; each reads in descending confidence (then support, then
+    text) and builds rule objects only for the prefix a caller reads.
+    """
+
+    positive: RuleFamily
+    negative: RuleFamily
 
     @property
     def n_positive(self) -> int:
@@ -89,8 +263,8 @@ class RuleSet:
     def restricted_to_size(self, size: int) -> "RuleSet":
         """The sub-ruleset whose antecedents have exactly ``size`` attributes."""
         return RuleSet(
-            positive=tuple(r for r in self.positive if r.size == size),
-            negative=tuple(r for r in self.negative if r.size == size),
+            positive=self.positive.restricted_to_size(size),
+            negative=self.negative.restricted_to_size(size),
         )
 
 
@@ -115,82 +289,85 @@ def mine_association_rules(
     to a single SA value.  Confidence and support are exact empirical
     frequencies of the input table, so every mined rule is *consistent* with
     the data — the property that guarantees feasibility of the resulting
-    MaxEnt constraint system.
+    MaxEnt constraint system.  Each antecedent size is mined once, however
+    often ``antecedent_sizes`` lists it.
     """
     config = config or MiningConfig()
     schema = table.schema
-    qi_names = schema.qi_attributes
-    sa_domain = schema.sa.domain
     n = table.n_rows
     if n == 0:
         raise KnowledgeError("cannot mine rules from an empty table")
 
     qi_codes = table.qi_codes()
     sa_codes = table.sa_codes()
+    qi = schema.qi
+    n_sa = len(schema.sa.domain)
+    n_qi = len(qi)
+    sizes = set(_antecedent_sizes(config, n_qi))
 
-    positive: list[PositiveRule] = []
-    negative: list[NegativeRule] = []
+    # Each mined subset is ranked from the rank of its prefix, so rank
+    # every prefix of a mined subset as well, one size level at a time.
+    levels = [set() for _ in range(max(sizes, default=0) + 1)]
+    for size in sizes:
+        levels[size].update(combinations(range(n_qi), size))
+    for size in range(len(levels) - 1, 1, -1):
+        levels[size - 1].update(subset[:-1] for subset in levels[size])
 
-    for size in _antecedent_sizes(config, len(qi_names)):
-        for attr_positions in combinations(range(len(qi_names)), size):
-            projected = qi_codes[:, attr_positions]
-            # Count antecedent combinations and (antecedent, SA) pairs in one
-            # pass each.
-            antecedent_keys, antecedent_counts = np.unique(
-                projected, axis=0, return_counts=True
+    positions: list[tuple[int, ...]] = []
+    subset_of, row, antecedent_count = [], [], []
+    families = {PositiveRule: ([], [], []), NegativeRule: ([], [], [])}
+    n_antecedents = 0
+    previous: dict[tuple[int, ...], np.ndarray] = {}
+    for size in range(1, len(levels)):
+        current = {}
+        for subset in sorted(levels[size]):
+            column = qi_codes[:, subset[-1]]
+            if size > 1:
+                width = len(qi[subset[-1]].domain)
+                column = previous[subset[:-1]] * width + column
+            _, first, rank = np.unique(
+                column, return_index=True, return_inverse=True
             )
-            joint_matrix = np.column_stack([projected, sa_codes])
-            joint_keys, joint_counts = np.unique(
-                joint_matrix, axis=0, return_counts=True
-            )
+            current[subset] = rank
+            if size not in sizes:
+                continue
+            joint = np.bincount(
+                rank * n_sa + sa_codes, minlength=first.size * n_sa
+            ).reshape(first.size, n_sa)
+            together = joint.sum(axis=1)
+            for rule_type, counts in (
+                (PositiveRule, joint),
+                (NegativeRule, together[:, None] - joint),
+            ):
+                keep = (counts >= config.min_support_count) & (
+                    counts / together[:, None] >= config.min_confidence
+                )
+                local, sa = np.nonzero(keep)
+                antecedent, sa_code, count = families[rule_type]
+                antecedent.append(n_antecedents + local)
+                sa_code.append(sa)
+                count.append(counts[local, sa])
+            subset_of.append(np.full(first.size, len(positions)))
+            positions.append(subset)
+            row.append(first)
+            antecedent_count.append(together)
+            n_antecedents += first.size
+        previous = current
 
-            count_of_antecedent = {
-                tuple(int(c) for c in key): int(count)
-                for key, count in zip(antecedent_keys, antecedent_counts)
-            }
-            joint_count: dict[tuple[tuple[int, ...], int], int] = {
-                (tuple(int(c) for c in key[:-1]), int(key[-1])): int(count)
-                for key, count in zip(joint_keys, joint_counts)
-            }
+    def stacked(parts: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
-            attrs = [schema.qi[p] for p in attr_positions]
-            for qv_codes, antecedent_count in count_of_antecedent.items():
-                antecedent = {
-                    attrs[j].name: attrs[j].domain[qv_codes[j]]
-                    for j in range(size)
-                }
-                for sa_code, sa_label in enumerate(sa_domain):
-                    together = joint_count.get((qv_codes, sa_code), 0)
-                    confidence = together / antecedent_count
-                    if (
-                        together >= config.min_support_count
-                        and confidence >= config.min_confidence
-                    ):
-                        positive.append(
-                            PositiveRule(
-                                antecedent=antecedent,
-                                sa_value=sa_label,
-                                support=together / n,
-                                confidence=confidence,
-                                antecedent_count=antecedent_count,
-                            )
-                        )
-                    apart = antecedent_count - together
-                    negative_confidence = apart / antecedent_count
-                    if (
-                        apart >= config.min_support_count
-                        and negative_confidence >= config.min_confidence
-                    ):
-                        negative.append(
-                            NegativeRule(
-                                antecedent=antecedent,
-                                sa_value=sa_label,
-                                support=apart / n,
-                                confidence=negative_confidence,
-                                antecedent_count=antecedent_count,
-                            )
-                        )
-
-    positive.sort(key=AssociationRule.sort_key)
-    negative.sort(key=AssociationRule.sort_key)
-    return RuleSet(positive=tuple(positive), negative=tuple(negative))
+    antecedents = _Antecedents(
+        qi=qi,
+        sa_domain=schema.sa.domain,
+        qi_codes=qi_codes,
+        positions=tuple(positions),
+        subset=stacked(subset_of),
+        row=stacked(row),
+        count=stacked(antecedent_count),
+    )
+    positive, negative = (
+        RuleFamily(rule_type, antecedents, *map(stacked, arrays), n)
+        for rule_type, arrays in families.items()
+    )
+    return RuleSet(positive=positive, negative=negative)

@@ -77,7 +77,7 @@ class RegisteredRelease:
         self.truth = (
             PosteriorTable.from_table(original) if original is not None else None
         )
-        self._rules: dict[tuple, RuleSet] = {}
+        self._rules: dict[MiningConfig, RuleSet] = {}
         self._systems = SolveCache(system_cache_size)
         # Compilation can be requested concurrently from handler
         # coroutines interleaved with executor threads; keep it safe.
@@ -135,16 +135,11 @@ class RegisteredRelease:
                 "original table; assessment needs ground truth to mine from"
             )
         mining = mining or MiningConfig()
-        key = (
-            mining.min_support_count,
-            mining.max_antecedent,
-            mining.min_confidence,
-        )
         with self._lock:
-            rules = self._rules.get(key)
+            rules = self._rules.get(mining)
             if rules is None:
                 rules = mine_association_rules(self.original, mining)
-                self._rules[key] = rules
+                self._rules[mining] = rules
             return rules
 
     def summary(self) -> dict:

@@ -9,11 +9,9 @@ from repro.utils.probability import (
 )
 from repro.utils.tabulate import render_table
 from repro.utils.timer import Timer
-from repro.utils.unionfind import UnionFind
 
 __all__ = [
     "Timer",
-    "UnionFind",
     "entropy",
     "kl_divergence",
     "normalize",

@@ -98,6 +98,42 @@ def kl_divergence(p, q, base: float = 2.0) -> float:
     return float((p_arr[support] * np.log(ratio)).sum() / math.log(base))
 
 
+def entropy_rows(matrix, base: float = 2.0) -> np.ndarray:
+    """:func:`entropy` of every row of ``matrix``, as one array expression."""
+    p = np.asarray(matrix, dtype=float)
+    if np.any(p < -1e-9):
+        raise ReproError("entropy requires non-negative probabilities")
+    p = np.clip(p, 0.0, None)
+    positive = p > ZERO_TOL
+    logs = np.log(np.where(positive, p, 1.0)) / math.log(base)
+    return -(p * logs).sum(axis=1)
+
+
+def kl_divergence_rows(p, q, base: float = 2.0) -> np.ndarray:
+    """:func:`kl_divergence` of every row pair of ``p`` and ``q``.
+
+    Row ``i`` is ``D(p[i] || q[i])``, ``inf`` where ``q[i]`` is zero on the
+    support of ``p[i]``.  Negative entries anywhere raise.
+    """
+    p_arr = np.asarray(p, dtype=float)
+    q_arr = np.asarray(q, dtype=float)
+    if p_arr.shape != q_arr.shape:
+        raise ReproError(
+            f"KL divergence needs equal shapes, got {p_arr.shape} vs {q_arr.shape}"
+        )
+    if np.any(p_arr < -1e-9) or np.any(q_arr < -1e-9):
+        raise ReproError("KL divergence requires non-negative inputs")
+    p_arr = np.clip(p_arr, 0.0, None)
+    q_arr = np.clip(q_arr, 0.0, None)
+    support = p_arr > ZERO_TOL
+    covered = q_arr > ZERO_TOL
+    terms = support & covered
+    ratio = np.where(terms, p_arr, 1.0) / np.where(terms, q_arr, 1.0)
+    divergence = (p_arr * np.log(ratio)).sum(axis=1) / math.log(base)
+    divergence[(support & ~covered).any(axis=1)] = math.inf
+    return divergence
+
+
 def total_variation(p, q) -> float:
     """Total-variation distance ``0.5 * sum |p - q|`` between distributions."""
     p_arr = _as_float_array(p)

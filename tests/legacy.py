@@ -8,6 +8,11 @@ the equivalence suite (``test_pipeline_equivalence.py``), which proves the
 array-native pipeline produces identical systems, identical fingerprints,
 identical component partitions and identical posteriors.
 
+The module also keeps the pre-array-native rule miner, which builds every
+rule object and sorts each family with ``AssociationRule.sort_key``; the
+rule-selection oracle suite (``test_knowledge_mining.py``) holds the
+lazily sorted rule families to it.
+
 They live with the tests, not in ``repro``: production code routes
 through :func:`repro.maxent.constraints.data_constraints`,
 :func:`repro.maxent.decompose.decompose` and
@@ -22,14 +27,18 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
+from repro.data.table import Table
 from repro.errors import ReproError
+from repro.knowledge.mining import MiningConfig, _antecedent_sizes
+from repro.knowledge.rules import AssociationRule, NegativeRule, PositiveRule
 from repro.maxent.constraints import ConstraintSystem, Row
 from repro.maxent.decompose import DATA_ROW_KINDS, Component
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
-from repro.utils.unionfind import UnionFind
+from tests.unionfind import UnionFind
 
 VariableSpace = GroupVariableSpace | PersonVariableSpace
 
@@ -258,3 +267,84 @@ def run_pipeline_rowwise(space: VariableSpace) -> PipelineResult:
         fingerprint_system_rowwise(c.system, c.mass) for c in components
     ]
     return PipelineResult(system, components, fingerprints)
+
+
+def mine_association_rules_rowwise(
+    table: Table, config: MiningConfig
+) -> tuple[tuple[PositiveRule, ...], tuple[NegativeRule, ...]]:
+    """Both rule families, every rule built and fully sorted by ``sort_key``.
+
+    One ``np.unique(axis=0)`` per attribute subset, per-key dicts, one rule
+    object per (antecedent, SA value) that clears the filters.
+    """
+    schema = table.schema
+    qi_names = schema.qi_attributes
+    sa_domain = schema.sa.domain
+    n = table.n_rows
+    qi_codes = table.qi_codes()
+    sa_codes = table.sa_codes()
+
+    positive: list[PositiveRule] = []
+    negative: list[NegativeRule] = []
+
+    for size in _antecedent_sizes(config, len(qi_names)):
+        for attr_positions in combinations(range(len(qi_names)), size):
+            projected = qi_codes[:, attr_positions]
+            antecedent_keys, antecedent_counts = np.unique(
+                projected, axis=0, return_counts=True
+            )
+            joint_matrix = np.column_stack([projected, sa_codes])
+            joint_keys, joint_counts = np.unique(
+                joint_matrix, axis=0, return_counts=True
+            )
+
+            count_of_antecedent = {
+                tuple(int(c) for c in key): int(count)
+                for key, count in zip(antecedent_keys, antecedent_counts)
+            }
+            joint_count: dict[tuple[tuple[int, ...], int], int] = {
+                (tuple(int(c) for c in key[:-1]), int(key[-1])): int(count)
+                for key, count in zip(joint_keys, joint_counts)
+            }
+
+            attrs = [schema.qi[p] for p in attr_positions]
+            for qv_codes, antecedent_count in count_of_antecedent.items():
+                antecedent = {
+                    attrs[j].name: attrs[j].domain[qv_codes[j]]
+                    for j in range(size)
+                }
+                for sa_code, sa_label in enumerate(sa_domain):
+                    together = joint_count.get((qv_codes, sa_code), 0)
+                    confidence = together / antecedent_count
+                    if (
+                        together >= config.min_support_count
+                        and confidence >= config.min_confidence
+                    ):
+                        positive.append(
+                            PositiveRule(
+                                antecedent=antecedent,
+                                sa_value=sa_label,
+                                support=together / n,
+                                confidence=confidence,
+                                antecedent_count=antecedent_count,
+                            )
+                        )
+                    apart = antecedent_count - together
+                    negative_confidence = apart / antecedent_count
+                    if (
+                        apart >= config.min_support_count
+                        and negative_confidence >= config.min_confidence
+                    ):
+                        negative.append(
+                            NegativeRule(
+                                antecedent=antecedent,
+                                sa_value=sa_label,
+                                support=apart / n,
+                                confidence=negative_confidence,
+                                antecedent_count=antecedent_count,
+                            )
+                        )
+
+    positive.sort(key=AssociationRule.sort_key)
+    negative.sort(key=AssociationRule.sort_key)
+    return tuple(positive), tuple(negative)

@@ -37,6 +37,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
+from repro.service.store import RegisteredRelease
 
 BREAST_CANCER_KNOWLEDGE = [
     ConditionalProbability(given={"gender": "male"}, sa_value=S1, probability=0.0)
@@ -314,6 +315,30 @@ class TestAssess:
             )
             assert row["n_constraints"] == expected.n_constraints
 
+    def test_mined_rules_are_cached_per_whole_mining_config(
+        self, client, release_id
+    ):
+        # Two configs that differ only in antecedent_sizes must not share
+        # one cached rule set.
+        mining = {"min_support_count": 1, "max_antecedent": 2}
+        bounds = [TopKBound(3, 3)]
+        client.assess(release_id, bounds, mining=mining)
+        served = client.assess(
+            release_id, bounds, mining={**mining, "antecedent_sizes": [2]}
+        )
+        library = assess(
+            paper_table(),
+            paper_published(),
+            bounds,
+            mining=MiningConfig(
+                min_support_count=1, max_antecedent=2, antecedent_sizes=(2,)
+            ),
+        )
+        assert served[0]["estimation_accuracy"] == pytest.approx(
+            library[0].estimation_accuracy, abs=1e-9
+        )
+        assert served[0]["n_constraints"] == library[0].n_constraints
+
     def test_empty_bounds_is_400(self, client, release_id):
         with pytest.raises(ServiceError) as excinfo:
             client._request(
@@ -357,6 +382,21 @@ class TestAssess:
             mining={"min_support_count": 1, "max_antecedent": 1},
         )
         assert len(assessments) == 1
+
+
+class TestRegisteredRelease:
+    def test_rules_cache_key_covers_antecedent_sizes(self):
+        record = RegisteredRelease(
+            "paper", paper_published(), original=paper_table()
+        )
+        default = record.rules(MiningConfig(min_support_count=1))
+        pairs_only = record.rules(
+            MiningConfig(min_support_count=1, antecedent_sizes=(2,))
+        )
+        assert pairs_only is not default
+        assert {r.size for r in pairs_only.positive} == {2}
+        assert {r.size for r in default.positive} == {1, 2}
+        assert record.rules(MiningConfig(min_support_count=1)) is default
 
 
 class TestTelemetry:

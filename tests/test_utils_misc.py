@@ -9,13 +9,13 @@ from repro.errors import KnowledgeError, ReproError
 from repro.utils.rng import make_rng, spawn
 from repro.utils.tabulate import render_table
 from repro.utils.timer import Timer
-from repro.utils.unionfind import UnionFind
 from repro.utils.validation import (
     check_fraction,
     check_non_negative_int,
     check_positive_int,
     check_probability,
 )
+from tests.unionfind import UnionFind
 
 
 class TestUnionFind:

@@ -1,9 +1,10 @@
 """Disjoint-set (union-find) structure.
 
-Used by :mod:`repro.maxent.decompose` to group buckets into connected
-components induced by background-knowledge constraints (Section 5.5 of the
-paper: buckets untouched by knowledge are *irrelevant* and solve
-independently).
+Used by the row-wise reference decomposition in :mod:`tests.legacy` to
+group buckets into connected components induced by background-knowledge
+constraints (Section 5.5 of the paper: buckets untouched by knowledge are
+*irrelevant* and solve independently).  Production code decomposes with
+array operations in :mod:`repro.maxent.decompose`.
 """
 
 from __future__ import annotations
