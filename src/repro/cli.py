@@ -283,7 +283,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_concurrency=args.max_concurrency,
         max_queue=args.queue_size,
-        batch_window_seconds=args.batch_window,
         result_cache_size=args.result_cache_size,
         state_dir=args.state_dir,
         snapshot_every=(
@@ -732,13 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-concurrency",
         type=int,
         default=None,
-        help="solves running at once (default: engine worker count)",
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="micro-batching window for closed-form requests (seconds)",
+        help="solves running at once (default: 4)",
     )
     serve.add_argument(
         "--result-cache-size",
@@ -882,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-concurrency",
         type=int,
         default=None,
-        help="solves running at once (default: engine worker count)",
+        help="solves running at once (default: 4)",
     )
     shard_worker.add_argument(
         "--cache-path",

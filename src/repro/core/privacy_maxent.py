@@ -12,7 +12,8 @@
 
 :func:`assess` adds the Section 4.3 workflow on top: given the original
 data and a list of candidate Top-(K+, K-) bounds, it mines the rules once
-and returns one (bound, privacy score) assessment per bound.
+and returns one (bound, privacy score) assessment per bound, each scored
+by :func:`score_posterior` (which the service's ``/assess`` shares).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.knowledge.individuals import IndividualStatement, PseudonymTable
 from repro.knowledge.mining import MiningConfig, RuleSet, mine_association_rules
 from repro.maxent.constraints import ConstraintSystem, data_constraints
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
-from repro.maxent.solution import MaxEntSolution
+from repro.maxent.solution import MaxEntSolution, SolverStats
 from repro.maxent.solver import MaxEntConfig
 from repro.utils.timer import Timer
 
@@ -229,20 +230,43 @@ def assess(
             config=config,
             engine=execution,
         )
-        posterior = quantifier.posterior()
-        solution = quantifier.solve()
         assessments.append(
-            PrivacyAssessment(
-                bound=bound.describe(),
+            score_posterior(
+                bound,
+                truth,
+                quantifier.posterior(),
                 n_constraints=quantifier.n_knowledge_rows,
-                estimation_accuracy=estimation_accuracy(truth, posterior),
-                max_disclosure=max_disclosure(posterior, exclude=exclude_sa),
-                bayes_vulnerability=bayes_vulnerability(
-                    posterior, exclude=exclude_sa
-                ),
-                effective_l=effective_l(posterior, exclude=exclude_sa),
-                expected_entropy_bits=expected_posterior_entropy(posterior),
-                stats=solution.stats,
+                stats=quantifier.solve().stats,
+                exclude_sa=exclude_sa,
             )
         )
     return assessments
+
+
+def score_posterior(
+    bound: TopKBound,
+    truth: PosteriorTable,
+    posterior: PosteriorTable,
+    *,
+    n_constraints: int,
+    stats: SolverStats,
+    exclude_sa: frozenset[str] = frozenset(),
+) -> PrivacyAssessment:
+    """Score one solved posterior: the Section 4.3 (bound, privacy) row.
+
+    The one scoring step :func:`assess` and the service's ``/assess``
+    endpoint share: the bound's description, the compiled knowledge-row
+    count, the five privacy metrics of ``posterior`` against the ground
+    truth ``truth`` (``exclude_sa`` leaves exempt SA values out of the
+    disclosure metrics) and the solve's statistics.
+    """
+    return PrivacyAssessment(
+        bound=bound.describe(),
+        n_constraints=n_constraints,
+        estimation_accuracy=estimation_accuracy(truth, posterior),
+        max_disclosure=max_disclosure(posterior, exclude=exclude_sa),
+        bayes_vulnerability=bayes_vulnerability(posterior, exclude=exclude_sa),
+        effective_l=effective_l(posterior, exclude=exclude_sa),
+        expected_entropy_bits=expected_posterior_entropy(posterior),
+        stats=stats,
+    )

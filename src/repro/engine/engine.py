@@ -10,7 +10,9 @@ store, and runs the full Section 5.5 pipeline in process:
    (a batch group or a single component) at a time, warm-started from
    structurally identical past solves when available,
 4. reassemble the joint, aggregating per-component compute time
-   (``cpu_seconds``) separately from wall time (``seconds``).
+   (``cpu_seconds``) separately from wall time (``seconds``); the
+   aggregate is labelled ``"closed-form"`` when no component was
+   numeric, ``"lbfgs"`` otherwise.
 
 The core library (:class:`repro.core.privacy_maxent.PrivacyMaxEnt`), the
 CLI, the experiment drivers and the benchmarks all route through this
@@ -619,7 +621,9 @@ class PrivacyEngine:
                 phase_seconds[name] = phase_seconds.get(name, 0.0) + seconds
 
         aggregate = SolverStats(
-            solver="lbfgs",
+            # Theorem 5: a solve no component of which needed the dual is
+            # the Eq. (9) closed form, whatever the space's size.
+            solver="lbfgs" if plan.numeric else "closed-form",
             iterations=total_iterations,
             seconds=wall_seconds,
             n_vars=space.n_vars,

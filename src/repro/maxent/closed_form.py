@@ -9,9 +9,12 @@ product
 
 equivalently Eq. (9)'s ``P(S | Q, b) = (# of S in bucket b) / N_b`` — the
 uniform-assignment formula all prior work uses implicitly.  This module
-evaluates it directly; the execution engine batches it over *all*
-irrelevant components in one vectorized call, and it doubles as the "no
-background knowledge" baseline estimator in the experiments.
+evaluates it directly.  :func:`closed_form_batch` is the one
+implementation: the execution engine calls it once per solve over *all*
+irrelevant components, so a no-knowledge posterior — in the library and
+in the service alike — is a single vectorized call here, and
+:func:`closed_form_solution` is the whole-space "no background
+knowledge" baseline of the experiments and tests.
 """
 
 from __future__ import annotations
@@ -19,20 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.maxent.indexing import GroupVariableSpace
-
-
-def _eq9_factors(
-    space: GroupVariableSpace, var_indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three gathered factor arrays of Eq. (9) for ``var_indices``:
-    ``n(q,b)``, ``n(s,b)`` and the denominator ``N * N_b``."""
-    buckets = space.var_bucket[var_indices]
-    bucket_sizes = np.array(
-        [bucket.size for bucket in space.published.buckets], dtype=float
-    )
-    n_qb = space.qi_bucket_counts(space.var_qi[var_indices], buckets)
-    n_sb = space.sa_bucket_counts(space.var_sa[var_indices], buckets)
-    return n_qb, n_sb, space.n_records * bucket_sizes[buckets]
 
 
 def closed_form_batch(
@@ -47,33 +36,13 @@ def closed_form_batch(
     var_indices = np.asarray(var_indices, dtype=np.int64)
     if var_indices.size == 0:
         return np.empty(0)
-    n_qb, n_sb, denominator = _eq9_factors(space, var_indices)
-    return n_qb * n_sb / denominator
-
-
-def closed_form_multi(
-    spaces: list[GroupVariableSpace],
-) -> list[np.ndarray]:
-    """Eq. (9) joints for several spaces in one vectorized evaluation.
-
-    The serving layer micro-batches concurrent no-knowledge posterior
-    requests (possibly for different releases) into one call here: the
-    per-space factor gathers are concatenated and the arithmetic runs
-    once over the union, then the result is split back per space.
-    """
-    if not spaces:
-        return []
-    factors = [
-        _eq9_factors(space, np.arange(space.n_vars, dtype=np.int64))
-        for space in spaces
-    ]
-    flat = (
-        np.concatenate([f[0] for f in factors])
-        * np.concatenate([f[1] for f in factors])
-        / np.concatenate([f[2] for f in factors])
+    buckets = space.var_bucket[var_indices]
+    bucket_sizes = np.array(
+        [bucket.size for bucket in space.published.buckets], dtype=float
     )
-    offsets = np.cumsum([space.n_vars for space in spaces])[:-1]
-    return np.split(flat, offsets)
+    n_qb = space.qi_bucket_counts(space.var_qi[var_indices], buckets)
+    n_sb = space.sa_bucket_counts(space.var_sa[var_indices], buckets)
+    return n_qb * n_sb / (space.n_records * bucket_sizes[buckets])
 
 
 def closed_form_solution(space: GroupVariableSpace) -> np.ndarray:

@@ -9,8 +9,8 @@ expectation:
     lambda_i  +=  (1 / C) * ln(c_i / E_p[f_i]).
 
 GIS is monotone and simple but converges far more slowly than quasi-Newton
-methods — the solver-comparison benchmark reproduces exactly that classic
-trade-off.
+methods — ``tests/test_maxent_solvers.py`` holds it to exactly that
+classic trade-off as a reference solver; the engine does not call it.
 """
 
 from __future__ import annotations

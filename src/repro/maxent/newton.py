@@ -7,8 +7,8 @@ with thousands of nearly-collinear knowledge rows — where limited-memory
 quasi-Newton plateaus — Newton-CG routinely reaches two-to-three orders of
 magnitude tighter residuals in comparable time, which is why the default
 L-BFGS path already uses it as a polish stage.  Kept as a standalone
-function for the solver-comparison benchmark; the engine does not call
-it.
+function that the tests call as a reference solver
+(``tests/test_maxent_solvers.py``); the engine does not call it.
 
 Limitation: scipy's Newton-CG has no box-bound support, so inequality
 (vague) knowledge must go through :func:`repro.maxent.lbfgs.solve_dual_lbfgs`.

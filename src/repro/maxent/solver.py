@@ -9,7 +9,8 @@ implements the full Section 5.5 pipeline:
    solution (Theorem 5) — batched over all of them in one vectorized call,
 3. the rest are presolved (forced variables eliminated) and solved on the
    L-BFGS dual — the paper's solver; GIS / IIS / Newton / primal remain
-   as standalone modules for the solver-comparison benchmark only,
+   as standalone modules that only the tests call, as reference solvers
+   (``tests/test_maxent_solvers.py``),
 4. per-component solutions are reassembled, statistics aggregated, and
    clear errors raised when the constraints turn out infeasible.
 

@@ -5,14 +5,15 @@ candidate (bound, knowledge) configurations — and the interactive
 auditor workflow of leakage-style quantification both issue many small
 queries against the same release.  Running each from a cold process
 re-imports, re-indexes, re-compiles and re-solves everything; this
-package keeps one :class:`~repro.engine.PrivacyEngine` (worker pools,
-component solve cache, warm-started duals) alive behind a stdlib-only
+package keeps one :class:`~repro.engine.PrivacyEngine` (component
+solve cache, warm-started duals) alive behind a stdlib-only
 asyncio HTTP/JSON front-end instead:
 
 - :mod:`repro.service.protocol` — HTTP/1.1 framing over asyncio streams,
 - :mod:`repro.service.telemetry` — counters + latency histograms,
-- :mod:`repro.service.admission` — bounded-queue admission control,
-  in-flight solve coalescing and closed-form micro-batching,
+- :mod:`repro.service.admission` — bounded-queue admission control
+  and in-flight solve coalescing (every posterior, including the
+  no-knowledge Eq. (9) one, is an engine solve),
 - :mod:`repro.service.store` — registered releases with their variable
   spaces, invariants, mined rules and compiled systems cached,
 - :mod:`repro.service.ingest` — chunked (streaming) release uploads
@@ -32,7 +33,6 @@ architecture notes and the wire protocol).
 
 from repro.service.admission import (
     AdmissionController,
-    ClosedFormBatcher,
     Coalescer,
     QueueFullError,
 )
@@ -53,7 +53,6 @@ from repro.service.telemetry import LatencyHistogram, ServiceTelemetry
 __all__ = [
     "AdmissionController",
     "BackgroundService",
-    "ClosedFormBatcher",
     "Coalescer",
     "DEADLINE_HEADER",
     "DEFAULT_PORT",

@@ -1,6 +1,6 @@
-"""Request-layer flow control: admission, coalescing, micro-batching.
+"""Request-layer flow control: admission and coalescing.
 
-Three cooperating pieces keep a long-lived service healthy under load:
+Two cooperating pieces keep a long-lived service healthy under load:
 
 - :class:`AdmissionController` — a bounded queue in front of a
   concurrency limit.  Solves are CPU-bound, so running more than
@@ -8,26 +8,21 @@ Three cooperating pieces keep a long-lived service healthy under load:
   than ``max_queue`` behind them only adds latency nobody will wait
   for.  Beyond both, requests are rejected immediately
   (:class:`QueueFullError` → HTTP 429) so clients back off instead of
-  piling up.
+  piling up.  (The server lets requests with no knowledge rows skip
+  this queue: their engine solve is Theorem 5's closed form, a read
+  that stays answerable under saturation.)
 - :class:`Coalescer` — deduplication of identical in-flight work.  The
   auditor workflow (many clients probing the same release under the
   same knowledge) makes byte-identical requests; only the first runs
   the solve, the rest await the same future.  Keys are the engine's
   canonical request fingerprints, so "identical" means mathematically
   identical, not textually identical.
-- :class:`ClosedFormBatcher` — micro-batching of no-knowledge posterior
-  requests.  These cost one vectorized Eq. (9) evaluation each; batching
-  the requests that arrive within a small window into a single
-  :func:`~repro.maxent.closed_form.closed_form_multi` call amortizes the
-  executor hop across all of them.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections.abc import Awaitable, Callable
-
-from repro.maxent.closed_form import closed_form_multi
 
 
 class QueueFullError(Exception):
@@ -139,77 +134,3 @@ class Coalescer:
         )
         self.started += 1
         return await asyncio.shield(task), False
-
-
-class ClosedFormBatcher:
-    """Micro-batch closed-form (Eq. 9) requests into one vectorized call.
-
-    Requests enqueue their variable space and await a future; the first
-    request in an empty batch arms a flush timer of ``window_seconds``.
-    Whatever accumulated by then (or ``max_batch``, whichever first) is
-    computed in a single :func:`closed_form_multi` evaluation on the
-    worker executor and fanned back out.
-    """
-
-    def __init__(
-        self, *, window_seconds: float = 0.002, max_batch: int = 64
-    ) -> None:
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        self.window_seconds = window_seconds
-        self.max_batch = max_batch
-        self._pending: list[tuple[object, asyncio.Future]] = []
-        self._timer: asyncio.TimerHandle | None = None
-        self.batches = 0
-        self.batched_requests = 0
-        self.largest_batch = 0
-
-    async def compute(self, space):
-        """The Eq. (9) joint for ``space``, via the current micro-batch."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((space, future))
-        if len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.window_seconds, self._flush)
-        return await future
-
-    def _flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        batch = self._pending
-        self._pending = []
-        if not batch:
-            return
-        self.batches += 1
-        self.batched_requests += len(batch)
-        self.largest_batch = max(self.largest_batch, len(batch))
-        asyncio.ensure_future(self._run(batch))
-
-    async def _run(self, batch: list[tuple[object, asyncio.Future]]) -> None:
-        loop = asyncio.get_running_loop()
-        spaces = [space for space, _future in batch]
-        try:
-            results = await loop.run_in_executor(
-                None, closed_form_multi, spaces
-            )
-        except Exception as exc:  # pragma: no cover - defensive fan-out
-            for _space, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for (_space, future), p in zip(batch, results):
-            if not future.done():
-                future.set_result(p)
-
-    def snapshot(self) -> dict:
-        """JSON-ready batching counters for the telemetry endpoint."""
-        return {
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "largest_batch": self.largest_batch,
-            "window_seconds": self.window_seconds,
-            "max_batch": self.max_batch,
-        }

@@ -1,8 +1,8 @@
 """The asyncio serving front-end over a long-lived :class:`PrivacyEngine`.
 
 One :class:`PrivacyService` = one engine + one session store + one
-request layer (admission control, coalescing, micro-batching) + one
-telemetry aggregate, exposed over a stdlib-only HTTP/JSON protocol:
+request layer (admission control, coalescing) + one telemetry aggregate,
+exposed over a stdlib-only HTTP/JSON protocol:
 
 ====== ===================================== ==================================
 method path                                  purpose
@@ -25,11 +25,12 @@ POST   ``/v1/releases/{id}/assess``          Section 4.3 (bound, score) table
 The solve path is where the serving layer earns its keep: compiled
 constraint systems are cached per release, finished results are cached by
 the engine's canonical request fingerprint, identical in-flight solves
-coalesce onto one computation, no-knowledge posteriors micro-batch into a
-single vectorized Eq. (9) call, and everything else funnels through the
-bounded admission queue onto worker threads over the shared engine (whose
-own component cache and warm starts persist across requests — and across
-restarts, with ``cache_path``).
+coalesce onto one computation, and every solve runs on a worker thread
+over the shared engine (whose own component cache and warm starts persist
+across requests — and across restarts, with ``cache_path``).  Solves
+funnel through the bounded admission queue, except a request with no
+knowledge rows: its engine solve is Theorem 5's Eq. (9) closed form, a
+read that skips the queue and stays answerable under saturation.
 """
 
 from __future__ import annotations
@@ -41,15 +42,10 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.core.accuracy import estimation_accuracy
-from repro.core.metrics import (
-    bayes_vulnerability,
-    effective_l,
-    expected_posterior_entropy,
-    max_disclosure,
-)
+from repro.core.privacy_maxent import score_posterior
 from repro.core.quantifier import PosteriorTable
 from repro.core.serialize import (
+    assessment_to_dict,
     bound_from_dict,
     config_from_dict,
     mining_config_from_dict,
@@ -57,13 +53,14 @@ from repro.core.serialize import (
     posterior_to_dict,
     published_from_dict,
     statements_from_list,
+    stats_from_dict,
     stats_to_dict,
     table_from_dict,
 )
 from repro.engine.engine import PrivacyEngine
 from repro.errors import InfeasibleKnowledgeError, IngestError, ReproError
 from repro.maxent.config import MaxEntConfig
-from repro.maxent.solution import MaxEntSolution, SolverStats
+from repro.maxent.solution import MaxEntSolution
 from repro.obs.events import EventLog
 from repro.obs.logging import get_logger
 from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
@@ -71,7 +68,6 @@ from repro.obs.metrics import MetricsBuilder
 from repro.obs.trace import get_tracer
 from repro.service.admission import (
     AdmissionController,
-    ClosedFormBatcher,
     Coalescer,
     QueueFullError,
 )
@@ -185,8 +181,6 @@ class ServiceConfig:
     max_queue:
         Admitted-but-waiting solves beyond ``max_concurrency``; past
         both, requests get HTTP 429 (backpressure).
-    batch_window_seconds, max_batch:
-        Micro-batching window and cap for closed-form requests.
     result_cache_size:
         Finished-response LRU entries (keyed by release + request
         fingerprint).
@@ -218,8 +212,6 @@ class ServiceConfig:
     port: int = DEFAULT_PORT
     max_concurrency: int | None = None
     max_queue: int = 64
-    batch_window_seconds: float = 0.002
-    max_batch: int = 64
     result_cache_size: int = 256
     max_body_bytes: int = MAX_BODY_BYTES
     register_max_bytes: int = 8 * 1024 * 1024
@@ -257,10 +249,6 @@ class PrivacyService:
         self.ingest = IngestManager(
             max_sessions=self.config.max_ingest_sessions,
             ttl_seconds=self.config.ingest_ttl_seconds,
-        )
-        self.batcher = ClosedFormBatcher(
-            window_seconds=self.config.batch_window_seconds,
-            max_batch=self.config.max_batch,
         )
         self._register_lock: asyncio.Lock | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -726,7 +714,6 @@ class PrivacyService:
                 "coalesced": self.coalescer.coalesced,
                 "inflight": self.coalescer.inflight,
             },
-            "batching": self.batcher.snapshot(),
             "ingest": self.ingest.snapshot(),
             "engine": self.engine.stats(),
             "store": self.store.snapshot(),
@@ -1180,9 +1167,9 @@ class PrivacyService:
 
         async def compute():
             if n_rows == 0 and config.use_closed_form:
-                # Closed-form requests are sub-millisecond reads: they
-                # micro-batch with their peers instead of occupying (and
-                # back-pressuring) solve slots.
+                # No knowledge rows: the engine solve is Theorem 5's
+                # Eq. (9) closed form, a read that skips the solve queue
+                # so it stays answerable under saturation.
                 return await solve()
             # Coalesced joiners ride the *initiating* request's deadline:
             # the shared computation is only shed if nobody who started
@@ -1205,7 +1192,7 @@ class PrivacyService:
         trace_ctx: dict | None = None,
         deadline=None,
     ) -> dict:
-        """Run one admitted solve (batched closed form or full engine)."""
+        """Run one solve on the engine and cache its response payload."""
         loop = asyncio.get_running_loop()
         if deadline is not None:
             # Last check before irreversible work: past this point the
@@ -1213,36 +1200,17 @@ class PrivacyService:
             # even if the client's budget expires mid-iteration.
             deadline.check("solve")
         self.telemetry.incr("solves_started")
-        if n_rows == 0 and config.use_closed_form:
-            # No knowledge rows: Theorem 5's closed form, micro-batched
-            # with whatever compatible requests are in flight.
-            started = time.perf_counter()
-            p = await self.batcher.compute(record.space)
-            stats = SolverStats(
-                solver="closed-form",
-                iterations=0,
-                seconds=time.perf_counter() - started,
-                n_vars=record.space.n_vars,
-                n_equalities=system.n_equalities,
-                n_inequalities=system.n_inequalities,
-                eq_residual=0.0,
-                ineq_residual=0.0,
-                converged=True,
-                n_components=record.published.n_buckets,
-            )
-            solution = MaxEntSolution(record.space, p, stats)
-        else:
-            solution = await loop.run_in_executor(
-                None,
-                partial(
-                    self.engine.solve,
-                    record.space,
-                    system,
-                    config,
-                    build_seconds=build_seconds,
-                    trace_ctx=trace_ctx,
-                ),
-            )
+        solution = await loop.run_in_executor(
+            None,
+            partial(
+                self.engine.solve,
+                record.space,
+                system,
+                config,
+                build_seconds=build_seconds,
+                trace_ctx=trace_ctx,
+            ),
+        )
 
         def package(result: MaxEntSolution) -> dict:
             posterior = PosteriorTable.from_solution(result)
@@ -1257,6 +1225,25 @@ class PrivacyService:
         self.store.results.put(key, payload)
         self.telemetry.incr("solves_completed")
         return payload
+
+    @staticmethod
+    def _exclude_sa(raw) -> frozenset[str]:
+        """The ``exclude_sa`` field of an assess body: a list of strings.
+
+        Anything else is a 400 — a bare string would otherwise split
+        into its characters and silently exclude nothing.
+        """
+        if raw is None:
+            return frozenset()
+        if not isinstance(raw, list) or not all(
+            isinstance(value, str) for value in raw
+        ):
+            raise HttpError(
+                400,
+                "'exclude_sa' must be a list of SA value strings",
+                code="bad_request",
+            )
+        return frozenset(raw)
 
     async def _handle_assess(self, request: HttpRequest) -> tuple[int, dict]:
         record = self.store.get(request.segments[2])
@@ -1281,7 +1268,7 @@ class PrivacyService:
             )
         mining = mining_config_from_dict(body.get("mining"))
         config = config_from_dict(body.get("config"))
-        exclude = frozenset(body.get("exclude_sa") or ())
+        exclude = self._exclude_sa(body.get("exclude_sa"))
         loop = asyncio.get_running_loop()
         rules = await loop.run_in_executor(None, record.rules, mining)
 
@@ -1291,27 +1278,21 @@ class PrivacyService:
                 record, statements, config, deadline=request.deadline
             )
 
-            def metrics() -> dict:
-                posterior = posterior_from_dict(payload["posterior"])
+            def row() -> dict:
+                assessment = score_posterior(
+                    bound,
+                    record.truth,
+                    posterior_from_dict(payload["posterior"]),
+                    n_constraints=payload["n_knowledge_rows"],
+                    stats=stats_from_dict(payload["stats"]),
+                    exclude_sa=exclude,
+                )
                 return {
-                    "bound": bound.describe(),
-                    "n_constraints": payload["n_knowledge_rows"],
-                    "estimation_accuracy": estimation_accuracy(
-                        record.truth, posterior
-                    ),
-                    "max_disclosure": max_disclosure(posterior, exclude=exclude),
-                    "bayes_vulnerability": bayes_vulnerability(
-                        posterior, exclude=exclude
-                    ),
-                    "effective_l": effective_l(posterior, exclude=exclude),
-                    "expected_entropy_bits": expected_posterior_entropy(
-                        posterior
-                    ),
-                    "stats": payload["stats"],
+                    **assessment_to_dict(assessment),
                     "served_from": served_from,
                 }
 
-            return await loop.run_in_executor(None, metrics)
+            return await loop.run_in_executor(None, row)
 
         # Bounds fan out concurrently; shared components across their
         # growing knowledge sets meet again in the engine's solve cache.

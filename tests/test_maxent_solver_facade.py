@@ -72,8 +72,25 @@ class TestSolutionObject:
     def test_no_knowledge_equals_closed_form(self, space):
         solution = solve_maxent(space, full_system(space))
         assert np.allclose(solution.p, closed_form_solution(space))
-        assert solution.stats.solver == "lbfgs"
+        # Every component took Eq. (9), so the aggregate says so.
+        assert solution.stats.solver == "closed-form"
         assert solution.stats.iterations == 0  # all closed-form components
+
+    def test_knowledge_solve_reports_lbfgs(self, space):
+        solution = solve_maxent(space, full_system(space, [FLU_KNOWLEDGE]))
+        assert solution.stats.solver == "lbfgs"
+        assert {r.stats.solver for r in solution.components} == {
+            "closed-form",
+            "lbfgs",
+        }
+
+    def test_closed_form_off_reports_lbfgs(self, space):
+        # With the shortcut off every component is numeric, knowledge or
+        # not: the label tracks the plan, not the knowledge.
+        solution = solve_maxent(
+            space, full_system(space), MaxEntConfig(use_closed_form=False)
+        )
+        assert solution.stats.solver == "lbfgs"
 
     def test_joint_lookup(self, space):
         solution = solve_maxent(space, full_system(space))

@@ -2,15 +2,10 @@
 
 import asyncio
 
-import numpy as np
 import pytest
 
-from repro.data.paper_example import paper_published
-from repro.maxent.closed_form import closed_form_multi, closed_form_solution
-from repro.maxent.indexing import GroupVariableSpace
 from repro.service.admission import (
     AdmissionController,
-    ClosedFormBatcher,
     Coalescer,
     QueueFullError,
 )
@@ -234,52 +229,6 @@ class TestCoalescer:
             assert coalescer.coalesced == 0
 
         run(scenario())
-
-
-class TestClosedFormBatcher:
-    def test_concurrent_requests_share_one_batch(self):
-        published = paper_published()
-        space = GroupVariableSpace(published)
-        expected = closed_form_solution(space)
-
-        async def scenario():
-            batcher = ClosedFormBatcher(window_seconds=0.01, max_batch=64)
-            results = await asyncio.gather(
-                batcher.compute(space), batcher.compute(space)
-            )
-            return batcher, results
-
-        batcher, results = run(scenario())
-        assert batcher.batches == 1
-        assert batcher.batched_requests == 2
-        for p in results:
-            np.testing.assert_allclose(p, expected)
-
-    def test_max_batch_flushes_immediately(self):
-        space = GroupVariableSpace(paper_published())
-
-        async def scenario():
-            batcher = ClosedFormBatcher(window_seconds=10.0, max_batch=2)
-            # A 10s window would time the test out unless max_batch trips.
-            await asyncio.wait_for(
-                asyncio.gather(batcher.compute(space), batcher.compute(space)),
-                timeout=5.0,
-            )
-            return batcher
-
-        batcher = run(scenario())
-        assert batcher.batches == 1
-        assert batcher.largest_batch == 2
-
-    def test_multi_matches_per_space_closed_form(self, adult_small_published):
-        spaces = [
-            GroupVariableSpace(paper_published()),
-            GroupVariableSpace(adult_small_published),
-        ]
-        results = closed_form_multi(spaces)
-        assert len(results) == 2
-        for space, p in zip(spaces, results):
-            np.testing.assert_allclose(p, closed_form_solution(space))
 
 
 class TestTelemetry:

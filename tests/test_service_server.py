@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 from repro.core.privacy_maxent import PrivacyMaxEnt, assess
-from repro.core.serialize import config_to_dict, statement_to_dict
+from repro.core.quantifier import PosteriorTable
+from repro.core.serialize import (
+    assessment_to_dict,
+    bound_to_dict,
+    config_to_dict,
+    statement_to_dict,
+    stats_from_dict,
+)
 from repro.data.paper_example import (
     Q2,
     Q4,
@@ -29,7 +36,10 @@ from repro.data.paper_example import (
 from repro.knowledge.bounds import TopKBound
 from repro.knowledge.mining import MiningConfig
 from repro.knowledge.statements import Comparison, ConditionalProbability
+from repro.maxent.closed_form import closed_form_solution
 from repro.maxent.config import MaxEntConfig
+from repro.maxent.indexing import GroupVariableSpace
+from repro.maxent.solution import MaxEntSolution
 from repro.service import (
     BackgroundService,
     PrivacyService,
@@ -142,14 +152,19 @@ class TestRegistration:
 class TestPosterior:
     def test_no_knowledge_matches_library(self, client, release_id):
         result = client.posterior(release_id)
-        library = PrivacyMaxEnt(paper_published()).posterior()
+        # The no-knowledge answer is exactly the Eq. (9) posterior.
+        space = GroupVariableSpace(paper_published())
+        p = closed_form_solution(space)
+        eq9 = PosteriorTable.from_solution(
+            MaxEntSolution(space, p, stats_from_dict(result.stats))
+        )
         assert result.posterior.prob(Q2, S1) == pytest.approx(0.125)
-        np.testing.assert_allclose(
-            result.posterior.aligned_to(library).matrix,
-            library.matrix,
-            atol=1e-12,
+        np.testing.assert_array_equal(
+            result.posterior.aligned_to(eq9).matrix, eq9.matrix
         )
         assert result.stats["solver"] == "closed-form"
+        assert result.stats["n_components"] == 3
+        assert result.stats["converged"] is True
         assert result.n_knowledge_rows == 0
 
     def test_knowledge_discloses_grace(self, client, release_id):
@@ -339,6 +354,61 @@ class TestAssess:
         )
         assert served[0]["n_constraints"] == library[0].n_constraints
 
+    def test_served_row_is_the_library_row(self, client, release_id):
+        """Server and library score through one row builder: same keys in
+        the same order, same bound text, counts and metrics."""
+        mining = {"min_support_count": 1, "max_antecedent": 1}
+        bounds = [TopKBound(0, 0), TopKBound(2, 2)]
+        served = client.assess(
+            release_id, bounds, mining=mining, exclude_sa=[S2]
+        )
+        library = assess(
+            paper_table(),
+            paper_published(),
+            bounds,
+            mining=MiningConfig(min_support_count=1, max_antecedent=1),
+            exclude_sa=frozenset({S2}),
+        )
+        for row, assessment in zip(served, library, strict=True):
+            expected = assessment_to_dict(assessment)
+            assert list(row) == [*expected, "served_from"]
+            for key, value in expected.items():
+                if key == "stats":
+                    continue
+                if isinstance(value, float):
+                    assert row[key] == pytest.approx(value, abs=1e-9), key
+                else:
+                    assert row[key] == value, key
+        # No knowledge: both sides are the Eq. (9) closed form, exactly.
+        assert served[0]["stats"]["solver"] == "closed-form"
+        for key in ("estimation_accuracy", "max_disclosure", "effective_l"):
+            assert served[0][key] == assessment_to_dict(library[0])[key]
+        # The exclusion took effect (a list is not split into characters).
+        everything = client.assess(release_id, bounds[:1], mining=mining)
+        assert served[0]["effective_l"] != everything[0]["effective_l"]
+
+    @pytest.mark.parametrize(
+        "exclude_sa",
+        [S2, 5, [{}], [S2, 3], {"sa": S2}, True],
+        ids=["bare-string", "int", "object-list", "mixed-list", "object",
+             "bool"],
+    )
+    def test_malformed_exclude_sa_is_400(self, client, release_id, exclude_sa):
+        # A bare string must not split into its characters (excluding
+        # nothing), and no other shape may reach the metrics as a 500.
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST",
+                f"/v1/releases/{release_id}/assess",
+                {
+                    "bounds": [bound_to_dict(TopKBound(0, 0))],
+                    "exclude_sa": exclude_sa,
+                },
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert "exclude_sa" in str(excinfo.value)
+
     def test_empty_bounds_is_400(self, client, release_id):
         with pytest.raises(ServiceError) as excinfo:
             client._request(
@@ -419,7 +489,9 @@ class TestTelemetry:
         ]
         assert endpoint["count"] >= 1
         assert endpoint["p95_seconds"] >= endpoint["p50_seconds"]
-        assert telemetry["batching"]["batched_requests"] >= 1
+        # The closed-form micro-batcher is retired: no-knowledge
+        # posteriors are engine solves, with no batching section.
+        assert "batching" not in telemetry
 
     def test_construction_phase_timers_exposed(self, client, release_id):
         statements = [
@@ -483,11 +555,15 @@ class TestBackpressure:
         )
         solve_started = threading.Event()
         release_solve = threading.Event()
+        first_solve = threading.Lock()
         real_solve = instance.engine.solve
 
         def slow_solve(space, system, config, **kwargs):
-            solve_started.set()
-            assert release_solve.wait(30)
+            # Park only the first (knowledge) solve; the no-knowledge
+            # read below is an engine solve too and must not block.
+            if first_solve.acquire(blocking=False):
+                solve_started.set()
+                assert release_solve.wait(30)
             return real_solve(space, system, config, **kwargs)
 
         instance.engine.solve = slow_solve
