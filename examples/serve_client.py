@@ -3,10 +3,11 @@
 Reproduces the paper's running example (Figure 1) over the wire:
 register the 3-bucket release with its original table, read the
 no-knowledge posterior, add the "males do not get Breast Cancer"
-statement to watch Grace's full disclosure, run a Section 4.3
-assessment over candidate bounds, and finally verify via the telemetry
-endpoint that repeated queries were served from cache rather than
-re-solved.
+statement to watch Grace's full disclosure, repeat a two-statement
+query byte for byte (answered from the request index) and reversed
+(answered through the fingerprint key), run a Section 4.3 assessment
+over candidate bounds, and finally verify via the telemetry endpoint
+that repeated queries were served from cache rather than re-solved.
 
 Run ``repro serve`` (or ``python -m repro serve``) first, then:
 
@@ -20,7 +21,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.data.paper_example import Q2, Q4, S1, paper_published, paper_table
+from repro.data.paper_example import (
+    Q2,
+    Q4,
+    S1,
+    S2,
+    S3,
+    paper_published,
+    paper_table,
+)
 from repro.knowledge.bounds import TopKBound
 from repro.knowledge.statements import ConditionalProbability
 from repro.service.client import ServiceClient
@@ -104,6 +113,31 @@ def main() -> int:
         "cached posterior is bit-identical",
     )
 
+    # -- the request index: a byte-identical repeat is a lookup ------------
+    pair = [
+        ConditionalProbability(
+            given={"degree": "college"}, sa_value=S2, probability=0.2
+        ),
+        ConditionalProbability(
+            given={"gender": "male"}, sa_value=S3, probability=0.3
+        ),
+    ]
+    first = client.posterior(release_id, pair)
+    again = client.posterior(release_id, pair)
+    check(
+        again.served_from == "result-cache",
+        "byte-identical repeat answered from the result cache",
+    )
+    # Reversed, the request bytes differ: the index misses and the
+    # request dedupes through the engine fingerprint instead.
+    reversed_pair = client.posterior(release_id, pair[::-1])
+    check(
+        reversed_pair.served_from in ("result-cache", "coalesced")
+        and reversed_pair.fingerprint == first.fingerprint,
+        f"reversed statements served from {reversed_pair.served_from} "
+        "under the same fingerprint",
+    )
+
     # -- Section 4.3: one assessment per candidate bound --------------------
     assessments = client.assess(
         release_id,
@@ -149,6 +183,13 @@ def main() -> int:
             shard_hits >= 1,
             "repeat queries hit a shard's result cache / coalesced",
         )
+        index_hits = sum(
+            worker["telemetry"]["service"]["counters"].get(
+                "request_index_hits", 0
+            )
+            for worker in cluster["workers"]
+            if worker.get("telemetry")
+        )
         check(
             sum(
                 worker["telemetry"]["service"]["counters"].get(
@@ -166,6 +207,8 @@ def main() -> int:
             cache["hits"] + telemetry["coalescing"]["coalesced"] >= 1,
             "repeat queries hit the result cache / coalesced",
         )
+        index_hits = counters.get("request_index_hits", 0)
+    check(index_hits >= 1, "byte-identical repeats hit the request index")
     check(
         counters.get("solves_started", 0) < counters.get("requests_total", 0),
         "fewer solves than requests (the service amortized work)",

@@ -57,7 +57,7 @@ from repro.obs.trace import get_tracer
 from repro.service.admission import AdmissionController
 from repro.service.client import ServiceError
 from repro.service.deadline import DEADLINE_HEADER
-from repro.service.protocol import HttpError, HttpRequest, TextResponse
+from repro.service.protocol import EncodedResponse, HttpError, HttpRequest
 from repro.service.telemetry import LATENCY_BOUNDS
 from repro.service.server import (
     TRACE_HEADER,
@@ -829,7 +829,9 @@ class ShardedFrontend(PrivacyService):
         # the event loop (the base class renders purely from memory).
         loop = asyncio.get_running_loop()
         builder = await loop.run_in_executor(None, self._metrics_builder)
-        return 200, TextResponse(builder.render(), METRICS_CONTENT_TYPE)
+        return 200, EncodedResponse(
+            builder.render().encode("utf-8"), METRICS_CONTENT_TYPE
+        )
 
     def _engine_metrics_into(self, builder: MetricsBuilder) -> None:
         """Per-shard engine series plus exact fleet latency histograms.

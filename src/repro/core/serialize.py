@@ -153,17 +153,31 @@ _STATEMENT_TYPES: dict[str, type] = {
     "comparison": Comparison,
 }
 _TYPE_OF_STATEMENT = {cls: tag for tag, cls in _STATEMENT_TYPES.items()}
+#: Field names of each statement class, in declaration order.
+_STATEMENT_FIELDS = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
+    for cls in _STATEMENT_TYPES.values()
+}
 
 
 def statement_to_dict(statement: Statement) -> dict:
-    """Wire form of one background-knowledge statement."""
-    tag = _TYPE_OF_STATEMENT.get(type(statement))
+    """Wire form of one background-knowledge statement.
+
+    The same dict ``dataclasses.asdict`` gives, plus the ``type`` tag,
+    built shallowly: every field is a scalar except the ``given``
+    mapping of strings, which is copied.
+    """
+    cls = type(statement)
+    tag = _TYPE_OF_STATEMENT.get(cls)
     if tag is None:
         raise KnowledgeError(
-            f"statement type {type(statement).__name__} has no wire form "
+            f"statement type {cls.__name__} has no wire form "
             "(individual-level statements are not served yet)"
         )
-    payload = dataclasses.asdict(statement)
+    payload = {
+        name: getattr(statement, name) for name in _STATEMENT_FIELDS[cls]
+    }
+    payload["given"] = dict(payload["given"])
     payload["type"] = tag
     return payload
 
@@ -172,14 +186,13 @@ def statement_from_dict(payload) -> Statement:
     """Rebuild a statement from its wire form (strict on type and fields)."""
     payload = _require_mapping(payload, "statement")
     tag = payload.get("type")
-    cls = _STATEMENT_TYPES.get(tag)
+    cls = _STATEMENT_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise KnowledgeError(
             f"unknown statement type {tag!r}; expected one of "
             f"{sorted(_STATEMENT_TYPES)}"
         )
-    fields = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(payload, fields | {"type"}, f"{tag} statement")
+    _check_keys(payload, {*_STATEMENT_FIELDS[cls], "type"}, f"{tag} statement")
     kwargs = {key: value for key, value in payload.items() if key != "type"}
     try:
         return cls(**kwargs)

@@ -13,6 +13,7 @@ over a *subset* ``Qv`` of QI attributes — e.g. the paper's
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import KnowledgeError
@@ -20,6 +21,11 @@ from repro.utils.validation import check_probability
 
 
 def _validate_given(given: dict[str, str]) -> dict[str, str]:
+    if type(given) is not dict and not isinstance(given, Mapping):
+        raise KnowledgeError(
+            "the antecedent Qv must be a mapping of QI attribute names to "
+            f"values, got {type(given).__name__}"
+        )
     if not given:
         raise KnowledgeError(
             "the antecedent Qv must constrain at least one QI attribute"
@@ -173,8 +179,7 @@ class Comparison(Statement):
         object.__setattr__(self, "given", _validate_given(self.given))
         if self.more_likely == self.less_likely:
             raise KnowledgeError("comparison needs two distinct SA values")
-        if not 0.0 <= self.margin <= 1.0:
-            raise KnowledgeError(f"margin must be in [0, 1], got {self.margin}")
+        check_probability(self.margin, name="margin")
 
     @property
     def is_equality(self) -> bool:

@@ -62,19 +62,17 @@ class HttpError(Exception):
 
 
 @dataclass(frozen=True)
-class TextResponse:
-    """A non-JSON response payload a handler can return.
+class EncodedResponse:
+    """A response body a handler has already encoded.
 
-    The connection loop serializes these verbatim with the given
-    content type instead of JSON-encoding them — the Prometheus
-    ``/metrics`` exposition is text/plain, not JSON.
+    The connection loop writes ``body`` as it is, with ``content_type``,
+    instead of JSON-encoding a payload: the Prometheus ``/metrics``
+    exposition is text, and a cached posterior is JSON encoded once,
+    where it was solved, not again on every answer.
     """
 
-    body: str
-    content_type: str = "text/plain; charset=utf-8"
-
-    def encode(self) -> bytes:
-        return self.body.encode("utf-8")
+    body: bytes
+    content_type: str = "application/json"
 
 
 @dataclass
@@ -218,6 +216,15 @@ def response_bytes(
 def json_body(payload) -> bytes:
     """Encode a response payload as compact UTF-8 JSON."""
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def json_splice(head: dict, body: bytes) -> bytes:
+    """``json_body({**head, **payload})`` given ``body = json_body(payload)``.
+
+    ``head`` and ``payload`` must be non-empty objects with no key in
+    common; the splice then costs the encoding of ``head`` alone.
+    """
+    return json_body(head)[:-1] + b"," + body[1:]
 
 
 def error_body(error: HttpError) -> bytes:

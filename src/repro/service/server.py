@@ -22,12 +22,14 @@ POST   ``/v1/releases/{id}/posterior``       solve ``P*(SA|QI)`` under knowledge
 POST   ``/v1/releases/{id}/assess``          Section 4.3 (bound, score) table
 ====== ===================================== ==================================
 
-The solve path is where the serving layer earns its keep: compiled
-constraint systems are cached per release, finished results are cached by
-the engine's canonical request fingerprint, identical in-flight solves
-coalesce onto one computation, and every solve runs on a worker thread
-over the shared engine (whose own component cache and warm starts persist
-across requests — and across restarts, with ``cache_path``).  Solves
+The solve path is where the serving layer earns its keep: a
+byte-identical repeat request is answered from an index of raw request
+bodies without parsing anything, compiled constraint systems are cached
+per release, finished results are cached (encoded once, as JSON bytes)
+by the engine's canonical request fingerprint, identical in-flight
+solves coalesce onto one computation, and every solve runs on a worker
+thread over the shared engine (whose own component cache and warm starts
+persist across requests — and across restarts, with ``cache_path``).  Solves
 funnel through the bounded admission queue, except a request with no
 knowledge rows: its engine solve is Theorem 5's Eq. (9) closed form, a
 read that skips the queue and stays answerable under saturation.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import signal
 import time
 from dataclasses import dataclass, field
@@ -84,15 +87,16 @@ from repro.service.ingest import (
 )
 from repro.service.protocol import (
     MAX_BODY_BYTES,
+    EncodedResponse,
     HttpError,
     HttpRequest,
-    TextResponse,
     error_body,
     json_body,
+    json_splice,
     read_request,
     response_bytes,
 )
-from repro.service.store import SessionStore, release_digest
+from repro.service.store import SessionStore, release_digest, request_key
 from repro.service.telemetry import LATENCY_BOUNDS, ServiceTelemetry
 
 DEFAULT_PORT = 8711
@@ -183,7 +187,8 @@ class ServiceConfig:
         both, requests get HTTP 429 (backpressure).
     result_cache_size:
         Finished-response LRU entries (keyed by release + request
-        fingerprint).
+        fingerprint); also the bound of the request index in front of
+        it.
     max_body_bytes:
         Request-body cap (HTTP 413 beyond).
     register_max_bytes:
@@ -439,8 +444,8 @@ class PrivacyService:
                     )
                     span.set(endpoint=endpoint, status=status)
                 keep_alive = request.keep_alive
-                if isinstance(payload, TextResponse):
-                    body = payload.encode()
+                if isinstance(payload, EncodedResponse):
+                    body = payload.body
                     content_type = payload.content_type
                 else:
                     body = json_body(payload)
@@ -469,7 +474,7 @@ class PrivacyService:
 
     async def _dispatch(
         self, request: HttpRequest
-    ) -> tuple[str, int, "dict | TextResponse", dict]:
+    ) -> tuple[str, int, "dict | EncodedResponse", dict]:
         endpoint = request.method + " " + request.path
         try:
             # The deadline clock starts here, at arrival — queue wait,
@@ -830,9 +835,10 @@ class PrivacyService:
 
     async def _handle_metrics(
         self, request: HttpRequest
-    ) -> tuple[int, TextResponse]:
-        return 200, TextResponse(
-            self._metrics_builder().render(), METRICS_CONTENT_TYPE
+    ) -> tuple[int, EncodedResponse]:
+        return 200, EncodedResponse(
+            self._metrics_builder().render().encode("utf-8"),
+            METRICS_CONTENT_TYPE,
         )
 
     async def _handle_traces(self, request: HttpRequest) -> tuple[int, dict]:
@@ -1105,24 +1111,37 @@ class PrivacyService:
 
     # -- the solve path ------------------------------------------------------
 
-    async def _handle_posterior(self, request: HttpRequest) -> tuple[int, dict]:
+    async def _handle_posterior(
+        self, request: HttpRequest
+    ) -> tuple[int, EncodedResponse]:
         record = self.store.get(request.segments[2])
-        body = self._body_object(request, ("statements", "config"))
-        statements = statements_from_list(body.get("statements"))
-        config = config_from_dict(body.get("config"))
-        payload, served_from = await self._posterior_payload(
-            record, statements, config, deadline=request.deadline
-        )
-        return 200, {
-            "release_id": record.release_id,
-            "served_from": served_from,
-            **payload,
-        }
+        # A byte-identical repeat of a request already answered 200 is an
+        # index lookup: no parsing, compilation or fingerprinting.  Any
+        # other request (a reordered statement list, an evicted result)
+        # takes the fingerprint path and dedupes there.
+        index = request_key(record.release_id, request.body)
+        body = self.store.cached_body(index)
+        if body is not None:
+            served_from = "result-cache"
+            self.telemetry.incr("request_index_hits")
+        else:
+            fields = self._body_object(request, ("statements", "config"))
+            statements = statements_from_list(fields.get("statements"))
+            config = config_from_dict(fields.get("config"))
+            key, body, served_from = await self._posterior_payload(
+                record, statements, config, deadline=request.deadline
+            )
+            self.store.remember_request(index, key)
+        head = {"release_id": record.release_id, "served_from": served_from}
+        return 200, EncodedResponse(json_splice(head, body))
 
     async def _posterior_payload(
         self, record, statements, config: MaxEntConfig, *, deadline=None
-    ) -> tuple[dict, str]:
-        """The cached/coalesced/solved posterior payload for one request."""
+    ) -> tuple[str, bytes, str]:
+        """The cached/coalesced/solved posterior for one request.
+
+        Returns ``(result key, encoded payload, served_from)``.
+        """
         loop = asyncio.get_running_loop()
 
         def prepare():
@@ -1148,7 +1167,7 @@ class PrivacyService:
         key = f"{record.release_id}:{fingerprint}:{policy}"
         cached = self.store.results.lookup(key)
         if cached is not None:
-            return cached, "result-cache"
+            return key, cached, "result-cache"
         # The request root span's context, captured here because the
         # engine solve runs on an executor thread where the contextvar
         # chain is gone — the engine parents its spans on this instead.
@@ -1176,8 +1195,8 @@ class PrivacyService:
             # it is still waiting, never because a late joiner was poor.
             return await self.admission.run(solve, deadline=deadline)
 
-        payload, coalesced = await self.coalescer.run(key, compute)
-        return payload, ("coalesced" if coalesced else "solve")
+        body, coalesced = await self.coalescer.run(key, compute)
+        return key, body, ("coalesced" if coalesced else "solve")
 
     async def _solve_payload(
         self,
@@ -1191,8 +1210,8 @@ class PrivacyService:
         *,
         trace_ctx: dict | None = None,
         deadline=None,
-    ) -> dict:
-        """Run one solve on the engine and cache its response payload."""
+    ) -> bytes:
+        """Run one solve on the engine and cache its encoded payload."""
         loop = asyncio.get_running_loop()
         if deadline is not None:
             # Last check before irreversible work: past this point the
@@ -1212,19 +1231,23 @@ class PrivacyService:
             ),
         )
 
-        def package(result: MaxEntSolution) -> dict:
+        def package(result: MaxEntSolution) -> bytes:
+            # Encoded once, here on the executor: every answer of this
+            # result (cold, coalesced or cached) splices these bytes.
             posterior = PosteriorTable.from_solution(result)
-            return {
-                "posterior": posterior_to_dict(posterior),
-                "stats": stats_to_dict(result.stats),
-                "n_knowledge_rows": n_rows,
-                "fingerprint": fingerprint,
-            }
+            return json_body(
+                {
+                    "posterior": posterior_to_dict(posterior),
+                    "stats": stats_to_dict(result.stats),
+                    "n_knowledge_rows": n_rows,
+                    "fingerprint": fingerprint,
+                }
+            )
 
-        payload = await loop.run_in_executor(None, package, solution)
-        self.store.results.put(key, payload)
+        body = await loop.run_in_executor(None, package, solution)
+        self.store.results.put(key, body)
         self.telemetry.incr("solves_completed")
-        return payload
+        return body
 
     @staticmethod
     def _exclude_sa(raw) -> frozenset[str]:
@@ -1274,11 +1297,12 @@ class PrivacyService:
 
         async def one(bound) -> dict:
             statements = bound.statements(rules)
-            payload, served_from = await self._posterior_payload(
+            _, body, served_from = await self._posterior_payload(
                 record, statements, config, deadline=request.deadline
             )
 
             def row() -> dict:
+                payload = json.loads(body)
                 assessment = score_posterior(
                     bound,
                     record.truth,

@@ -9,8 +9,16 @@ pays per query:
   keyed by the knowledge list — so a repeat query skips indexing,
   invariant derivation, mining and compilation entirely and goes
   straight to the (cached, coalesced) solve.
-- :class:`SessionStore` owns the id → release map and the finished-result
-  LRU (response payloads keyed by release + engine request fingerprint).
+- :class:`SessionStore` owns the id → release map, the finished-result
+  LRU and the request index in front of it.  A result entry is the
+  compact JSON encoding of one posterior payload (``posterior``,
+  ``stats``, ``n_knowledge_rows``, ``fingerprint``), made once on the
+  thread that solved it and keyed by ``release:fingerprint:policy``; the
+  bytes are the only copy kept, and the server splices ``release_id`` and
+  ``served_from`` in front of them for every answer.  The request index
+  maps a digest of (release id, raw request body) to that result key, so
+  a byte-identical repeat is a lookup, with no parsing, compilation or
+  fingerprinting.
 
 Registration is idempotent: the same release payload (by canonical
 content digest) returns the existing id, so fleets of identical clients
@@ -44,6 +52,14 @@ def release_digest(payload: dict) -> str:
     """Canonical content digest of a release wire payload."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def request_key(release_id: str, body: bytes) -> str:
+    """Request-index key of one posterior request: its exact bytes."""
+    digest = hashlib.sha256(release_id.encode("utf-8"))
+    digest.update(b"\0")
+    digest.update(body)
+    return digest.hexdigest()
 
 
 def statements_key(statements) -> str:
@@ -170,6 +186,26 @@ class SessionStore:
         self._counter = 0
         self._lock = threading.Lock()
         self.results = SolveCache(result_cache_size)
+        # Uncounted: the results lookup behind it is the counted one.
+        self.requests = SolveCache(result_cache_size)
+
+    def cached_body(self, request: str) -> bytes | None:
+        """The result bytes a repeat of ``request`` maps to, if cached.
+
+        Makes one counted results lookup on a hit and none otherwise,
+        so a request that falls through to the fingerprint path is
+        still counted exactly once.  Called on the event loop, where
+        every results put happens, so the entry cannot vanish between
+        the membership test and the lookup.
+        """
+        key = self.requests.get(request)
+        if key is None or key not in self.results:
+            return None
+        return self.results.lookup(key)
+
+    def remember_request(self, request: str, key: str) -> None:
+        """Index a request answered 200 from result ``key``."""
+        self.requests.put(request, key)
 
     def register(
         self, payload: dict, published, *, name: str | None = None, original=None

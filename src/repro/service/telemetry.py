@@ -1,7 +1,7 @@
 """Service telemetry: counters and per-endpoint latency histograms.
 
 Everything the ``/v1/telemetry`` endpoint returns is aggregated here.
-The histograms use fixed log-spaced bucket bounds (sub-millisecond to a
+The histograms use fixed log-spaced bucket bounds (50 µs to a
 minute) so percentile estimates cost O(#buckets) memory regardless of
 traffic volume; quantiles are read as the upper bound of the bucket the
 rank falls in, clamped to the largest observation — except in the
@@ -26,8 +26,12 @@ from bisect import bisect_left
 from collections import defaultdict
 
 #: Upper bounds (seconds) of the latency buckets; the final implicit
-#: bucket catches everything slower.
+#: bucket catches everything slower.  The sub-millisecond bounds resolve
+#: request-index hits, which answer in a fraction of a millisecond.
 LATENCY_BOUNDS = (
+    0.00005,
+    0.0001,
+    0.00025,
     0.0005,
     0.001,
     0.0025,

@@ -1,9 +1,12 @@
 """Tests for the JSON wire forms of request/response objects."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import serialize as wire
 from repro.core.privacy_maxent import PrivacyMaxEnt, assess
@@ -122,6 +125,103 @@ class TestStatements:
         ) == [statement]
         with pytest.raises(ReproError, match="JSON list"):
             wire.statements_from_list({"not": "a list"})
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_encoder_matches_asdict(self, data):
+        """The shallow encoder gives the ``dataclasses.asdict`` form:
+        equal dicts, identical JSON, and a ``given`` that is a copy."""
+        statement = data.draw(statements())
+        payload = wire.statement_to_dict(statement)
+        reference = dataclasses.asdict(statement)
+        reference["type"] = payload["type"]
+        assert payload == reference
+        assert json.dumps(payload) == json.dumps(reference)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+        assert payload["given"] is not statement.given
+        assert wire.statement_from_dict(json_round_trip(payload)) == statement
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("conditional_probability", {"probability": "0.3"}),
+            ("conditional_probability", {"probability": True}),
+            ("conditional_interval", {"low": "0.1", "high": "0.4"}),
+            ("conditional_interval", {"low": False}),
+            ("conditional_interval", {"high": True}),
+            ("comparison", {"margin": True}),
+            ("conditional_probability", {"given": [["gender", "male"]]}),
+            ("conditional_probability", {"type": ["conditional_probability"]}),
+        ],
+    )
+    def test_malformed_field_is_knowledge_error(self, kind, fields):
+        """Strings, bools and non-mapping antecedents are rejected with
+        a ``KnowledgeError``, never coerced or left to crash later."""
+        with pytest.raises(KnowledgeError):
+            wire.statement_from_dict({**VALID_STATEMENTS[kind], **fields})
+
+
+#: One well-formed wire statement per type that has a numeric field.
+VALID_STATEMENTS = {
+    "conditional_probability": {
+        "type": "conditional_probability",
+        "given": {"gender": "male"},
+        "sa_value": "HIV",
+        "probability": 0.3,
+    },
+    "conditional_interval": {
+        "type": "conditional_interval",
+        "given": {"gender": "male"},
+        "sa_value": "HIV",
+        "low": 0.1,
+        "high": 0.4,
+    },
+    "comparison": {
+        "type": "comparison",
+        "given": {"gender": "male"},
+        "more_likely": "Flu",
+        "less_likely": "HIV",
+        "margin": 0.1,
+    },
+}
+
+_labels = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8
+)
+_probabilities = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
+    [0, 1]
+)
+
+
+@st.composite
+def statements(draw):
+    """Any of the four served statement types, with arbitrary labels."""
+    antecedent = draw(
+        st.dictionaries(_labels, _labels, min_size=1, max_size=4)
+    )
+    kind = draw(st.sampled_from(sorted(wire._STATEMENT_TYPES)))
+    if kind in ("conditional_probability", "joint_probability"):
+        return wire._STATEMENT_TYPES[kind](
+            given=antecedent,
+            sa_value=draw(_labels),
+            probability=draw(_probabilities),
+        )
+    if kind == "conditional_interval":
+        low, high = sorted((draw(_probabilities), draw(_probabilities)))
+        return ConditionalInterval(
+            given=antecedent, sa_value=draw(_labels), low=low, high=high
+        )
+    more, less = draw(
+        st.lists(_labels, min_size=2, max_size=2, unique=True)
+    )
+    return Comparison(
+        given=antecedent,
+        more_likely=more,
+        less_likely=less,
+        margin=draw(_probabilities),
+    )
 
 
 class TestConfigsAndBounds:

@@ -8,6 +8,7 @@ dedicated instances so their counters and queue limits are isolated.
 from __future__ import annotations
 
 import http.client
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,8 @@ from repro.data.paper_example import (
     S1,
     S2,
     S3,
+    S4,
+    S5,
     paper_published,
     paper_table,
 )
@@ -47,6 +50,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
+from repro.service.protocol import json_body
 from repro.service.store import RegisteredRelease
 
 BREAST_CANCER_KNOWLEDGE = [
@@ -219,6 +223,42 @@ class TestPosterior:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"probability": "0.3"},
+            {"probability": True},
+            {"type": "conditional_interval", "low": "0.1", "high": "0.4"},
+            {"type": "conditional_interval", "low": False, "high": 0.4},
+            {"type": "conditional_interval", "low": 0.1, "high": True},
+            {"given": [["gender", "male"]]},
+        ],
+        ids=["probability-str", "probability-bool", "low-high-str",
+             "low-bool", "high-bool", "given-list"],
+    )
+    def test_malformed_statement_field_is_400(
+        self, client, release_id, fields
+    ):
+        """Numbers sent as strings or bools and a non-object antecedent
+        are rejected as bad requests, not coerced and not a 500."""
+        statement = {
+            "type": "conditional_probability",
+            "given": {"gender": "male"},
+            "sa_value": S2,
+            "probability": 0.3,
+            **fields,
+        }
+        if statement["type"] == "conditional_interval":
+            del statement["probability"]
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST",
+                f"/v1/releases/{release_id}/posterior",
+                {"statements": [statement]},
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+
     def test_failure_policy_is_part_of_the_result_key(self, client, release_id):
         """A lenient client's cached non-converged result must not be
         served to a strict client asking the same (infeasible) question."""
@@ -305,6 +345,175 @@ class TestPosterior:
             assert b"bad_json" in response.read()
         finally:
             connection.close()
+
+
+def _post_raw(client, release_id, statements, config=None):
+    """One posterior request; returns ``(status, raw body bytes)``."""
+    payload = {"statements": [statement_to_dict(s) for s in statements]}
+    if config is not None:
+        payload["config"] = config_to_dict(config)
+    raw, response = client._raw_request(
+        "POST", f"/v1/releases/{release_id}/posterior", payload
+    )
+    return response.status, raw
+
+
+def _counters(client) -> tuple[int, int, int, int]:
+    """(index hits, result-cache hits, result-cache misses, solves)."""
+    telemetry = client.telemetry()
+    counters = telemetry["service"]["counters"]
+    cache = telemetry["store"]["result_cache"]
+    return (
+        counters.get("request_index_hits", 0),
+        cache["hits"],
+        cache["misses"],
+        counters.get("solves_started", 0),
+    )
+
+
+class TestRequestIndex:
+    """A byte-identical repeat is answered from the request index; any
+    other request takes the fingerprint path with one counted lookup."""
+
+    def test_hit_bytes_equal_cold_bytes_apart_from_served_from(
+        self, client, release_id
+    ):
+        statements = [
+            ConditionalProbability(
+                given={"gender": "female"}, sa_value=S3, probability=0.2
+            )
+        ]
+        before = _counters(client)
+        status, cold = _post_raw(client, release_id, statements)
+        assert status == 200
+        status, hit = _post_raw(client, release_id, statements)
+        assert status == 200
+        after = _counters(client)
+        assert b'"served_from":"solve"' in cold
+        assert hit.replace(
+            b'"served_from":"result-cache"', b'"served_from":"solve"', 1
+        ) == cold
+        index_hits, hits, misses, solves = (
+            a - b for a, b in zip(after, before)
+        )
+        assert (index_hits, hits, misses, solves) == (1, 1, 1, 1)
+
+    def test_cold_body_is_the_parent_form(self, client, release_id):
+        """Cold bytes equal ``json_body`` of the dict the handler built
+        before results were kept encoded: same keys, order, separators."""
+        statements = [
+            ConditionalProbability(
+                given={"gender": "male"}, sa_value=S4, probability=0.25
+            )
+        ]
+        status, cold = _post_raw(client, release_id, statements)
+        assert status == 200
+        decoded = json.loads(cold)
+        parent_form = {
+            "release_id": release_id,
+            "served_from": "solve",
+            "posterior": decoded["posterior"],
+            "stats": decoded["stats"],
+            "n_knowledge_rows": decoded["n_knowledge_rows"],
+            "fingerprint": decoded["fingerprint"],
+        }
+        assert list(decoded) == list(parent_form)
+        assert json_body(parent_form) == cold
+
+    def test_config_change_never_gets_the_other_result(
+        self, client, release_id
+    ):
+        contradiction = [
+            Comparison(
+                given={"gender": "female"}, more_likely=S2, less_likely=S3,
+                margin=0.4,
+            ),
+            Comparison(
+                given={"gender": "female"}, more_likely=S3, less_likely=S2,
+                margin=0.4,
+            ),
+        ]
+        lenient = MaxEntConfig(raise_on_infeasible=False)
+        for _ in range(2):
+            status, _ = _post_raw(client, release_id, contradiction, lenient)
+            assert status == 200
+        for _ in range(2):
+            status, raw = _post_raw(client, release_id, contradiction)
+            assert status == 409
+            assert b"infeasible_knowledge" in raw
+
+    def test_reordered_statements_fall_through_to_the_fingerprint(
+        self, client, release_id
+    ):
+        a = ConditionalProbability(
+            given={"degree": "college"}, sa_value=S2, probability=0.2
+        )
+        b = ConditionalProbability(
+            given={"gender": "male"}, sa_value=S3, probability=0.3
+        )
+        first = client.posterior(release_id, [a, b])
+        before = _counters(client)
+        reordered = client.posterior(release_id, [b, a])
+        after = _counters(client)
+        assert first.served_from == "solve"
+        assert reordered.served_from == "result-cache"
+        assert reordered.fingerprint == first.fingerprint
+        # No index hit: parsed, fingerprinted, one counted cache hit.
+        assert tuple(x - y for x, y in zip(after, before)) == (0, 1, 0, 0)
+
+    def test_evicted_result_is_resolved_and_counted_once(self):
+        """An index entry whose result was evicted falls through to a
+        fresh solve; its miss is counted once, not twice."""
+        instance = PrivacyService(ServiceConfig(port=0, result_cache_size=1))
+        statements = [
+            ConditionalProbability(
+                given={"gender": "male"}, sa_value=S2, probability=0.3
+            )
+        ]
+        with BackgroundService(instance) as background:
+            with ServiceClient(port=background.port) as session:
+                session.wait_until_healthy(timeout=10)
+                release = session.register(
+                    paper_published(), original=paper_table()
+                )
+                first = session.posterior(release, statements)
+                # An assessment's result evicts the posterior's (one
+                # entry) without touching the request index.
+                session.assess(release, [TopKBound(0, 0)])
+                assert len(instance.store.requests) == 1
+                before = _counters(session)
+                again = session.posterior(release, statements)
+                after = _counters(session)
+        assert first.served_from == "solve"
+        assert again.served_from == "solve"
+        assert again.fingerprint == first.fingerprint
+        np.testing.assert_array_equal(
+            again.posterior.matrix, first.posterior.matrix
+        )
+        assert tuple(x - y for x, y in zip(after, before)) == (0, 0, 1, 1)
+
+    def test_error_responses_never_populate_the_index(
+        self, client, service, release_id
+    ):
+        path = f"/v1/releases/{release_id}/posterior"
+        malformed = {"statements": [{"type": "telepathy"}]}
+        infeasible = [
+            Comparison(
+                given={"gender": "male"}, more_likely=S4, less_likely=S5,
+                margin=0.6,
+            ),
+            Comparison(
+                given={"gender": "male"}, more_likely=S5, less_likely=S4,
+                margin=0.6,
+            ),
+        ]
+        before = len(service.store.requests)
+        for _ in range(2):
+            raw, response = client._raw_request("POST", path, malformed)
+            assert response.status == 400
+            status, raw = _post_raw(client, release_id, infeasible)
+            assert status == 409
+        assert len(service.store.requests) == before
 
 
 class TestAssess:

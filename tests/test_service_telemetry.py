@@ -56,6 +56,11 @@ class TestQuantileEdges:
         assert top < p50 < p99 <= histogram.max_seconds
         assert p50 == pytest.approx(top + 0.5 * 40.0)
 
+    def test_sub_millisecond_observation_reads_sub_millisecond(self):
+        histogram = histogram_of([0.0001] * 9 + [0.00004])
+        assert histogram.quantile(0.5) <= 0.0001
+        assert histogram.quantile(0.05) <= 0.00005
+
     def test_quantiles_are_monotone(self):
         histogram = histogram_of([0.001, 0.02, 0.3, 4.0, 90.0])
         quantiles = [histogram.quantile(q) for q in (0.1, 0.5, 0.9, 0.99)]
@@ -113,6 +118,16 @@ class TestSummaryRoundTrip:
     def test_from_summary_rejects_foreign_bounds(self):
         with pytest.raises(ValueError, match="bucket_counts"):
             LatencyHistogram.from_summary({"bucket_counts": [1, 2, 3]})
+
+    def test_summary_with_the_old_bucket_count_is_skipped(self):
+        """A summary from a process that predates the sub-millisecond
+        bounds has fewer buckets; merging it bucket-wise would shift
+        every count, so ``from_summary`` refuses it (callers skip)."""
+        old = histogram_of([0.004, 0.2]).summary()
+        old["bucket_counts"] = old["bucket_counts"][3:]
+        assert len(old["bucket_counts"]) == len(LATENCY_BOUNDS) - 2
+        with pytest.raises(ValueError, match="bucket_counts"):
+            LatencyHistogram.from_summary(old)
 
     def test_summary_exposes_raw_buckets(self):
         summary = histogram_of([0.01]).summary()
