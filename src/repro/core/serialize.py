@@ -14,6 +14,7 @@ the wrong program quietly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -257,9 +258,36 @@ def config_from_dict(payload) -> MaxEntConfig:
         for key, value in payload.items()
         if key not in RETIRED_CONFIG_KEYS and key not in RETIRED_SOLVER_KEYS
     }
-    fields = {f.name for f in dataclasses.fields(MaxEntConfig)}
+    fields = {f.name: f.type for f in dataclasses.fields(MaxEntConfig)}
     _check_keys(payload, fields, "config")
+    for key, value in payload.items():
+        _check_config_value(key, value, fields[key])
     return MaxEntConfig(**payload)
+
+
+#: The JSON values each :class:`MaxEntConfig` annotation accepts.  Bools
+#: are never numbers here, and numbers must be finite.
+_CONFIG_VALUE_TYPES = {
+    "bool": (bool,),
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
+
+
+def _check_config_value(key: str, value, annotation: str) -> None:
+    """Reject a config value whose JSON type the knob cannot take."""
+    accepted = _CONFIG_VALUE_TYPES[annotation]
+    if (
+        not isinstance(value, accepted)
+        or (isinstance(value, bool) and bool not in accepted)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise ReproError(
+            f"config field {key!r} must be {annotation}, got "
+            f"{type(value).__name__} {value!r}"
+        )
 
 
 def bound_to_dict(bound: TopKBound) -> dict:

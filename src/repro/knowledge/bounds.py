@@ -9,7 +9,9 @@ rule becomes an interval statement handled by the inequality extension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 from repro.errors import KnowledgeError
 from repro.knowledge.mining import RuleSet
@@ -59,8 +61,18 @@ class TopKBound:
     def __post_init__(self) -> None:
         check_non_negative_int(self.k_positive, name="k_positive")
         check_non_negative_int(self.k_negative, name="k_negative")
-        if self.epsilon < 0:
-            raise KnowledgeError(f"epsilon must be >= 0, got {self.epsilon}")
+        epsilon = self.epsilon
+        if (
+            isinstance(epsilon, bool)
+            or not isinstance(epsilon, Real)
+            or not math.isfinite(epsilon)
+        ):
+            raise KnowledgeError(
+                "epsilon must be a finite number, got "
+                f"{type(epsilon).__name__} {epsilon!r}"
+            )
+        if epsilon < 0:
+            raise KnowledgeError(f"epsilon must be >= 0, got {epsilon}")
 
     @property
     def total(self) -> int:

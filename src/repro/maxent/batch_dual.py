@@ -15,8 +15,10 @@ Python.  Independent duals stack into one *block-diagonal* dual
     minimize  sum_k [ M_k * logsumexp(theta_k) + x_k . rhs_k ],
     theta_k = -(R_k^T x_k),
 
-assembled as one CSR matrix straight from the blocks' flat arrays (no
-per-block scipy objects), so every L-BFGS iteration evaluates all
+held as one :class:`DualStack` of flat CSR arrays plus block offsets
+(the engine builds it straight from a batch group's stacked presolve;
+no per-block objects) and assembled as one CSR matrix, so every L-BFGS
+iteration evaluates all
 blocks with two sparse matvecs plus segment-wise logsumexp/softmax
 (``np.ufunc.reduceat`` over the block offsets).  One optimizer call
 replaces N.
@@ -46,21 +48,20 @@ helpers below (:func:`segment_max`, :func:`segment_sum`, ...).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, minimize
 
-from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.dual import DualProblem, build_dual
+from repro.maxent.dual import DualProblem
 from repro.maxent.lbfgs import DualSolveResult, solve_dual_lbfgs
 
 __all__ = [
     "MAX_ROUNDS",
     "BatchDualResult",
-    "DualBlock",
-    "block_from_dual",
+    "DualStack",
     "segment_max",
     "segment_min",
     "segment_sum",
@@ -70,6 +71,9 @@ __all__ = [
 #: L-BFGS legs (each with the full per-component iteration budget) the
 #: round loop runs before stragglers fall back to per-component solves.
 MAX_ROUNDS = 3
+
+_EMPTY_I = np.empty(0, dtype=np.int64)
+_EMPTY_F = np.empty(0)
 
 
 def _guarded_reduceat(
@@ -139,90 +143,142 @@ def _softmax_parts(
 
 
 @dataclass
-class DualBlock:
-    """One block's dual pieces as flat arrays (no scipy objects).
+class DualStack:
+    """Many independent duals as one block-diagonal CSR of flat arrays.
 
-    The per-block analogue of :class:`~repro.maxent.dual.DualProblem`,
-    kept scipy-free so stacking thousands of blocks costs concatenation,
-    not thousands of sparse-matrix constructions.  Rows are ordered
-    [equalities; inequalities], matching ``build_dual``.
+    Block ``k`` owns the rows ``[row_indptr[k], row_indptr[k + 1])`` —
+    its ``n_equalities[k]`` equalities, then its inequalities, matching
+    ``build_dual`` — and the columns ``[var_indptr[k], var_indptr[k + 1])``.
+    Kept scipy-free so that stacking thousands of blocks, or selecting
+    some of them, costs a few gathers rather than a sparse-matrix build
+    per block.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     rhs: np.ndarray
-    n_equalities: int
-    n_inequalities: int
-    n_vars: int
-    mass: float
-
-    @property
-    def n_params(self) -> int:
-        """Number of dual parameters (one per row)."""
-        return self.n_equalities + self.n_inequalities
+    row_indptr: np.ndarray
+    var_indptr: np.ndarray
+    n_equalities: np.ndarray
+    masses: np.ndarray
 
     @classmethod
-    def from_system(
-        cls, system: ConstraintSystem, mass: float
-    ) -> "DualBlock":
-        """Assemble the block from a (component-local) system's arrays."""
-        eq = system.equality_arrays()
-        ineq = system.inequality_arrays()
-        indptr = np.concatenate(
-            [eq.indptr, ineq.indptr[1:] + eq.indptr[-1]]
+    def from_duals(cls, duals: Sequence[DualProblem]) -> "DualStack":
+        """Stack assembled per-block duals."""
+        matrices = [dual.matrix.tocsr() for dual in duals]
+        row_counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
+        var_counts = np.array([m.shape[1] for m in matrices], dtype=np.int64)
+        nnz = np.array([m.indices.size for m in matrices], dtype=np.int64)
+        lengths = np.concatenate(
+            [np.diff(m.indptr) for m in matrices] or [_EMPTY_I]
+        )
+        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        var_indptr = _offsets(var_counts)
+        indices = np.concatenate(
+            [m.indices.astype(np.int64) for m in matrices] or [_EMPTY_I]
         )
         return cls(
             indptr=indptr,
-            indices=np.concatenate([eq.indices, ineq.indices]),
-            data=np.concatenate([eq.coefficients, ineq.coefficients]),
-            rhs=np.concatenate([eq.rhs, ineq.rhs]),
-            n_equalities=eq.n_rows,
-            n_inequalities=ineq.n_rows,
-            n_vars=system.n_vars,
-            mass=mass,
+            indices=indices + np.repeat(var_indptr[:-1], nnz),
+            data=np.concatenate(
+                [np.asarray(m.data, dtype=float) for m in matrices]
+                or [_EMPTY_F]
+            ),
+            rhs=np.concatenate([dual.rhs for dual in duals] or [_EMPTY_F]),
+            row_indptr=_offsets(row_counts),
+            var_indptr=var_indptr,
+            n_equalities=np.array(
+                [dual.n_equalities for dual in duals], dtype=np.int64
+            ),
+            masses=np.array([float(dual.mass) for dual in duals]),
         )
 
-    def residual_scale(self) -> float:
-        """Normalizer for relative residuals (as ``DualProblem``'s)."""
-        if self.rhs.size == 0:
-            return max(self.mass, 1e-12)
-        return float(
-            max(
-                np.abs(self.rhs).max(),
-                self.mass / max(self.n_vars, 1),
-                1e-12,
-            )
+    @property
+    def n_blocks(self) -> int:
+        return int(self.masses.size)
+
+    @property
+    def row_counts(self) -> np.ndarray:
+        """Dual parameters (rows) per block."""
+        return np.diff(self.row_indptr)
+
+    @property
+    def var_counts(self) -> np.ndarray:
+        """Primal variables per block."""
+        return np.diff(self.var_indptr)
+
+    def select(self, mask: np.ndarray) -> "DualStack":
+        """The stack of the blocks ``mask`` picks, in order."""
+        if np.all(mask):
+            return self
+        row_counts = self.row_counts
+        var_counts = self.var_counts
+        rows = np.repeat(mask, row_counts)
+        lengths = np.diff(self.indptr)[rows]
+        entries = np.repeat(rows, np.diff(self.indptr))
+        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        # Old column -> new column: the kept blocks' columns renumbered
+        # contiguously (dropped columns are never referenced).
+        columns = np.cumsum(np.repeat(mask, var_counts)) - 1
+        return DualStack(
+            indptr=indptr,
+            indices=columns[self.indices[entries]],
+            data=self.data[entries],
+            rhs=self.rhs[rows],
+            row_indptr=_offsets(row_counts[mask]),
+            var_indptr=_offsets(var_counts[mask]),
+            n_equalities=self.n_equalities[mask],
+            masses=self.masses[mask],
         )
 
-    def to_dual(self) -> DualProblem:
-        """A real :class:`DualProblem` (the straggler-fallback bridge)."""
+    def block(self, k: int) -> DualProblem:
+        """Block ``k`` as its own :class:`DualProblem` (built from slices)."""
+        lo, hi = int(self.row_indptr[k]), int(self.row_indptr[k + 1])
+        start, stop = int(self.indptr[lo]), int(self.indptr[hi])
+        n_vars = int(self.var_indptr[k + 1] - self.var_indptr[k])
         matrix = sp.csr_matrix(
-            (self.data, self.indices, self.indptr),
-            shape=(self.n_params, self.n_vars),
+            (
+                self.data[start:stop],
+                self.indices[start:stop] - self.var_indptr[k],
+                self.indptr[lo : hi + 1] - start,
+            ),
+            shape=(hi - lo, n_vars),
         )
+        n_eq = int(self.n_equalities[k])
         return DualProblem(
             matrix=matrix,
-            rhs=self.rhs,
-            n_equalities=self.n_equalities,
-            n_inequalities=self.n_inequalities,
-            mass=self.mass,
+            rhs=self.rhs[lo:hi],
+            n_equalities=n_eq,
+            n_inequalities=hi - lo - n_eq,
+            mass=float(self.masses[k]),
         )
 
+    def residual_scales(self) -> np.ndarray:
+        """Per-block normalizers of relative residuals (as ``DualProblem``'s)."""
+        rhs_max = segment_max(np.abs(self.rhs), self.row_indptr)
+        per_var = self.masses / np.maximum(self.var_counts, 1)
+        scales = np.maximum(np.maximum(rhs_max, per_var), 1e-12)
+        return np.where(
+            self.row_counts > 0, scales, np.maximum(self.masses, 1e-12)
+        )
 
-def block_from_dual(dual: DualProblem) -> DualBlock:
-    """The flat-array view of an assembled :class:`DualProblem`."""
-    matrix = dual.matrix.tocsr()
-    return DualBlock(
-        indptr=np.asarray(matrix.indptr, dtype=np.int64),
-        indices=np.asarray(matrix.indices, dtype=np.int64),
-        data=np.asarray(matrix.data, dtype=float),
-        rhs=dual.rhs,
-        n_equalities=dual.n_equalities,
-        n_inequalities=dual.n_inequalities,
-        n_vars=dual.n_vars,
-        mass=dual.mass,
-    )
+    def inequality_rows(self) -> np.ndarray:
+        """Mask of the stacked rows that are inequalities."""
+        row_counts = self.row_counts
+        local = np.arange(int(self.row_indptr[-1])) - np.repeat(
+            self.row_indptr[:-1], row_counts
+        )
+        return local >= np.repeat(self.n_equalities, row_counts)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR-style offsets of consecutive segments of ``counts`` items."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 @dataclass
@@ -234,83 +290,46 @@ class BatchDualResult:
     rounds: int
     #: Blocks whose final multipliers came from the vectorized loop.
     batched: list[bool]
+    #: Every block's primal point, stacked like the input's columns
+    #: (each result's ``p`` is a view into it, or a straggler's own).
+    p: np.ndarray
 
 
 class _StackedDual:
-    """The block-diagonal stacking of a list of :class:`DualBlock`.
+    """The evaluation surface of a :class:`DualStack`.
 
-    Mirrors the evaluation surface of :class:`DualProblem`
-    (``value_and_grad``/``hess_vec``/``primal``) but over the stacked
-    multipliers, with every per-block reduction a segment reduction over
-    the block offsets.  Assembly is pure
-    concatenation: the blocks' CSR pieces line up into one CSR matrix
-    after offsetting.
+    Mirrors :class:`DualProblem` (``value_and_grad``/``hess_vec``/
+    ``primal``) over the stacked multipliers, with every per-block
+    reduction a segment reduction over the block offsets.
     """
 
-    def __init__(self, blocks: list[DualBlock]) -> None:
-        self.blocks = blocks
-        n = len(blocks)
-        var_counts = np.array([b.n_vars for b in blocks], dtype=np.int64)
-        row_counts = np.array([b.n_params for b in blocks], dtype=np.int64)
-        self.var_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(var_counts, out=self.var_indptr[1:])
-        self.row_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=self.row_indptr[1:])
-        self.var_counts = var_counts
-        self.row_counts = row_counts
-
-        nnz = np.array([b.indices.size for b in blocks], dtype=np.int64)
-        entry_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(nnz, out=entry_offsets[1:])
-        indptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64)]
-            + [b.indptr[1:] + entry_offsets[k] for k, b in enumerate(blocks)]
-        )
-        indices = (
-            np.concatenate([b.indices for b in blocks])
-            if n
-            else np.empty(0, dtype=np.int64)
-        )
-        if n:
-            indices = indices + np.repeat(self.var_indptr[:-1], nnz)
-        data = (
-            np.concatenate([b.data for b in blocks])
-            if n
-            else np.empty(0)
-        )
+    def __init__(self, stack: DualStack) -> None:
+        self.var_indptr = stack.var_indptr
+        self.row_indptr = stack.row_indptr
+        self.var_counts = stack.var_counts
+        self.row_counts = stack.row_counts
         self.matrix = sp.csr_matrix(
-            (data, indices, indptr),
+            (stack.data, stack.indices, stack.indptr),
             shape=(int(self.row_indptr[-1]), int(self.var_indptr[-1])),
         )
-        self.rhs = (
-            np.concatenate([b.rhs for b in blocks]) if n else np.empty(0)
-        )
-        self.masses = np.array([b.mass for b in blocks])
+        self.rhs = stack.rhs
+        self.masses = stack.masses
 
-        n_eq = np.array([b.n_equalities for b in blocks], dtype=np.int64)
-        self.n_ineq_total = int(row_counts.sum() - n_eq.sum())
+        ineq_mask = stack.inequality_rows()
+        self.n_ineq_total = int(np.count_nonzero(ineq_mask))
         # Within a block rows are [equalities; inequalities], so the two
         # families are each one contiguous sub-segment of the block's
         # rows — encode them as (start, stop) pairs for segment maxima.
         starts = self.row_indptr[:-1]
-        self._eq_bounds = (starts, starts + n_eq)
-        self._ineq_bounds = (starts + n_eq, self.row_indptr[1:])
-        ineq_mask = np.zeros(int(self.row_indptr[-1]), dtype=bool)
-        for k in range(n):
-            ineq_mask[self._ineq_bounds[0][k] : self._ineq_bounds[1][k]] = (
-                True
-            )
+        self._eq_bounds = (starts, starts + stack.n_equalities)
+        self._ineq_bounds = (starts + stack.n_equalities, self.row_indptr[1:])
         self._ineq_mask = ineq_mask
         if self.n_ineq_total:
             lower = np.where(ineq_mask, 0.0, -np.inf)
             self.bounds = Bounds(lower, np.full(lower.size, np.inf))
         else:
             self.bounds = None
-        self.scales = np.array([b.residual_scale() for b in blocks])
-
-    @property
-    def n_params(self) -> int:
-        return int(self.row_indptr[-1])
+        self.scales = stack.residual_scales()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -380,41 +399,26 @@ class _StackedDual:
         eq, ineq = self.block_residuals(p)
         return np.maximum(eq, ineq) <= tol * self.scales
 
-    # -- slicing -------------------------------------------------------------
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per-block multiplier slices of a stacked vector."""
-        return [
-            x[self.row_indptr[k] : self.row_indptr[k + 1]]
-            for k in range(len(self.blocks))
-        ]
-
-    def split_vars(self, p: np.ndarray) -> list[np.ndarray]:
-        """Per-block primal slices of a stacked vector."""
-        return [
-            p[self.var_indptr[k] : self.var_indptr[k + 1]]
-            for k in range(len(self.blocks))
-        ]
-
 
 def solve_batch_dual(
-    blocks: list[DualBlock | DualProblem],
+    stack: DualStack | Sequence[DualProblem],
     *,
     tol: float = 1e-6,
     max_iterations: int = 1000,
-    x0s: list[np.ndarray | None] | None = None,
+    x0s: Sequence[np.ndarray | None] | None = None,
     max_rounds: int = MAX_ROUNDS,
 ) -> BatchDualResult:
     """Solve many independent duals as one block-diagonal program.
 
-    ``tol`` and ``max_iterations`` mean exactly what they mean for
-    :func:`~repro.maxent.lbfgs.solve_dual_lbfgs`: per-block relative
-    residual target, and the L-BFGS iteration budget of one leg.  Each
-    round spends one leg on the still-active blocks; blocks converged at
-    a round boundary freeze with their multipliers final.  ``x0s``
-    optionally warm-starts individual blocks (``None`` entries start at
-    zero; shape-mismatched vectors are ignored, a cold start is always
-    correct).
+    ``stack`` is a :class:`DualStack` or a list of assembled duals, one
+    per block.  ``tol`` and ``max_iterations`` mean exactly what they
+    mean for :func:`~repro.maxent.lbfgs.solve_dual_lbfgs`: per-block
+    relative residual target, and the L-BFGS iteration budget of one leg.
+    Each round spends one leg on the still-active blocks; blocks
+    converged at a round boundary freeze with their multipliers final.
+    ``x0s`` optionally warm-starts individual blocks (``None`` entries
+    start at zero; shape-mismatched vectors are ignored, a cold start is
+    always correct).
 
     Blocks still unconverged after ``max_rounds`` legs (plus the
     Newton-CG polish available to equality-only actives) are re-solved
@@ -422,54 +426,43 @@ def solve_batch_dual(
     per-component dispatch, and such blocks are reported with
     ``batched = False``.
     """
-    blocks = [
-        block if isinstance(block, DualBlock) else block_from_dual(block)
-        for block in blocks
-    ]
-    n = len(blocks)
-    if n == 0:
-        return BatchDualResult(results=[], rounds=0, batched=[])
-    if x0s is None:
-        x0s = [None] * n
+    if not isinstance(stack, DualStack):
+        stack = DualStack.from_duals(stack)
+    n = stack.n_blocks
+    row_counts = stack.row_counts
+    var_counts = stack.var_counts
+    x_all = np.zeros(int(stack.row_indptr[-1]))
+    for k, candidate in enumerate(x0s or ()):
+        if candidate is None:
+            continue
+        candidate = np.asarray(candidate, dtype=float)
+        if candidate.shape == (row_counts[k],) and bool(
+            np.all(np.isfinite(candidate))
+        ):
+            x_all[stack.row_indptr[k] : stack.row_indptr[k + 1]] = candidate
 
     iterations = np.zeros(n, dtype=np.int64)
-    batched = [True] * n
-
-    def starting_point(k: int) -> np.ndarray:
-        candidate = x0s[k]
-        if candidate is not None:
-            candidate = np.asarray(candidate, dtype=float)
-            if candidate.shape == (blocks[k].n_params,) and bool(
-                np.all(np.isfinite(candidate))
-            ):
-                return candidate
-        return np.zeros(blocks[k].n_params)
-
-    current = [starting_point(k) for k in range(n)]
     # Zero-row blocks (presolve can reduce a component to free variables
     # only, making the uniform point exact) have nothing to optimize.
-    active = [k for k in range(n) if blocks[k].n_params > 0]
+    active = row_counts > 0
 
     rounds = 0
-    while active and rounds < max_rounds:
+    while np.count_nonzero(active) and rounds < max_rounds:
         rounds += 1
-        stacked = _StackedDual([blocks[k] for k in active])
-        x = np.concatenate([current[k] for k in active])
+        stacked = _StackedDual(stack.select(active))
+        rows = np.repeat(active, row_counts)
+        x = x_all[rows]
         if rounds == 1:
             # Blocks already at their optimum (converged warm starts)
             # freeze before any optimizer work.
             mask = stacked.converged_mask(stacked.primal(x), tol)
             if bool(mask.any()):
-                active = [
-                    k
-                    for position, k in enumerate(active)
-                    if not mask[position]
-                ]
-                if not active:
+                active[active] = ~mask
+                if not np.count_nonzero(active):
                     break
-                if len(active) < len(mask):
-                    stacked = _StackedDual([blocks[k] for k in active])
-                    x = np.concatenate([current[k] for k in active])
+                stacked = _StackedDual(stack.select(active))
+                rows = np.repeat(active, row_counts)
+                x = x_all[rows]
         # The projected-gradient stop of the stacked problem must serve
         # its strictest block, hence the min scale (matching the
         # per-component gtol = tol * scale * 0.1).
@@ -519,25 +512,21 @@ def solve_batch_dual(
                 x = np.where(keep, polish.x, x)
                 iterations[active] += int(polish.nit)
 
+        x_all[rows] = x
         mask = stacked.converged_mask(stacked.primal(x), tol)
-        pieces = stacked.split(x)
-        still_active: list[int] = []
-        for position, k in enumerate(active):
-            current[k] = pieces[position]
-            if not mask[position]:
-                still_active.append(k)
-        active = still_active
+        active[active] = ~mask
 
     # Stragglers: per-component fallback from the best stacked point.
+    batched = ~active
+    p_all = np.zeros(int(stack.var_indptr[-1]))
     fallback: dict[int, DualSolveResult] = {}
-    for k in active:
-        batched[k] = False
-        dual = blocks[k].to_dual()
+    for k in np.flatnonzero(active).tolist():
+        dual = stack.block(k)
         solo = solve_dual_lbfgs(
             dual,
             tol=tol,
             max_iterations=max_iterations,
-            x0=current[k],
+            x0=x_all[stack.row_indptr[k] : stack.row_indptr[k + 1]],
         )
         if not solo.converged:
             # The stacked trajectory can strand a block at an absurd
@@ -552,31 +541,43 @@ def solve_batch_dual(
             if cold.relative_residual <= solo.relative_residual:
                 solo = cold
         solo.iterations += int(iterations[k])
+        p_all[stack.var_indptr[k] : stack.var_indptr[k + 1]] = solo.p
         fallback[k] = solo
 
     # Package every batched block in one final stacked evaluation: the
     # primal points, residuals and convergence flags all come from
     # segment reductions instead of per-block matvecs.
     results: list[DualSolveResult | None] = [None] * n
-    settled = [k for k in range(n) if k not in fallback]
-    if settled:
-        stacked = _StackedDual([blocks[k] for k in settled])
-        x = np.concatenate([current[k] for k in settled])
+    if np.count_nonzero(batched):
+        stacked = _StackedDual(stack.select(batched))
+        x = x_all[np.repeat(batched, row_counts)]
         p = stacked.primal(x)
         eq, ineq = stacked.block_residuals(p)
         converged = np.maximum(eq, ineq) <= tol * stacked.scales
-        p_pieces = stacked.split_vars(p)
-        x_pieces = stacked.split(x)
-        for position, k in enumerate(settled):
+        p_all[np.repeat(batched, var_counts)] = p
+        var_bounds = stack.var_indptr.tolist()
+        row_bounds = stacked.row_indptr.tolist()
+        spent = iterations.tolist()
+        for position, (k, eq_k, ineq_k, scale, ok) in enumerate(
+            zip(
+                np.flatnonzero(batched).tolist(),
+                eq.tolist(),
+                ineq.tolist(),
+                stacked.scales.tolist(),
+                converged.tolist(),
+            )
+        ):
             results[k] = DualSolveResult(
-                p=p_pieces[position].copy(),
-                iterations=int(iterations[k]),
-                eq_residual=float(eq[position]),
-                ineq_residual=float(ineq[position]),
-                scale=float(stacked.scales[position]),
-                converged=bool(converged[position]),
+                p=p_all[var_bounds[k] : var_bounds[k + 1]],
+                iterations=spent[k],
+                eq_residual=eq_k,
+                ineq_residual=ineq_k,
+                scale=scale,
+                converged=ok,
                 message="batched L-BFGS-B",
-                multipliers=np.asarray(x_pieces[position], dtype=float).copy(),
+                multipliers=x[
+                    row_bounds[position] : row_bounds[position + 1]
+                ].copy(),
             )
     for k, solo in fallback.items():
         results[k] = solo
@@ -584,5 +585,6 @@ def solve_batch_dual(
     return BatchDualResult(
         results=results,  # type: ignore[arg-type]
         rounds=rounds,
-        batched=batched,
+        batched=batched.tolist(),
+        p=p_all,
     )

@@ -1,14 +1,17 @@
 """Newton-CG dual solver: truncated-Newton on the MaxEnt dual.
 
 The dual's Hessian-vector product costs two sparse matvecs
-(:meth:`repro.maxent.dual.DualProblem.hess_vec`), so a truncated-Newton
-method gets genuine second-order convergence almost for free.  On systems
-with thousands of nearly-collinear knowledge rows — where limited-memory
-quasi-Newton plateaus — Newton-CG routinely reaches two-to-three orders of
-magnitude tighter residuals in comparable time, which is why the default
-L-BFGS path already uses it as a polish stage.  Kept as a standalone
-function that the tests call as a reference solver
-(``tests/test_maxent_solvers.py``); the engine does not call it.
+(:meth:`repro.maxent.dual.DualProblem.hess_vec`), so each truncated-Newton
+step is cheap.  As a solver from a cold start it is not competitive: on
+the Top-(K+, K-) assessment duals of the Adult table (seeds 1-8, every
+bound, 33 equality systems of up to 1,347 multipliers) it missed ``tol``
+on all 33 and took 5.7x the L-BFGS time.  Its one use in the engine is
+as a short polish *after* L-BFGS has stalled near the optimum
+(:func:`repro.maxent.lbfgs.solve_dual_lbfgs`, and the stacked polish of
+:mod:`repro.maxent.batch_dual`), where a few steps can tighten a stubborn
+residual.  Kept as a standalone function that the tests call as a
+reference solver (``tests/test_maxent_solvers.py``); the engine does not
+call it.
 
 Limitation: scipy's Newton-CG has no box-bound support, so inequality
 (vague) knowledge must go through :func:`repro.maxent.lbfgs.solve_dual_lbfgs`.

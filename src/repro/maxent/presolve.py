@@ -48,11 +48,19 @@ infeasibility a contradictory system reports first can differ.
 Fixes keep their first-fix order (round, then row) and surviving rows keep
 their order, kinds and labels.  A system on which nothing fires comes back
 as the same object.
+
+:func:`presolve_stack` runs the same loop once over many independent
+systems (an engine batch group) stacked block-diagonally.  Rows never
+cross blocks, so each round on the stack is the union of the per-block
+rounds, and the results it splits back out per block equal
+:func:`presolve`'s bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +71,9 @@ from repro.maxent.constraints import ConstraintSystem
 #: sides are rationals with denominator N (record count), so genuine zeros
 #: are exact and anything this small is round-off.
 _TOL = 1e-11
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY_F = np.empty(0)
 
 
 @dataclass
@@ -98,6 +109,22 @@ class PresolveResult:
         return full
 
 
+class _FixedPoint(NamedTuple):
+    """What the fixed point leaves of a flat CSR: fixes and surviving rows."""
+
+    #: Fixed variables and their values, in fix order (round, then row).
+    fixed_vars: np.ndarray
+    fixed_values: np.ndarray
+    is_fixed: np.ndarray
+    #: Rows that survive (not consumed, not dropped as a duplicate).
+    keep: np.ndarray
+    #: Entries of the surviving rows that reference a free variable.
+    kept_entry: np.ndarray
+    #: Live entries per row and the right-hand sides after substitution.
+    lengths: np.ndarray
+    rhs: np.ndarray
+
+
 def presolve(system: ConstraintSystem) -> PresolveResult:
     """Run the reductions to a fixed point and return the reduced problem."""
     n_vars = system.n_vars
@@ -108,9 +135,241 @@ def presolve(system: ConstraintSystem) -> PresolveResult:
     indptr = np.concatenate((eq.indptr, ineq.indptr[1:] + eq.indptr[-1]))
     indices = np.concatenate((eq.indices, ineq.indices))
     coefficients = np.concatenate((eq.coefficients, ineq.coefficients))
-    rhs = np.concatenate((eq.rhs, ineq.rhs))
     labels = eq.labels + ineq.labels
-    is_eq = np.arange(n_rows) < n_eq
+    state = _fixed_point(
+        n_vars,
+        indptr,
+        indices,
+        coefficients,
+        np.concatenate((eq.rhs, ineq.rhs)),
+        np.arange(n_rows) < n_eq,
+        labels,
+    )
+    if not state.fixed_vars.size and state.keep.all():
+        return PresolveResult(
+            original_n_vars=n_vars,
+            fixed_values={},
+            free_vars=np.arange(n_vars, dtype=np.int64),
+            system=system,
+        )
+
+    free_vars = (~state.is_fixed).nonzero()[0]
+    # Old -> reduced index remap; surviving entries reference free
+    # variables only (fixed ones were substituted out), so the gather below
+    # never reads a fixed variable's slot.
+    remap = np.cumsum(~state.is_fixed) - 1
+    kind_codes = np.concatenate((eq.kind_codes, ineq.kind_codes))
+    reduced = ConstraintSystem(int(free_vars.size))
+    for lo, hi, append_batch in (
+        (0, n_eq, reduced.add_equalities),
+        (n_eq, n_rows, reduced.add_inequalities),
+    ):
+        kept = state.keep[lo:hi].nonzero()[0] + lo
+        if kept.size == 0:
+            continue
+        entries = state.kept_entry[indptr[lo] : indptr[hi]].nonzero()[0]
+        entries += indptr[lo]
+        kept_indptr = np.zeros(kept.size + 1, dtype=np.int64)
+        np.cumsum(state.lengths[kept], out=kept_indptr[1:])
+        append_batch(
+            kept_indptr,
+            remap[indices[entries]],
+            coefficients[entries],
+            state.rhs[kept],
+            kinds=kind_codes[kept],
+            labels=[labels[row] for row in kept.tolist()],
+            validate=False,
+        )
+    return PresolveResult(
+        original_n_vars=n_vars,
+        fixed_values=dict(
+            zip(state.fixed_vars.tolist(), state.fixed_values.tolist())
+        ),
+        free_vars=free_vars,
+        system=reduced,
+    )
+
+
+@dataclass
+class StackedPresolve:
+    """Presolve of many independent systems, run once on their stack.
+
+    The systems become the diagonal blocks of one flat CSR: block ``k``
+    owns the stacked variables ``[var_indptr[k], var_indptr[k + 1])`` and
+    its rows in its own order, equalities first.  Rows never reach across
+    blocks, so each round of the fixed point on the stack is the union of
+    the per-block rounds: every block's fixes, fix order, substituted
+    right-hand sides and surviving rows equal :func:`presolve`'s on that
+    block alone, bit for bit.
+
+    Per-block results are the ``*_indptr`` segments of the flat fields.
+    The surviving rows keep the stack's order (so each block's are its
+    equalities, then its inequalities) and index the variables left to
+    optimize, numbered across the whole stack.
+    """
+
+    var_indptr: np.ndarray
+    #: Fixed stacked variables and their values, grouped by block, each
+    #: block's in its own fix order.
+    fixed_indptr: np.ndarray
+    fixed_vars: np.ndarray
+    fixed_values: np.ndarray
+    #: Per block, its fixed values summed in fix order (as
+    #: :attr:`PresolveResult.mass_removed`).
+    mass_removed: list[float]
+    #: The stacked variables left to optimize, ascending.
+    free_indptr: np.ndarray
+    free_vars: np.ndarray
+    #: The surviving rows (stacked row ids) and their reduced CSR.
+    row_indptr: np.ndarray
+    kept_rows: np.ndarray
+    n_equalities: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    coefficients: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def fixed_counts(self) -> np.ndarray:
+        """Variables presolve fixed, per block."""
+        return np.diff(self.fixed_indptr)
+
+    @property
+    def free_counts(self) -> np.ndarray:
+        """Variables left to optimize, per block."""
+        return np.diff(self.free_indptr)
+
+    def lift(self, p_free: np.ndarray) -> np.ndarray:
+        """Lift a solution over the free variables to the whole stack."""
+        full = np.zeros(int(self.var_indptr[-1]))
+        full[self.fixed_vars] = self.fixed_values
+        full[self.free_vars] = p_free
+        return full
+
+
+def presolve_stack(
+    systems: Sequence[ConstraintSystem], *, reduce: bool = True
+) -> StackedPresolve:
+    """Stack independent systems block-diagonally and presolve them once.
+
+    With ``reduce=False`` the stack is returned as it is: nothing fixed,
+    every row kept (``MaxEntConfig.use_presolve`` off).  An infeasibility
+    names its row and the block-local variable index, so its message is
+    the one :func:`presolve` gives on that block alone.
+    """
+    n_blocks = len(systems)
+    families = []
+    for system in systems:
+        families.append(system.equality_arrays())
+        families.append(system.inequality_arrays())
+    var_counts = np.array([system.n_vars for system in systems], dtype=np.int64)
+    var_indptr = np.zeros(n_blocks + 1, dtype=np.int64)
+    np.cumsum(var_counts, out=var_indptr[1:])
+    family_rows = np.array([f.n_rows for f in families], dtype=np.int64)
+    family_nnz = np.array([f.indices.size for f in families], dtype=np.int64)
+    n_rows = int(family_rows.sum())
+
+    # Each family's indptr starts at 0; dropping the diffs across family
+    # seams leaves every row's length.
+    raw = np.concatenate([f.indptr for f in families] or [_EMPTY])
+    seams = np.cumsum(family_rows + 1)[:-1] - 1
+    lengths = np.delete(np.diff(raw), seams)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.concatenate([f.indices for f in families] or [_EMPTY])
+    indices += np.repeat(np.repeat(var_indptr[:-1], 2), family_nnz)
+    coefficients = np.concatenate(
+        [f.coefficients for f in families] or [_EMPTY_F]
+    )
+    rhs = np.concatenate([f.rhs for f in families] or [_EMPTY_F])
+    is_eq = np.repeat(np.arange(2 * n_blocks) % 2 == 0, family_rows)
+    row_block = np.repeat(np.arange(n_blocks).repeat(2), family_rows)
+
+    if reduce:
+        labels: list[str] = []
+        for family in families:
+            labels.extend(family.labels)
+        state = _fixed_point(
+            int(var_indptr[-1]),
+            indptr,
+            indices,
+            coefficients,
+            rhs,
+            is_eq,
+            labels,
+            var_indptr,
+        )
+    else:
+        state = _FixedPoint(
+            fixed_vars=_EMPTY,
+            fixed_values=_EMPTY_F,
+            is_fixed=np.zeros(int(var_indptr[-1]), dtype=bool),
+            keep=np.ones(n_rows, dtype=bool),
+            kept_entry=np.ones(indices.size, dtype=bool),
+            lengths=lengths,
+            rhs=rhs,
+        )
+
+    var_block = np.repeat(np.arange(n_blocks), var_counts)
+    fixed_block = var_block[state.fixed_vars]
+    order = np.argsort(fixed_block, kind="stable")
+    fixed_values = state.fixed_values[order]
+    fixed_indptr = np.zeros(n_blocks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fixed_block, minlength=n_blocks), out=fixed_indptr[1:])
+    # Python's sum over Python floats, in each block's fix order: the
+    # very additions ``PresolveResult.mass_removed`` makes.
+    values = fixed_values.tolist()
+    bounds = fixed_indptr.tolist()
+    mass_removed = [
+        float(sum(values[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+    free = ~state.is_fixed
+    free_indptr = np.zeros(n_blocks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(var_block[free], minlength=n_blocks), out=free_indptr[1:])
+    kept_rows = state.keep.nonzero()[0]
+    kept_block = row_block[kept_rows]
+    row_indptr = np.zeros(n_blocks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kept_block, minlength=n_blocks), out=row_indptr[1:])
+    kept_indptr = np.zeros(kept_rows.size + 1, dtype=np.int64)
+    np.cumsum(state.lengths[kept_rows], out=kept_indptr[1:])
+    entries = state.kept_entry.nonzero()[0]
+    return StackedPresolve(
+        var_indptr=var_indptr,
+        fixed_indptr=fixed_indptr,
+        fixed_vars=state.fixed_vars[order],
+        fixed_values=fixed_values,
+        mass_removed=mass_removed,
+        free_indptr=free_indptr,
+        free_vars=free.nonzero()[0],
+        row_indptr=row_indptr,
+        kept_rows=kept_rows,
+        n_equalities=np.bincount(
+            kept_block[is_eq[kept_rows]], minlength=n_blocks
+        ),
+        indptr=kept_indptr,
+        indices=(np.cumsum(free) - 1)[indices[entries]],
+        coefficients=coefficients[entries],
+        rhs=state.rhs[kept_rows],
+    )
+
+
+def _fixed_point(
+    n_vars: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    coefficients: np.ndarray,
+    rhs: np.ndarray,
+    is_eq: np.ndarray,
+    labels: Sequence[str],
+    var_indptr: np.ndarray | None = None,
+) -> _FixedPoint:
+    """Run the reductions on one flat CSR (``rhs`` is updated in place).
+
+    ``var_indptr`` splits the variables into blocks; an infeasibility
+    names a variable by its index within its block.
+    """
+    n_rows = rhs.size
     lengths = indptr[1:] - indptr[:-1]
     row_of = np.repeat(np.arange(n_rows), lengths)
 
@@ -118,11 +377,12 @@ def presolve(system: ConstraintSystem) -> PresolveResult:
     live_entry = np.ones(indices.size, dtype=bool)
     is_fixed = np.zeros(n_vars, dtype=bool)
     value_of = np.zeros(n_vars)
-    fixed: dict[int, float] = {}
+    fixed_vars: list[np.ndarray] = []
+    fixed_values: list[np.ndarray] = []
     # Every reduction needs a short row or an rhs <= tol: the first round
     # examines every row, each later one the rows the substitution touched.
-    # (np.count_nonzero is the truth test: on masks this small it costs a
-    # quarter of ndarray.any, and presolve runs once per component.)
+    # (np.count_nonzero is the truth test: on small masks it costs a
+    # quarter of ndarray.any.)
     active = (lengths <= 1) | (rhs <= _TOL)
     while np.count_nonzero(active):
         zero_rhs = np.abs(rhs) <= _TOL
@@ -193,8 +453,11 @@ def presolve(system: ConstraintSystem) -> PresolveResult:
                     f"constraint {label!r} forces P = {forced[at]:.3e}, "
                     "outside [0, 1]"
                 )
+            var = variables[at]
+            if var_indptr is not None:
+                var -= var_indptr[np.searchsorted(var_indptr, var, "right") - 1]
             raise InfeasibleKnowledgeError(
-                f"constraint {label!r} forces variable {variables[at]} to "
+                f"constraint {label!r} forces variable {var} to "
                 f"{values[at]:.3e}, but it was already fixed to "
                 f"{first_value[at]:.3e}"
             )
@@ -203,7 +466,8 @@ def presolve(system: ConstraintSystem) -> PresolveResult:
             break
 
         new_vars, new_values = variables[first], values[first]
-        fixed.update(zip(new_vars.tolist(), new_values.tolist()))
+        fixed_vars.append(new_vars)
+        fixed_values.append(new_values)
         is_fixed[new_vars] = True
         value_of[new_vars] = new_values
         hit = (live_entry & is_fixed[indices]).nonzero()[0]
@@ -219,47 +483,16 @@ def presolve(system: ConstraintSystem) -> PresolveResult:
         (live & is_eq).nonzero()[0], lengths, row_of, indices, coefficients,
         rhs, live_entry, labels,
     )
-    if not fixed and keep.all():
-        return PresolveResult(
-            original_n_vars=n_vars,
-            fixed_values={},
-            free_vars=np.arange(n_vars, dtype=np.int64),
-            system=system,
-        )
-
-    free_vars = (~is_fixed).nonzero()[0]
-    # Old -> reduced index remap; surviving entries reference free
-    # variables only (fixed ones were substituted out), so the gather below
-    # never reads a fixed variable's slot.
-    remap = np.cumsum(~is_fixed) - 1
-    kind_codes = np.concatenate((eq.kind_codes, ineq.kind_codes))
-    kept_entry = live_entry & keep[row_of]
-    reduced = ConstraintSystem(int(free_vars.size))
-    for lo, hi, append_batch in (
-        (0, n_eq, reduced.add_equalities),
-        (n_eq, n_rows, reduced.add_inequalities),
-    ):
-        kept = keep[lo:hi].nonzero()[0] + lo
-        if kept.size == 0:
-            continue
-        entries = kept_entry[indptr[lo] : indptr[hi]].nonzero()[0]
-        entries += indptr[lo]
-        kept_indptr = np.zeros(kept.size + 1, dtype=np.int64)
-        np.cumsum(lengths[kept], out=kept_indptr[1:])
-        append_batch(
-            kept_indptr,
-            remap[indices[entries]],
-            coefficients[entries],
-            rhs[kept],
-            kinds=kind_codes[kept],
-            labels=[labels[row] for row in kept.tolist()],
-            validate=False,
-        )
-    return PresolveResult(
-        original_n_vars=n_vars,
-        fixed_values=fixed,
-        free_vars=free_vars,
-        system=reduced,
+    return _FixedPoint(
+        fixed_vars=np.concatenate(fixed_vars) if fixed_vars else _EMPTY,
+        fixed_values=(
+            np.concatenate(fixed_values) if fixed_values else _EMPTY_F
+        ),
+        is_fixed=is_fixed,
+        keep=keep,
+        kept_entry=live_entry & keep[row_of],
+        lengths=lengths,
+        rhs=rhs,
     )
 
 

@@ -13,6 +13,12 @@ rule object and sorts each family with ``AssociationRule.sort_key``; the
 rule-selection oracle suite (``test_knowledge_mining.py``) holds the
 lazily sorted rule families to it.
 
+Last, it keeps the per-component batch solve: each component of a batch
+group presolved and assembled alone, then the duals stacked.  The
+engine's batch path presolves the group's block-diagonal stack once and
+must return the same solutions, statistics and multipliers bit for bit
+(``test_engine_batch.py``).
+
 They live with the tests, not in ``repro``: production code routes
 through :func:`repro.maxent.constraints.data_constraints`,
 :func:`repro.maxent.decompose.decompose` and
@@ -35,9 +41,14 @@ from repro.data.table import Table
 from repro.errors import ReproError
 from repro.knowledge.mining import MiningConfig, _antecedent_sizes
 from repro.knowledge.rules import AssociationRule, NegativeRule, PositiveRule
+from repro.maxent.batch_dual import solve_batch_dual
+from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, Row
 from repro.maxent.decompose import DATA_ROW_KINDS, Component
+from repro.maxent.dual import build_dual
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
+from repro.maxent.presolve import presolve
+from repro.maxent.solution import SolverStats
 from tests.unionfind import UnionFind
 
 VariableSpace = GroupVariableSpace | PersonVariableSpace
@@ -348,3 +359,90 @@ def mine_association_rules_rowwise(
     positive.sort(key=AssociationRule.sort_key)
     negative.sort(key=AssociationRule.sort_key)
     return tuple(positive), tuple(negative)
+
+
+def solve_component_batch_per_component(
+    components: list[Component],
+    config: MaxEntConfig,
+    warm_starts: list[np.ndarray | None] | None = None,
+) -> list[tuple[np.ndarray, SolverStats, np.ndarray | None]]:
+    """``(p, stats, multipliers)`` per component, presolving one at a time.
+
+    Each component is presolved on its own and its reduced system
+    assembled as its own dual; forced components (nothing left to
+    optimize, or no mass) leave the batch, and the rest are solved as one
+    stack.  Results are lifted with ``PresolveResult.restore`` one
+    component at a time.  Timings are left at zero.
+    """
+    n = len(components)
+    warm_list = list(warm_starts) if warm_starts is not None else [None] * n
+    out: list = [None] * n
+    numeric, duals, x0s, reductions = [], [], [], []
+    for index, component in enumerate(components):
+        reduction = presolve(component.system) if config.use_presolve else None
+        if reduction is None:
+            system, mass, fixed_count = component.system, component.mass, 0
+        else:
+            system = reduction.system
+            mass = component.mass - reduction.mass_removed
+            fixed_count = len(reduction.fixed_values)
+        if system.n_vars == 0 or mass <= 1e-15:
+            p_local = (
+                reduction.restore(np.zeros(reduction.n_free))
+                if reduction is not None
+                else np.zeros(component.n_vars)
+            )
+            residual = component.system.residual(p_local)
+            out[index] = (
+                p_local,
+                _legacy_stats(
+                    component, "presolve", fixed_count,
+                    eq_residual=residual, converged=residual <= config.tol,
+                ),
+                None,
+            )
+            continue
+        numeric.append(index)
+        duals.append(build_dual(system, mass))
+        x0s.append(warm_list[index])
+        reductions.append((reduction, fixed_count))
+
+    batch = solve_batch_dual(
+        duals, tol=config.tol, max_iterations=config.max_iterations, x0s=x0s
+    )
+    for position, index in enumerate(numeric):
+        reduction, fixed_count = reductions[position]
+        result = batch.results[position]
+        p_local = (
+            reduction.restore(result.p) if reduction is not None else result.p
+        )
+        stats = _legacy_stats(
+            components[index], "lbfgs", fixed_count,
+            iterations=result.iterations,
+            eq_residual=result.eq_residual,
+            ineq_residual=result.ineq_residual,
+            converged=result.converged,
+            message=result.message,
+            batched_components=1 if batch.batched[position] else 0,
+        )
+        multipliers = result.multipliers if result.converged else None
+        out[index] = (p_local, stats, multipliers)
+    return out
+
+
+def _legacy_stats(
+    component: Component, solver: str, fixed_count: int, **fields
+) -> SolverStats:
+    return SolverStats(
+        solver=solver,
+        iterations=fields.pop("iterations", 0),
+        seconds=0.0,
+        n_vars=component.n_vars,
+        n_equalities=component.system.n_equalities,
+        n_inequalities=component.system.n_inequalities,
+        eq_residual=fields.pop("eq_residual"),
+        ineq_residual=fields.pop("ineq_residual", 0.0),
+        converged=fields.pop("converged"),
+        presolve_fixed=fixed_count,
+        **fields,
+    )

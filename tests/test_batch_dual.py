@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.maxent.batch_dual import (
-    DualBlock,
+    DualStack,
     _softmax_parts,
-    block_from_dual,
     segment_max,
     segment_min,
     segment_sum,
@@ -169,33 +168,54 @@ class TestSoftmaxParts:
         assert p[2:].sum() == pytest.approx(1.0)
 
 
-class TestDualBlock:
-    def test_from_system_matches_build_dual(self):
+class TestDualStack:
+    @staticmethod
+    def _duals():
         system = ConstraintSystem(5)
         system.add_equality(
             [0, 1, 2, 3, 4], [1.0] * 5, 1.0, kind="qi", label="mass"
         )
         system.add_equality([0, 2], [1.0, -0.5], 0.1, kind="stmt")
         system.add_inequality([1, 3], [1.0, 1.0], 0.4, kind="vague")
-        dual = build_dual(system, 1.0)
-        block = DualBlock.from_system(system, 1.0)
-        assert block.n_params == dual.n_params
-        assert block.n_vars == dual.n_vars
-        assert block.n_equalities == dual.n_equalities
-        assert block.n_inequalities == dual.n_inequalities
-        rebuilt = block.to_dual()
-        assert np.array_equal(
-            rebuilt.matrix.toarray(), dual.matrix.toarray()
-        )
-        assert np.array_equal(rebuilt.rhs, dual.rhs)
-        assert block.residual_scale() == dual.residual_scale()
+        return [simple_block(), build_dual(system, 0.7), simple_block(4)]
 
-    def test_block_from_dual_round_trips(self):
-        dual = simple_block()
-        block = block_from_dual(dual)
-        assert np.array_equal(
-            block.to_dual().matrix.toarray(), dual.matrix.toarray()
-        )
+    def test_residual_scales_match_build_dual(self):
+        duals = self._duals() + [build_dual(ConstraintSystem(3), 0.6)]
+        stack = DualStack.from_duals(duals)
+        assert stack.n_blocks == len(duals)
+        assert stack.row_counts.tolist() == [d.n_params for d in duals]
+        assert stack.var_counts.tolist() == [d.n_vars for d in duals]
+        assert stack.n_equalities.tolist() == [d.n_equalities for d in duals]
+        assert stack.residual_scales().tolist() == [
+            d.residual_scale() for d in duals
+        ]
+        assert np.flatnonzero(stack.inequality_rows()).tolist() == [
+            duals[0].n_params + 2
+        ]
+
+    def test_block_round_trips(self):
+        duals = self._duals()
+        stack = DualStack.from_duals(duals)
+        for k, dual in enumerate(duals):
+            block = stack.block(k)
+            assert np.array_equal(
+                block.matrix.toarray(), dual.matrix.toarray()
+            )
+            assert np.array_equal(block.rhs, dual.rhs)
+            assert block.n_equalities == dual.n_equalities
+            assert block.n_inequalities == dual.n_inequalities
+            assert block.mass == dual.mass
+
+    def test_select_keeps_the_picked_blocks(self):
+        duals = self._duals()
+        stack = DualStack.from_duals(duals)
+        picked = stack.select(np.array([True, False, True]))
+        assert picked.n_blocks == 2
+        for k, dual in enumerate([duals[0], duals[2]]):
+            assert np.array_equal(
+                picked.block(k).matrix.toarray(), dual.matrix.toarray()
+            )
+        assert stack.select(np.ones(3, dtype=bool)) is stack
 
 
 class TestBatchEquivalence:
@@ -238,8 +258,7 @@ class TestBatchEquivalence:
     def test_zero_row_block_solves_uniform(self):
         # Presolve can reduce a component to free variables with no rows:
         # the exact solution is the uniform spread of the mass.
-        system = ConstraintSystem(4)
-        empty = DualBlock.from_system(system, 0.8)
+        empty = build_dual(ConstraintSystem(4), 0.8)
         batch = solve_batch_dual([empty, simple_block(6)], tol=TOL)
         assert batch.results[0].converged
         assert np.allclose(batch.results[0].p, 0.2)

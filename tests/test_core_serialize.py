@@ -261,6 +261,12 @@ class TestConfigsAndBounds:
         with pytest.raises(ReproError, match="unknown field"):
             wire.config_from_dict({"warp_speed": 9})
 
+    def test_every_config_knob_has_a_wire_type(self):
+        # A knob whose annotation the type check does not know would make
+        # every request that sets it a 500 instead of a typed answer.
+        for field in dataclasses.fields(MaxEntConfig):
+            assert field.type in wire._CONFIG_VALUE_TYPES, field.name
+
     def test_bound_round_trip(self):
         bound = TopKBound(5, 3, epsilon=0.01)
         assert wire.bound_from_dict(

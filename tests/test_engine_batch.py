@@ -14,7 +14,12 @@ import pytest
 from repro.data.paper_example import S1, paper_published
 import repro.engine.engine as engine_module
 from repro.engine import PrivacyEngine, bin_batch_groups, component_fingerprint
-from repro.engine.component import solve_component, solve_component_group
+import repro.engine.component as component_module
+from repro.engine.component import (
+    solve_component,
+    solve_component_batch,
+    solve_component_group,
+)
 from repro.engine.plan import build_plan
 from repro.errors import InfeasibleKnowledgeError, ReproError
 from repro.experiments.workloads import (
@@ -25,10 +30,13 @@ from repro.experiments.workloads import (
 from repro.knowledge.bounds import TopKBound
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalProbability
+from repro.maxent.batch_dual import MAX_ROUNDS
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, data_constraints
+from repro.maxent.decompose import Component
 from repro.maxent.indexing import GroupVariableSpace
 from repro.obs.trace import get_tracer
+from tests.legacy import solve_component_batch_per_component
 
 TOL = 1e-6
 
@@ -310,22 +318,228 @@ class TestFailFast:
         assert len(calls) < n_units
 
 
-class TestSolveGroupSpan:
-    def test_solve_group_is_a_child_of_dispatch(self):
+def _largest_batch_group(workload):
+    space, system = workload()
+    plan = build_plan(space, system, BATCHED)
+    group = max(plan.batch_groups, key=len)
+    return [plan.components[pos] for pos in group]
+
+
+def _vague_topk_group():
+    # Top-K with epsilon > 0: interval statements, so those blocks carry
+    # inequality rows after their equalities; equality-only blocks sit
+    # between them.
+    def workload():
+        workload = build_adult_workload(n_records=1000, max_antecedent=2)
+        space = GroupVariableSpace(workload.published)
+        bound = TopKBound(10, 10, epsilon=0.05)
+        return space, _system_with(space, bound.statements(workload.rules))
+
+    vague = _largest_batch_group(workload)
+    assert len(vague) >= 3
+    assert all(c.system.n_inequalities for c in vague)
+    plain = _largest_batch_group(_synthetic_workload)
+    components = []
+    for k, component in enumerate(vague):
+        components += [component] + plain[4 * k : 4 * k + 4]
+    return components
+
+
+def _free_component(system, mass):
+    return Component(
+        buckets=(-1,),
+        var_indices=np.arange(system.n_vars),
+        system=system,
+        mass=mass,
+        knowledge_rows=system.n_equalities,
+        inequality_rows=system.n_inequalities,
+    )
+
+
+def _group_with_forced_components():
+    # One component presolve pins entirely, one with no mass left: both
+    # leave the batch as forced solves, around the numeric ones.
+    pinned = ConstraintSystem(3)
+    pinned.add_equality([0, 1, 2], [1.0] * 3, 0.3, kind="qi", label="mass")
+    pinned.add_equality([0], [1.0], 0.1, kind="stmt", label="pin0")
+    pinned.add_equality([1], [1.0], 0.05, kind="stmt", label="pin1")
+    massless = ConstraintSystem(4)
+    numeric = _largest_batch_group(_synthetic_workload)[:12]
+    return (
+        [_free_component(pinned, 0.3)]
+        + numeric[:6]
+        + [_free_component(massless, 1e-16)]
+        + numeric[6:]
+        + [_free_component(pinned, 0.3)]
+    )
+
+
+REFERENCE_GROUPS = {
+    "synthetic": lambda: _largest_batch_group(_synthetic_workload),
+    "vague-topk": _vague_topk_group,
+    "forced": _group_with_forced_components,
+}
+
+
+def _untimed(stats):
+    fields = dict(vars(stats))
+    for key in ("seconds", "cpu_seconds", "phase_seconds"):
+        fields.pop(key)
+    return fields
+
+
+class TestStackedPresolveReference:
+    """One presolve of a group's stack vs presolving each component."""
+
+    @pytest.mark.parametrize("use_presolve", [True, False])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+    def test_bitwise_equal_to_per_component_presolve(self, name, use_presolve):
+        components = REFERENCE_GROUPS[name]()
+        config = MaxEntConfig(
+            raise_on_infeasible=False,
+            batch_components=512,
+            batch_max_vars=512,
+            use_presolve=use_presolve,
+        )
+        batch = solve_component_batch(components, config)
+        reference = solve_component_batch_per_component(components, config)
+        solvers = set()
+        for solve, (p, stats, multipliers) in zip(
+            batch.solves, reference, strict=True
+        ):
+            assert solve.p.tobytes() == p.tobytes()
+            assert _untimed(solve.stats) == _untimed(stats)
+            solvers.add(stats.solver)
+            if multipliers is None:
+                assert solve.multipliers is None
+            else:
+                assert solve.multipliers.tobytes() == multipliers.tobytes()
+        assert "lbfgs" in solvers
+        if name == "forced":
+            assert "presolve" in solvers
+
+    def test_warm_started_group_is_bitwise_equal(self):
+        components = _largest_batch_group(_synthetic_workload)
+        cold = solve_component_batch(components, BATCHED)
+        warm = [solve.multipliers for solve in cold.solves]
+        warm[::3] = [None] * len(warm[::3])
+        batch = solve_component_batch(components, BATCHED, warm)
+        reference = solve_component_batch_per_component(
+            components, BATCHED, warm
+        )
+        for solve, (p, stats, _) in zip(batch.solves, reference, strict=True):
+            assert solve.p.tobytes() == p.tobytes()
+            assert _untimed(solve.stats) == _untimed(stats)
+
+    def test_presolve_runs_once_per_batch_group(self, monkeypatch):
         space, system = _synthetic_workload()
+        plan = build_plan(space, system, BATCHED)
+        assert plan.batch_groups
+        stacks: list[int] = []
+        singles: list[int] = []
+        real_stack = component_module.presolve_stack
+        real_single = component_module.presolve
+
+        def spy_stack(systems, **kwargs):
+            stacks.append(len(systems))
+            return real_stack(systems, **kwargs)
+
+        def spy_single(system):
+            singles.append(system.n_vars)
+            return real_single(system)
+
+        monkeypatch.setattr(component_module, "presolve_stack", spy_stack)
+        monkeypatch.setattr(component_module, "presolve", spy_single)
+        PrivacyEngine(cache_size=0).solve(space, system, BATCHED)
+        assert stacks == [len(group) for group in plan.batch_groups]
+        grouped = sum(len(group) for group in plan.batch_groups)
+        assert len(singles) == len(plan.numeric) - grouped
+
+
+class TestSolveGroupSpan:
+    @staticmethod
+    def _trace(solve, root):
         tracer = get_tracer()
         was_enabled, rate = tracer.enabled, tracer.sample_rate
         tracer.set_enabled(True)
         tracer.set_sample_rate(1.0)
         tracer.reset()
         try:
-            PrivacyEngine(cache_size=0).solve(space, system, BATCHED)
-            (trace,) = [
-                t for t in tracer.traces() if t["root"] == "engine.solve"
-            ]
+            result = solve()
+            (trace,) = [t for t in tracer.traces() if t["root"] == root]
         finally:
             tracer.set_enabled(was_enabled)
             tracer.set_sample_rate(rate)
+        return result, trace
+
+    def _engine_trace(self, workload):
+        space, system = workload()
+        return self._trace(
+            lambda: PrivacyEngine(cache_size=0).solve(space, system, BATCHED),
+            "engine.solve",
+        )
+
+    def test_solve_group_records_presolve_fixes_and_rounds(self):
+        solution, trace = self._engine_trace(_adult_workload)
+        groups = [
+            s["attributes"]
+            for s in trace["spans"]
+            if s["name"] == "engine.solve_group"
+        ]
+        assert solution.stats.presolve_fixed > 0
+        assert sum(g["presolve_fixed"] for g in groups) == (
+            solution.stats.presolve_fixed
+        )
+        assert any(g["batched"] for g in groups)
+        for group in groups:
+            if group["batched"]:
+                assert 1 <= group["rounds"] <= MAX_ROUNDS
+            else:
+                assert group["rounds"] == group["solo_fallbacks"] == 0
+
+    def test_solve_group_counts_solo_fallbacks(self):
+        # Near-collinear nested rows plus an inequality (which rules out
+        # the stacked Newton polish): a 25-iteration leg strands that
+        # block past the last round.
+        straggler = ConstraintSystem(24)
+        straggler.add_equality(
+            list(range(24)), [1.0] * 24, 1.0, kind="qi", label="mass"
+        )
+        total = 1.0
+        for k in range(23, 1, -2):
+            total *= 0.55
+            straggler.add_equality(
+                list(range(k)), [1.0] * k, total, kind="stmt", label=f"p{k}"
+            )
+        straggler.add_inequality([0, 1], [1.0, 1.0], 0.02, kind="vague")
+        components = _largest_batch_group(_synthetic_workload)[:8] + [
+            _free_component(straggler, 1.0)
+        ]
+        config = MaxEntConfig(
+            raise_on_infeasible=False,
+            batch_components=512,
+            batch_max_vars=512,
+            max_iterations=25,
+        )
+        solves, trace = self._trace(
+            lambda: solve_component_group(
+                components, config, [None] * len(components)
+            ),
+            "engine.solve_group",
+        )
+        (span,) = trace["spans"]
+        solo = sum(
+            1
+            for solve in solves
+            if solve.stats.solver == "lbfgs"
+            and not solve.stats.batched_components
+        )
+        assert solo > 0
+        assert span["attributes"]["solo_fallbacks"] == solo
+        assert span["attributes"]["rounds"] == MAX_ROUNDS
+
+    def test_solve_group_is_a_child_of_dispatch(self):
+        _, trace = self._engine_trace(_synthetic_workload)
         (dispatch,) = [
             s for s in trace["spans"] if s["name"] == "engine.dispatch"
         ]

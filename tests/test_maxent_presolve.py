@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InfeasibleKnowledgeError
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.presolve import presolve
+from repro.maxent.presolve import presolve, presolve_stack
 
 
 def system_of(n_vars, equalities=(), inequalities=()):
@@ -353,11 +353,11 @@ def feasible_systems(draw):
     return p_star, rows
 
 
-def build_system(n_vars, rows):
+def build_system(n_vars, rows, prefix=""):
     system = ConstraintSystem(n_vars)
     for position, (family, indices, coefficients, rhs, kind) in enumerate(rows):
         add = system.add_equality if family == "eq" else system.add_inequality
-        add(indices, coefficients, rhs, kind=kind, label=f"row{position}")
+        add(indices, coefficients, rhs, kind=kind, label=f"{prefix}row{position}")
     return system
 
 
@@ -399,28 +399,156 @@ class TestFixedPointProperties:
     @given(feasible_systems(), st.data())
     def test_planted_contradiction_raises(self, case, data):
         p_star, rows = case
-        n_vars = p_star.size
-        zeros = [int(v) for v in np.nonzero(p_star == 0.0)[0]]
-        equalities = [row for row in rows if row[0] == "eq" and len(row[1]) > 0]
-        plants = ["out_of_range", "conflicting_pin"]
-        if equalities:
-            plants.append("shifted_duplicate")
-        if zeros:
-            plants.append("negative_bound")
-        plant = data.draw(st.sampled_from(plants))
-        var = data.draw(st.integers(0, n_vars - 1))
-        if plant == "out_of_range":
-            bad = ("eq", [var], [1.0], data.draw(st.sampled_from((-0.5, 1.5))), "bk")
-        elif plant == "conflicting_pin":
-            rows = rows + [("eq", [var], [1.0], float(p_star[var]), "bk")]
-            bad = ("eq", [var], [2.0], 2.0 * float(p_star[var]) + 0.2, "bk")
-        elif plant == "shifted_duplicate":
-            _, indices, coefficients, rhs, _ = data.draw(st.sampled_from(equalities))
-            bad = ("eq", indices, coefficients, rhs + 0.3, "bk")
-        else:
-            indices = data.draw(st.lists(st.sampled_from(zeros), min_size=1, unique=True))
-            bad = ("ineq", indices, [1.0] * len(indices), -0.1, "bk")
-        position = data.draw(st.integers(0, len(rows)))
-        planted = rows[:position] + [bad] + rows[position:]
         with pytest.raises(InfeasibleKnowledgeError):
-            presolve(build_system(n_vars, planted))
+            presolve(build_system(p_star.size, plant_contradiction(case, data)))
+
+
+def plant_contradiction(case, data):
+    """``case``'s rows with one contradiction planted among them."""
+    p_star, rows = case
+    n_vars = p_star.size
+    zeros = [int(v) for v in np.nonzero(p_star == 0.0)[0]]
+    equalities = [row for row in rows if row[0] == "eq" and len(row[1]) > 0]
+    plants = ["out_of_range", "conflicting_pin"]
+    if equalities:
+        plants.append("shifted_duplicate")
+    if zeros:
+        plants.append("negative_bound")
+    plant = data.draw(st.sampled_from(plants))
+    var = data.draw(st.integers(0, n_vars - 1))
+    if plant == "out_of_range":
+        bad = ("eq", [var], [1.0], data.draw(st.sampled_from((-0.5, 1.5))), "bk")
+    elif plant == "conflicting_pin":
+        rows = rows + [("eq", [var], [1.0], float(p_star[var]), "bk")]
+        bad = ("eq", [var], [2.0], 2.0 * float(p_star[var]) + 0.2, "bk")
+    elif plant == "shifted_duplicate":
+        _, indices, coefficients, rhs, _ = data.draw(st.sampled_from(equalities))
+        bad = ("eq", indices, coefficients, rhs + 0.3, "bk")
+    else:
+        indices = data.draw(st.lists(st.sampled_from(zeros), min_size=1, unique=True))
+        bad = ("ineq", indices, [1.0] * len(indices), -0.1, "bk")
+    position = data.draw(st.integers(0, len(rows)))
+    return rows[:position] + [bad] + rows[position:]
+
+
+def split_block(stack, systems, k):
+    """Block ``k`` of a stacked presolve, in :class:`PresolveResult` terms."""
+    offset = int(stack.var_indptr[k])
+    fixed = slice(stack.fixed_indptr[k], stack.fixed_indptr[k + 1])
+    free = slice(stack.free_indptr[k], stack.free_indptr[k + 1])
+    lo, hi = stack.row_indptr[k], stack.row_indptr[k + 1]
+    row_offset = sum(s.n_equalities + s.n_inequalities for s in systems[:k])
+    system = systems[k]
+    labels = system.equality_arrays().labels + system.inequality_arrays().labels
+    kinds = system.equality_arrays().kinds() + system.inequality_arrays().kinds()
+    local_rows = (stack.kept_rows[lo:hi] - row_offset).tolist()
+    start, stop = stack.indptr[lo], stack.indptr[hi]
+    return {
+        "fixed": list(zip(
+            (stack.fixed_vars[fixed] - offset).tolist(),
+            stack.fixed_values[fixed].tolist(),
+        )),
+        "mass_removed": stack.mass_removed[k],
+        "free_vars": (stack.free_vars[free] - offset).tolist(),
+        "n_equalities": int(stack.n_equalities[k]),
+        "rows": [(labels[r], kinds[r]) for r in local_rows],
+        "indptr": (stack.indptr[lo : hi + 1] - start).tolist(),
+        "indices": (stack.indices[start:stop] - stack.free_indptr[k]).tolist(),
+        "coefficients": stack.coefficients[start:stop].tobytes(),
+        "rhs": stack.rhs[lo:hi].tobytes(),
+        "restored": stack.lift(np.zeros(stack.free_vars.size))[
+            offset : stack.var_indptr[k + 1]
+        ].tobytes(),
+    }
+
+
+def per_block(result):
+    """The same view of one block's own :func:`presolve`."""
+    eq = result.system.equality_arrays()
+    ineq = result.system.inequality_arrays()
+    return {
+        "fixed": list(result.fixed_values.items()),
+        "mass_removed": result.mass_removed,
+        "free_vars": result.free_vars.tolist(),
+        "n_equalities": eq.n_rows,
+        "rows": list(zip(eq.labels + ineq.labels, eq.kinds() + ineq.kinds())),
+        "indptr": np.concatenate(
+            (eq.indptr, ineq.indptr[1:] + eq.indptr[-1])
+        ).tolist(),
+        "indices": np.concatenate((eq.indices, ineq.indices)).tolist(),
+        "coefficients": np.concatenate(
+            (eq.coefficients, ineq.coefficients)
+        ).tobytes(),
+        "rhs": np.concatenate((eq.rhs, ineq.rhs)).tobytes(),
+        "restored": result.restore(np.zeros(result.n_free)).tobytes(),
+    }
+
+
+class TestStackedPresolve:
+    """Presolving a block-diagonal stack once equals presolving each block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(feasible_systems(), min_size=2, max_size=6))
+    def test_split_equals_per_block_bit_for_bit(self, cases):
+        systems = [
+            build_system(p_star.size, rows, prefix=f"b{k}.")
+            for k, (p_star, rows) in enumerate(cases)
+        ]
+        stack = presolve_stack(systems)
+        for k, system in enumerate(systems):
+            assert split_block(stack, systems, k) == per_block(presolve(system))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(feasible_systems(), min_size=2, max_size=4))
+    def test_without_reduction_the_stack_is_the_systems(self, cases):
+        systems = [build_system(p.size, rows) for p, rows in cases]
+        stack = presolve_stack(systems, reduce=False)
+        assert stack.fixed_vars.size == 0
+        assert stack.mass_removed == [0.0] * len(systems)
+        for k, system in enumerate(systems):
+            block = split_block(stack, systems, k)
+            nothing = per_block(presolve(ConstraintSystem(system.n_vars)))
+            assert block["free_vars"] == list(range(system.n_vars))
+            assert len(block["rows"]) == (
+                system.n_equalities + system.n_inequalities
+            )
+            assert block["restored"] == nothing["restored"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(feasible_systems(), min_size=2, max_size=6), st.data())
+    def test_one_contradictory_block_raises_its_own_message(self, cases, data):
+        bad = data.draw(st.integers(0, len(cases) - 1))
+        systems = [
+            build_system(
+                p_star.size,
+                plant_contradiction((p_star, rows), data) if k == bad else rows,
+                prefix=f"b{k}.",
+            )
+            for k, (p_star, rows) in enumerate(cases)
+        ]
+        with pytest.raises(InfeasibleKnowledgeError) as own:
+            presolve(systems[bad])
+        with pytest.raises(InfeasibleKnowledgeError) as stacked:
+            presolve_stack(systems)
+        assert str(stacked.value) == str(own.value)
+
+    def test_mass_removed_is_each_blocks_sequential_sum(self):
+        # Twelve pins whose left-to-right float sum differs from numpy's
+        # pairwise one: the stack must add them the way presolve does.
+        values = [0.01 * k + 0.003 for k in range(1, 13)]
+        assert sum(values) != float(np.sum(values))
+        pinned = system_of(13, [([k], [1.0], v) for k, v in enumerate(values)])
+        clean = system_of(3, [([0, 1, 2], [1.0] * 3, 0.5)])
+        stack = presolve_stack([clean, pinned, clean])
+        assert stack.mass_removed == [0.0, presolve(pinned).mass_removed, 0.0]
+        assert stack.mass_removed[1] == sum(values)
+
+    def test_conflicting_fix_names_the_block_local_variable(self):
+        clean = system_of(4, [([0, 1, 2, 3], [1.0] * 4, 1.0)])
+        bad = system_of(3, [([2], [1.0], 0.2), ([2], [2.0], 0.6)])
+        with pytest.raises(InfeasibleKnowledgeError) as own:
+            presolve(bad)
+        assert "forces variable 2 " in str(own.value)
+        with pytest.raises(InfeasibleKnowledgeError) as stacked:
+            presolve_stack([clean, clean, bad])
+        assert str(stacked.value) == str(own.value)

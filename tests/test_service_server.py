@@ -331,6 +331,31 @@ class TestPosterior:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"tol": "1e-8"},
+            {"batch_components": True},
+            {"cache_size": "x"},
+            {"max_iterations": 10.5},
+            {"use_presolve": 1},
+            {"replay": None},
+            {"tol": float("nan")},
+        ],
+        ids=["str-float", "bool-int", "str-int", "float-int", "int-bool",
+             "null-str", "nan"],
+    )
+    def test_wrong_typed_config_value_is_400(self, client, release_id, knob):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST",
+                f"/v1/releases/{release_id}/posterior",
+                {"config": knob},
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert next(iter(knob)) in str(excinfo.value)
+
     def test_bad_json_is_400(self, client, service, release_id):
         connection = http.client.HTTPConnection("127.0.0.1", service.port)
         try:
@@ -617,6 +642,23 @@ class TestAssess:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad_request"
         assert "exclude_sa" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "epsilon",
+        [True, "0.1", float("nan"), float("inf"), [0.1]],
+        ids=["bool", "str", "nan", "inf", "list"],
+    )
+    def test_malformed_bound_epsilon_is_400(self, client, release_id, epsilon):
+        bound = {**bound_to_dict(TopKBound(1, 1)), "epsilon": epsilon}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST",
+                f"/v1/releases/{release_id}/assess",
+                {"bounds": [bound]},
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert "epsilon" in str(excinfo.value)
 
     def test_empty_bounds_is_400(self, client, release_id):
         with pytest.raises(ServiceError) as excinfo:
