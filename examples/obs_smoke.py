@@ -20,6 +20,7 @@ on that.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
 from repro.data.paper_example import Q4, S1, paper_published, paper_table
@@ -81,14 +82,21 @@ def main() -> int:
 
     # A knowledge-bearing solve with per-component dispatch
     # (batch_components=0) so the engine runs one work unit per numeric
-    # component — the trace must show each of them.
+    # component — the trace must show each of them.  The batching knobs
+    # are not part of the solve key, so a server that has already
+    # answered this query (say, to examples/serve_client.py) would serve
+    # it from its result cache; a tolerance drawn per run, tighter than
+    # the default, gives this run's query a solve key of its own.
     knowledge = [
         ConditionalProbability(
             given={"gender": "male"}, sa_value=S1, probability=0.0
         )
     ]
+    tol = 1e-7 * random.SystemRandom().uniform(1.0, 2.0)
     result = client.posterior(
-        release_id, knowledge, config=MaxEntConfig(batch_components=0)
+        release_id,
+        knowledge,
+        config=MaxEntConfig(tol=tol, batch_components=0),
     )
     check(
         abs(result.posterior.prob(Q4, S1) - 1.0) < 1e-6,

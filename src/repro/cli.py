@@ -62,16 +62,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="bound of the component solve cache (0 disables)",
     )
-    group.add_argument(
-        "--replay",
-        choices=("tolerance", "bitwise"),
-        default=None,
-        help=(
-            "solve-result contract: 'tolerance' (default) lets the batched "
-            "path trade bit-identity for speed; 'bitwise' forces the "
-            "per-component path so replays are bit-identical"
-        ),
-    )
 
 
 def _engine_overrides(args: argparse.Namespace) -> dict:
@@ -79,8 +69,6 @@ def _engine_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     if args.cache_size is not None:
         overrides["cache_size"] = args.cache_size
-    if getattr(args, "replay", None) is not None:
-        overrides["replay"] = args.replay
     return overrides
 
 

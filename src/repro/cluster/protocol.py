@@ -31,10 +31,11 @@ from repro.service.client import ServiceClient
 #: the designed loud version-mismatch error.
 #: v3: the solve-result contract is versioned — the config grew the
 #: ``replay``/``kernel`` knobs, batching is default-on, and cluster
-#: results are *tolerance*-equivalent to single-engine solves unless
-#: ``replay="bitwise"`` forces the per-component path.  A v2 peer would
-#: both reject the new config keys and assume the old bit-identical
-#: contract, so mixed fleets must fail loudly.
+#: results are *tolerance*-equivalent to single-engine solves (both
+#: knobs have since been retired; their defaults are still accepted on
+#: the wire, see ``core/serialize.RETIRED_SOLVER_KEYS``).  A v2 peer
+#: would both reject the new config keys and assume the old
+#: bit-identical contract, so mixed fleets must fail loudly.
 #: v4: solve requests carry an optional ``trace`` context and responses
 #: an optional ``spans`` list (cross-machine trace stitching).  A v3
 #: worker's strict request decoder rejects the ``trace`` field, so the

@@ -34,7 +34,7 @@ from repro.knowledge.statements import (
     JointProbability,
     Statement,
 )
-from repro.maxent.config import MaxEntConfig
+from repro.maxent.config import INFEASIBILITY_THRESHOLD, MaxEntConfig
 from repro.maxent.solution import SolverStats
 
 
@@ -222,16 +222,21 @@ def config_to_dict(config: MaxEntConfig) -> dict:
 #: Servers never honoured them, so they are accepted and dropped.
 RETIRED_CONFIG_KEYS = frozenset({"executor", "workers", "cluster_workers"})
 
-#: Retired solver knobs older clients still send, with the values that
-#: asked for what every solve now runs: the L-BFGS dual on the full
-#: constraint system (any of the old segment-kernel names — they only
-#: picked how the same reductions ran).  Those values are accepted and
-#: dropped; any other value asked for a different program and is
-#: rejected.
+#: Retired solver knobs older clients still send: each with the type it
+#: had and the values that asked for what every solve now runs — the
+#: L-BFGS dual on the full, presolved constraint system, warm-started,
+#: within ``tol``, with the fixed infeasibility threshold (any of the old
+#: segment-kernel names, too: they only picked how the same reductions
+#: ran).  Those values are accepted and dropped; a value of another type,
+#: or any other value, asked for a different program and is rejected.
 RETIRED_SOLVER_KEYS = {
-    "solver": ("lbfgs",),
-    "drop_redundant": (False,),
-    "kernel": ("auto", "numpy", "numba"),
+    "solver": ("str", ("lbfgs",)),
+    "drop_redundant": ("bool", (False,)),
+    "kernel": ("str", ("auto", "numpy", "numba")),
+    "use_presolve": ("bool", (True,)),
+    "warm_start": ("bool", (True,)),
+    "replay": ("str", ("tolerance",)),
+    "infeasibility_threshold": ("float", (INFEASIBILITY_THRESHOLD,)),
 }
 
 
@@ -239,19 +244,22 @@ def config_from_dict(payload) -> MaxEntConfig:
     """Rebuild a :class:`MaxEntConfig`; unknown knobs are rejected.
 
     Keys in :data:`RETIRED_CONFIG_KEYS` are dropped, and so are keys in
-    :data:`RETIRED_SOLVER_KEYS` carrying an accepted value, so request
-    bodies from older clients keep working.  A retired solver key with
-    any other value raises, naming the key.
+    :data:`RETIRED_SOLVER_KEYS` carrying an accepted value of the knob's
+    old type, so request bodies from older clients keep working.  A
+    retired solver key with any other value raises, naming the key.
     """
     if payload is None:
         return MaxEntConfig()
     payload = _require_mapping(payload, "config")
-    for key, accepted in RETIRED_SOLVER_KEYS.items():
-        if key in payload and payload[key] not in accepted:
+    for key, (annotation, accepted) in RETIRED_SOLVER_KEYS.items():
+        if key not in payload:
+            continue
+        _check_config_value(key, payload[key], annotation)
+        if payload[key] not in accepted:
             raise ReproError(
                 f"config field {key!r} is retired and accepts only "
-                f"{list(accepted)}, got {payload[key]!r}: every solve now "
-                "runs the L-BFGS dual on the full constraint system"
+                f"{list(accepted)} (what every solve now runs), got "
+                f"{payload[key]!r}"
             )
     payload = {
         key: value

@@ -13,8 +13,8 @@ component fan-out.
   fingerprints key warm-start duals),
 - :mod:`repro.engine.cache` — a bounded LRU of solved components plus the
   warm-start multiplier store,
-- :mod:`repro.engine.component` — the per-component and batched solve
-  tasks,
+- :mod:`repro.engine.component` — the one solve task every work unit
+  (a batch group or a single component) runs,
 - :mod:`repro.engine.plan` — splits a decomposed program into the batched
   closed-form path, the numeric path and its batch groups,
 - :mod:`repro.engine.engine` — :class:`PrivacyEngine`, the facade the core

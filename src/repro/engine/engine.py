@@ -6,9 +6,10 @@ store, and runs the full Section 5.5 pipeline in process:
 1. build an :class:`~repro.engine.plan.ExecutionPlan`,
 2. solve every irrelevant component in one batched closed-form call,
 3. fingerprint each numeric component; cache hits return bit-identical
-   stored solutions, misses are solved on the L-BFGS dual one work unit
-   (a batch group or a single component) at a time, warm-started from
-   structurally identical past solves when available,
+   stored solutions, misses are solved one work unit (a batch group or a
+   single component) at a time by one task — presolve the unit's stack
+   once, then the L-BFGS dual — warm-started from structurally identical
+   past solves when available,
 4. reassemble the joint, aggregating per-component compute time
    (``cpu_seconds``) separately from wall time (``seconds``); the
    aggregate is labelled ``"closed-form"`` when no component was
@@ -35,7 +36,7 @@ from repro.engine.fingerprint import component_fingerprint, structure_fingerprin
 from repro.engine.plan import ExecutionPlan, build_plan
 from repro.errors import InfeasibleKnowledgeError, ReproError
 from repro.maxent.closed_form import closed_form_batch
-from repro.maxent.config import MaxEntConfig
+from repro.maxent.config import INFEASIBILITY_THRESHOLD, MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem
 from repro.maxent.decompose import Component
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
@@ -49,10 +50,10 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 _log = get_logger("engine")
 
 #: Version tag of the persisted-cache pickle; bump on incompatible changes.
-#: (v3: the solve-result contract is versioned — entries are produced
-#: under the tolerance replay contract by default.  v4: ``SolverStats``
-#: grew the ``phase_seconds`` breakdown ``dataclasses.replace`` needs on
-#: cache replay.  v1 and v3 snapshots migrate on load; any other version
+#: (v3: the solve-result contract is versioned — entries agree with any
+#: other path's within ``tol``.  v4: ``SolverStats`` grew the
+#: ``phase_seconds`` breakdown ``dataclasses.replace`` needs on cache
+#: replay.  v1 and v3 snapshots migrate on load; any other version
 #: is rejected loudly, never silently served.)
 _CACHE_FORMAT = "privacy-maxent-solve-cache/4"
 
@@ -94,7 +95,7 @@ def _check_component(
     if stats.converged or not config.raise_on_infeasible:
         return
     relative = stats.residual / max(abs(component.mass), 1e-12)
-    if relative > config.infeasibility_threshold:
+    if relative > INFEASIBILITY_THRESHOLD:
         raise InfeasibleKnowledgeError(
             "the constraint system appears infeasible "
             f"(relative residual {relative:.2e} on the component "
@@ -163,7 +164,7 @@ class PrivacyEngine:
         self.n_solves = 0
         # Components solved through the stacked block-diagonal dual
         # rather than their own optimizer call (the default-on batched
-        # path under the tolerance replay contract).
+        # path).
         self.batched_components = 0
         self.wall_seconds = 0.0
         self.cpu_seconds = 0.0
@@ -520,10 +521,9 @@ class PrivacyEngine:
                     p[component.var_indices] = entry.p
                     stats_by_position[pos] = entry.replay_stats()
                     continue
-                if config.warm_start:
-                    fingerprint_timer.start()
-                    structure = structure_fingerprint(component.system)
-                    fingerprint_seconds += fingerprint_timer.stop()
+                fingerprint_timer.start()
+                structure = structure_fingerprint(component.system)
+                fingerprint_seconds += fingerprint_timer.stop()
             pending.append((pos, component, fingerprint, structure))
 
         if not pending:

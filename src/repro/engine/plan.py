@@ -8,7 +8,9 @@ work unit at a time).  When the config allows batching
 (``MaxEntConfig.batching_enabled``), the numeric path is additionally
 binned into *batch groups* — sets of small components the engine solves
 as one work unit through one stacked block-diagonal dual
-(:mod:`repro.maxent.batch_dual`).
+(:mod:`repro.maxent.batch_dual`); every other numeric component is a
+work unit of its own.  Both kinds of unit run the same task
+(:func:`repro.engine.component.solve_component_group`).
 """
 
 from __future__ import annotations

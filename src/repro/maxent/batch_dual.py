@@ -37,9 +37,9 @@ is never less robust than per-component dispatch.
 
 Results agree with per-component solves within the solver tolerance,
 not bit for bit: the stacked trajectory lands on a different
-last-few-ulps point of the same optimum.  That is the *tolerance*
-replay contract (``MaxEntConfig.replay``) batching runs under by
-default; ``replay="bitwise"`` opts back into per-component dispatch.
+last-few-ulps point of the same optimum.  That tolerance is the one
+reproducibility contract of every solve; ``batch_components=0`` opts
+back into per-component dispatch.
 
 The segment reductions themselves — per-block logsumexp/softmax,
 residual maxima, Hessian inner products — are the guarded ``reduceat``
@@ -56,7 +56,11 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, minimize
 
 from repro.maxent.dual import DualProblem
-from repro.maxent.lbfgs import DualSolveResult, solve_dual_lbfgs
+from repro.maxent.lbfgs import (
+    DualSolveResult,
+    solve_dual_lbfgs,
+    usable_start,
+)
 
 __all__ = [
     "MAX_ROUNDS",
@@ -71,9 +75,6 @@ __all__ = [
 #: L-BFGS legs (each with the full per-component iteration budget) the
 #: round loop runs before stragglers fall back to per-component solves.
 MAX_ROUNDS = 3
-
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0)
 
 
 def _guarded_reduceat(
@@ -162,38 +163,6 @@ class DualStack:
     var_indptr: np.ndarray
     n_equalities: np.ndarray
     masses: np.ndarray
-
-    @classmethod
-    def from_duals(cls, duals: Sequence[DualProblem]) -> "DualStack":
-        """Stack assembled per-block duals."""
-        matrices = [dual.matrix.tocsr() for dual in duals]
-        row_counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
-        var_counts = np.array([m.shape[1] for m in matrices], dtype=np.int64)
-        nnz = np.array([m.indices.size for m in matrices], dtype=np.int64)
-        lengths = np.concatenate(
-            [np.diff(m.indptr) for m in matrices] or [_EMPTY_I]
-        )
-        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        var_indptr = _offsets(var_counts)
-        indices = np.concatenate(
-            [m.indices.astype(np.int64) for m in matrices] or [_EMPTY_I]
-        )
-        return cls(
-            indptr=indptr,
-            indices=indices + np.repeat(var_indptr[:-1], nnz),
-            data=np.concatenate(
-                [np.asarray(m.data, dtype=float) for m in matrices]
-                or [_EMPTY_F]
-            ),
-            rhs=np.concatenate([dual.rhs for dual in duals] or [_EMPTY_F]),
-            row_indptr=_offsets(row_counts),
-            var_indptr=var_indptr,
-            n_equalities=np.array(
-                [dual.n_equalities for dual in duals], dtype=np.int64
-            ),
-            masses=np.array([float(dual.mass) for dual in duals]),
-        )
 
     @property
     def n_blocks(self) -> int:
@@ -401,7 +370,7 @@ class _StackedDual:
 
 
 def solve_batch_dual(
-    stack: DualStack | Sequence[DualProblem],
+    stack: DualStack,
     *,
     tol: float = 1e-6,
     max_iterations: int = 1000,
@@ -410,9 +379,9 @@ def solve_batch_dual(
 ) -> BatchDualResult:
     """Solve many independent duals as one block-diagonal program.
 
-    ``stack`` is a :class:`DualStack` or a list of assembled duals, one
-    per block.  ``tol`` and ``max_iterations`` mean exactly what they
-    mean for :func:`~repro.maxent.lbfgs.solve_dual_lbfgs`: per-block
+    ``stack`` holds one block per dual.  ``tol`` and ``max_iterations``
+    mean exactly what they mean for
+    :func:`~repro.maxent.lbfgs.solve_dual_lbfgs`: per-block
     relative residual target, and the L-BFGS iteration budget of one leg.
     Each round spends one leg on the still-active blocks; blocks
     converged at a round boundary freeze with their multipliers final.
@@ -426,19 +395,13 @@ def solve_batch_dual(
     per-component dispatch, and such blocks are reported with
     ``batched = False``.
     """
-    if not isinstance(stack, DualStack):
-        stack = DualStack.from_duals(stack)
     n = stack.n_blocks
     row_counts = stack.row_counts
     var_counts = stack.var_counts
     x_all = np.zeros(int(stack.row_indptr[-1]))
     for k, candidate in enumerate(x0s or ()):
-        if candidate is None:
-            continue
-        candidate = np.asarray(candidate, dtype=float)
-        if candidate.shape == (row_counts[k],) and bool(
-            np.all(np.isfinite(candidate))
-        ):
+        candidate = usable_start(candidate, int(row_counts[k]))
+        if candidate is not None:
             x_all[stack.row_indptr[k] : stack.row_indptr[k + 1]] = candidate
 
     iterations = np.zeros(n, dtype=np.int64)

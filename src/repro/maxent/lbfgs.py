@@ -68,6 +68,22 @@ def _package(
     )
 
 
+def usable_start(x0: np.ndarray | None, n_params: int) -> np.ndarray | None:
+    """``x0`` as a float vector if it can start a dual of ``n_params``.
+
+    Warm starts are keyed on a component's structure before presolve, but
+    presolve's eliminations depend on right-hand sides, so a stored
+    vector may not fit this system's reduced dual.  Such a vector (wrong
+    shape, or not finite) gives ``None``: a cold start is always correct.
+    """
+    if x0 is None:
+        return None
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n_params,) or not np.all(np.isfinite(x0)):
+        return None
+    return x0
+
+
 def solve_dual_lbfgs(
     dual: DualProblem,
     *,
@@ -83,15 +99,18 @@ def solve_dual_lbfgs(
 
     ``x0`` optionally warm-starts the multipliers (e.g. from a previous
     solve of a structurally identical system); the dual is convex, so the
-    starting point affects the iteration count, never the optimum.
+    starting point affects the iteration count, never the optimum.  An
+    ``x0`` of the wrong shape, or not finite, is ignored (see
+    :func:`usable_start`).
     """
     scale = dual.residual_scale()
     gtol = max(tol * scale * 0.1, 1e-15)
     bounds = dual.bounds() if dual.n_inequalities else None
+    x0 = usable_start(x0, dual.n_params)
 
     result = minimize(
         dual.value_and_grad,
-        np.zeros(dual.n_params) if x0 is None else np.asarray(x0, dtype=float),
+        np.zeros(dual.n_params) if x0 is None else x0,
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,

@@ -247,15 +247,11 @@ class StackedPresolve:
         return full
 
 
-def presolve_stack(
-    systems: Sequence[ConstraintSystem], *, reduce: bool = True
-) -> StackedPresolve:
+def presolve_stack(systems: Sequence[ConstraintSystem]) -> StackedPresolve:
     """Stack independent systems block-diagonally and presolve them once.
 
-    With ``reduce=False`` the stack is returned as it is: nothing fixed,
-    every row kept (``MaxEntConfig.use_presolve`` off).  An infeasibility
-    names its row and the block-local variable index, so its message is
-    the one :func:`presolve` gives on that block alone.
+    An infeasibility names its row and the block-local variable index, so
+    its message is the one :func:`presolve` gives on that block alone.
     """
     n_blocks = len(systems)
     families = []
@@ -285,30 +281,19 @@ def presolve_stack(
     is_eq = np.repeat(np.arange(2 * n_blocks) % 2 == 0, family_rows)
     row_block = np.repeat(np.arange(n_blocks).repeat(2), family_rows)
 
-    if reduce:
-        labels: list[str] = []
-        for family in families:
-            labels.extend(family.labels)
-        state = _fixed_point(
-            int(var_indptr[-1]),
-            indptr,
-            indices,
-            coefficients,
-            rhs,
-            is_eq,
-            labels,
-            var_indptr,
-        )
-    else:
-        state = _FixedPoint(
-            fixed_vars=_EMPTY,
-            fixed_values=_EMPTY_F,
-            is_fixed=np.zeros(int(var_indptr[-1]), dtype=bool),
-            keep=np.ones(n_rows, dtype=bool),
-            kept_entry=np.ones(indices.size, dtype=bool),
-            lengths=lengths,
-            rhs=rhs,
-        )
+    labels: list[str] = []
+    for family in families:
+        labels.extend(family.labels)
+    state = _fixed_point(
+        int(var_indptr[-1]),
+        indptr,
+        indices,
+        coefficients,
+        rhs,
+        is_eq,
+        labels,
+        var_indptr,
+    )
 
     var_block = np.repeat(np.arange(n_blocks), var_counts)
     fixed_block = var_block[state.fixed_vars]

@@ -62,7 +62,7 @@ from repro.core.serialize import (
 )
 from repro.engine.engine import PrivacyEngine
 from repro.errors import InfeasibleKnowledgeError, IngestError, ReproError
-from repro.maxent.config import MaxEntConfig
+from repro.maxent.config import INFEASIBILITY_THRESHOLD, MaxEntConfig
 from repro.maxent.solution import MaxEntSolution
 from repro.obs.events import EventLog
 from repro.obs.logging import get_logger
@@ -1162,7 +1162,7 @@ class PrivacyService:
         # one client's lenient config must not answer a strict client.
         policy = (
             f"{int(config.raise_on_infeasible)}"
-            f":{config.infeasibility_threshold!r}"
+            f":{INFEASIBILITY_THRESHOLD!r}"
         )
         key = f"{record.release_id}:{fingerprint}:{policy}"
         cached = self.store.results.lookup(key)

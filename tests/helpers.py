@@ -18,7 +18,11 @@ from repro.anonymize.buckets import (
 )
 from repro.data.schema import Attribute, Schema
 from repro.data.table import Table
+from repro.engine.plan import build_plan
 from repro.knowledge.expressions import ProbabilityExpression
+from repro.maxent.dual import build_dual
+from repro.maxent.lbfgs import solve_dual_lbfgs
+from repro.maxent.solver import MaxEntConfig, solve_maxent
 
 
 def empirical_joint(table: Table, bucket_of_row) -> dict[tuple, float]:
@@ -133,3 +137,21 @@ def single_bucket(qi_values: list[str], sa_values: list[str]) -> Bucket:
         qi_tuples=tuple((q,) for q in qi_values),
         sa_values=tuple(sa_values),
     )
+
+
+def unreduced_solution(space, system, tol: float) -> np.ndarray:
+    """The engine's joint with presolve taken out of the numeric solves.
+
+    Every numeric component of the plan is re-solved on its own dual
+    built over its *unreduced* system (no variable fixed, no row
+    dropped) — the program presolve must not change.  Closed-form
+    components keep the engine's values.
+    """
+    config = MaxEntConfig(tol=tol)
+    p = solve_maxent(space, system, config).p.copy()
+    plan = build_plan(space, system, config)
+    for pos in plan.numeric:
+        component = plan.components[pos]
+        dual = build_dual(component.system, component.mass)
+        p[component.var_indices] = solve_dual_lbfgs(dual, tol=tol).p
+    return p

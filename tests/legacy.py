@@ -13,11 +13,13 @@ rule object and sorts each family with ``AssociationRule.sort_key``; the
 rule-selection oracle suite (``test_knowledge_mining.py``) holds the
 lazily sorted rule families to it.
 
-Last, it keeps the per-component batch solve: each component of a batch
-group presolved and assembled alone, then the duals stacked.  The
-engine's batch path presolves the group's block-diagonal stack once and
-must return the same solutions, statistics and multipliers bit for bit
-(``test_engine_batch.py``).
+Last, it keeps the per-component solve paths.  The batch solve
+presolves and assembles each component of a batch group alone, then
+stacks the duals (:func:`stack_duals`); the single-component task
+presolves one component, solves its own dual and restores the solution.
+The engine runs one task for both — the block-diagonal stack of the
+unit presolved once — and must return the same solutions, statistics
+and multipliers bit for bit (``test_engine_batch.py``).
 
 They live with the tests, not in ``repro``: production code routes
 through :func:`repro.maxent.constraints.data_constraints`,
@@ -41,14 +43,17 @@ from repro.data.table import Table
 from repro.errors import ReproError
 from repro.knowledge.mining import MiningConfig, _antecedent_sizes
 from repro.knowledge.rules import AssociationRule, NegativeRule, PositiveRule
-from repro.maxent.batch_dual import solve_batch_dual
+from repro.engine.component import ComponentSolve, _forced_solve, _package_solve
+from repro.maxent.batch_dual import DualStack, solve_batch_dual
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, Row
 from repro.maxent.decompose import DATA_ROW_KINDS, Component
-from repro.maxent.dual import build_dual
+from repro.maxent.dual import DualProblem, build_dual
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
-from repro.maxent.presolve import presolve
+from repro.maxent.lbfgs import solve_dual_lbfgs
+from repro.maxent.presolve import PresolveResult, presolve
 from repro.maxent.solution import SolverStats
+from repro.utils.timer import Timer
 from tests.unionfind import UnionFind
 
 VariableSpace = GroupVariableSpace | PersonVariableSpace
@@ -379,19 +384,12 @@ def solve_component_batch_per_component(
     out: list = [None] * n
     numeric, duals, x0s, reductions = [], [], [], []
     for index, component in enumerate(components):
-        reduction = presolve(component.system) if config.use_presolve else None
-        if reduction is None:
-            system, mass, fixed_count = component.system, component.mass, 0
-        else:
-            system = reduction.system
-            mass = component.mass - reduction.mass_removed
-            fixed_count = len(reduction.fixed_values)
+        reduction = presolve(component.system)
+        system = reduction.system
+        mass = component.mass - reduction.mass_removed
+        fixed_count = len(reduction.fixed_values)
         if system.n_vars == 0 or mass <= 1e-15:
-            p_local = (
-                reduction.restore(np.zeros(reduction.n_free))
-                if reduction is not None
-                else np.zeros(component.n_vars)
-            )
+            p_local = reduction.restore(np.zeros(reduction.n_free))
             residual = component.system.residual(p_local)
             out[index] = (
                 p_local,
@@ -408,14 +406,15 @@ def solve_component_batch_per_component(
         reductions.append((reduction, fixed_count))
 
     batch = solve_batch_dual(
-        duals, tol=config.tol, max_iterations=config.max_iterations, x0s=x0s
+        stack_duals(duals),
+        tol=config.tol,
+        max_iterations=config.max_iterations,
+        x0s=x0s,
     )
     for position, index in enumerate(numeric):
         reduction, fixed_count = reductions[position]
         result = batch.results[position]
-        p_local = (
-            reduction.restore(result.p) if reduction is not None else result.p
-        )
+        p_local = reduction.restore(result.p)
         stats = _legacy_stats(
             components[index], "lbfgs", fixed_count,
             iterations=result.iterations,
@@ -446,3 +445,117 @@ def _legacy_stats(
         presolve_fixed=fixed_count,
         **fields,
     )
+
+
+def stack_duals(duals: list[DualProblem]) -> DualStack:
+    """Stack assembled per-block duals (each block's own CSR copied in)."""
+    matrices = [dual.matrix.tocsr() for dual in duals]
+    row_counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
+    var_counts = np.array([m.shape[1] for m in matrices], dtype=np.int64)
+    nnz = np.array([m.indices.size for m in matrices], dtype=np.int64)
+    empty_i = np.empty(0, dtype=np.int64)
+    lengths = np.concatenate([np.diff(m.indptr) for m in matrices] or [empty_i])
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    var_indptr = np.concatenate([[0], np.cumsum(var_counts)]).astype(np.int64)
+    indices = np.concatenate(
+        [m.indices.astype(np.int64) for m in matrices] or [empty_i]
+    )
+    return DualStack(
+        indptr=indptr,
+        indices=indices + np.repeat(var_indptr[:-1], nnz),
+        data=np.concatenate(
+            [np.asarray(m.data, dtype=float) for m in matrices]
+            or [np.empty(0)]
+        ),
+        rhs=np.concatenate([dual.rhs for dual in duals] or [np.empty(0)]),
+        row_indptr=np.concatenate([[0], np.cumsum(row_counts)]).astype(
+            np.int64
+        ),
+        var_indptr=var_indptr,
+        n_equalities=np.array(
+            [dual.n_equalities for dual in duals], dtype=np.int64
+        ),
+        masses=np.array([float(dual.mass) for dual in duals]),
+    )
+
+
+# -- the single-component task -------------------------------------------------
+
+
+def _usable_warm_start(
+    warm_start: np.ndarray | None, n_params: int
+) -> np.ndarray | None:
+    """Validate a candidate warm start against the presolved dual size.
+
+    The warm-start store keys on pre-presolve structure, but presolve
+    eliminations depend on right-hand sides, so a near-miss system can
+    reduce to a different shape — in which case the stored vector is
+    silently discarded (a cold start is always correct).
+    """
+    if warm_start is None:
+        return None
+    warm_start = np.asarray(warm_start, dtype=float)
+    if warm_start.shape != (n_params,) or not np.all(np.isfinite(warm_start)):
+        return None
+    return warm_start
+
+
+def _reduce(
+    component: Component, config: MaxEntConfig
+) -> tuple[ConstraintSystem, float, PresolveResult | None, int]:
+    """Apply presolve: (system, mass, reduction, fixed)."""
+    reduction = presolve(component.system)
+    return (
+        reduction.system,
+        component.mass - reduction.mass_removed,
+        reduction,
+        len(reduction.fixed_values),
+    )
+
+
+def _restore(
+    reduction: PresolveResult | None, p_free: np.ndarray
+) -> np.ndarray:
+    """Lift a solution of the reduced system to component coordinates."""
+    return p_free if reduction is None else reduction.restore(p_free)
+
+
+def solve_component(
+    component: Component,
+    config: MaxEntConfig,
+    warm_start: np.ndarray | None = None,
+) -> ComponentSolve:
+    """Solve one component.
+
+    ``stats.seconds`` measures this task's own elapsed time; the engine
+    sums these into ``cpu_seconds`` and reports overall wall time
+    separately.
+    """
+    with Timer() as timer:
+        with Timer() as presolve_timer:
+            system, mass, reduction, fixed_count = _reduce(component, config)
+        if system.n_vars == 0 or mass <= 1e-15:
+            solve = _forced_solve(
+                component,
+                config,
+                _restore(reduction, np.zeros(system.n_vars)),
+                fixed_count,
+            )
+        else:
+            with Timer() as dual_timer:
+                dual = build_dual(system, mass)
+                result = solve_dual_lbfgs(
+                    dual,
+                    tol=config.tol,
+                    max_iterations=config.max_iterations,
+                    x0=_usable_warm_start(warm_start, dual.n_params),
+                )
+            solve = _package_solve(
+                component, _restore(reduction, result.p), fixed_count, result
+            )
+            solve.stats.add_phase("dual", dual_timer.seconds)
+    solve.stats.add_phase("presolve", presolve_timer.seconds)
+    solve.stats.seconds = timer.seconds
+    solve.stats.cpu_seconds = timer.seconds
+    return solve

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.maxent.batch_dual import (
-    DualStack,
     _softmax_parts,
     segment_max,
     segment_min,
@@ -23,6 +22,7 @@ from repro.maxent.batch_dual import (
 from repro.maxent.constraints import ConstraintSystem
 from repro.maxent.dual import build_dual
 from repro.maxent.lbfgs import solve_dual_lbfgs
+from tests.legacy import stack_duals
 
 TOL = 1e-6
 
@@ -181,7 +181,7 @@ class TestDualStack:
 
     def test_residual_scales_match_build_dual(self):
         duals = self._duals() + [build_dual(ConstraintSystem(3), 0.6)]
-        stack = DualStack.from_duals(duals)
+        stack = stack_duals(duals)
         assert stack.n_blocks == len(duals)
         assert stack.row_counts.tolist() == [d.n_params for d in duals]
         assert stack.var_counts.tolist() == [d.n_vars for d in duals]
@@ -195,7 +195,7 @@ class TestDualStack:
 
     def test_block_round_trips(self):
         duals = self._duals()
-        stack = DualStack.from_duals(duals)
+        stack = stack_duals(duals)
         for k, dual in enumerate(duals):
             block = stack.block(k)
             assert np.array_equal(
@@ -208,7 +208,7 @@ class TestDualStack:
 
     def test_select_keeps_the_picked_blocks(self):
         duals = self._duals()
-        stack = DualStack.from_duals(duals)
+        stack = stack_duals(duals)
         picked = stack.select(np.array([True, False, True]))
         assert picked.n_blocks == 2
         for k, dual in enumerate([duals[0], duals[2]]):
@@ -220,14 +220,14 @@ class TestDualStack:
 
 class TestBatchEquivalence:
     def test_empty_batch(self):
-        result = solve_batch_dual([])
+        result = solve_batch_dual(stack_duals([]))
         assert result.results == []
         assert result.rounds == 0
 
     def test_single_block(self):
         dual = simple_block()
         solo = solve_dual_lbfgs(dual, tol=TOL)
-        batch = solve_batch_dual([dual], tol=TOL)
+        batch = solve_batch_dual(stack_duals([dual]), tol=TOL)
         assert batch.results[0].converged
         assert np.abs(batch.results[0].p - solo.p).max() <= 10 * TOL
 
@@ -237,7 +237,7 @@ class TestBatchEquivalence:
             for i, n in enumerate([4, 6, 8, 5, 7, 9, 6, 4])
         ]
         solos = [solve_dual_lbfgs(d, tol=TOL) for d in blocks]
-        batch = solve_batch_dual(blocks, tol=TOL)
+        batch = solve_batch_dual(stack_duals(blocks), tol=TOL)
         assert all(r.converged for r in batch.results)
         for solo, result in zip(solos, batch.results):
             assert np.abs(solo.p - result.p).max() <= 10 * TOL
@@ -250,7 +250,7 @@ class TestBatchEquivalence:
             simple_block(5, 0.3),
         ]
         solos = [solve_dual_lbfgs(d, tol=TOL) for d in blocks]
-        batch = solve_batch_dual(blocks, tol=TOL)
+        batch = solve_batch_dual(stack_duals(blocks), tol=TOL)
         assert all(r.converged for r in batch.results)
         for solo, result in zip(solos, batch.results):
             assert np.abs(solo.p - result.p).max() <= 100 * TOL
@@ -259,17 +259,19 @@ class TestBatchEquivalence:
         # Presolve can reduce a component to free variables with no rows:
         # the exact solution is the uniform spread of the mass.
         empty = build_dual(ConstraintSystem(4), 0.8)
-        batch = solve_batch_dual([empty, simple_block(6)], tol=TOL)
+        batch = solve_batch_dual(
+            stack_duals([empty, simple_block(6)]), tol=TOL
+        )
         assert batch.results[0].converged
         assert np.allclose(batch.results[0].p, 0.2)
         assert batch.results[0].iterations == 0
 
     def test_multipliers_are_warm_startable(self):
         blocks = [simple_block(6, 0.4), simple_block(8, 0.25)]
-        first = solve_batch_dual(blocks, tol=TOL)
+        first = solve_batch_dual(stack_duals(blocks), tol=TOL)
         assert all(r.multipliers is not None for r in first.results)
         again = solve_batch_dual(
-            blocks,
+            stack_duals(blocks),
             tol=TOL,
             x0s=[r.multipliers for r in first.results],
         )
@@ -282,9 +284,9 @@ class TestBatchEquivalence:
         # 0.35 on 8 variables is off-uniform, so the cold-started block
         # genuinely has to iterate while the warm one freezes.
         blocks = [simple_block(6, 0.4), simple_block(8, 0.35)]
-        first = solve_batch_dual(blocks, tol=TOL)
+        first = solve_batch_dual(stack_duals(blocks), tol=TOL)
         again = solve_batch_dual(
-            blocks,
+            stack_duals(blocks),
             tol=TOL,
             x0s=[first.results[0].multipliers, None],
         )
@@ -295,7 +297,7 @@ class TestBatchEquivalence:
     def test_bogus_warm_start_shapes_are_ignored(self):
         blocks = [simple_block(6)]
         batch = solve_batch_dual(
-            blocks, tol=TOL, x0s=[np.ones(99)]
+            stack_duals(blocks), tol=TOL, x0s=[np.ones(99)]
         )
         assert batch.results[0].converged
 
@@ -312,7 +314,7 @@ class TestStraggler:
 
         blocks = easies[:4] + [strag] + easies[4:]
         solos = solo_easy[:4] + [solo_strag] + solo_easy[4:]
-        batch = solve_batch_dual(blocks, tol=TOL)
+        batch = solve_batch_dual(stack_duals(blocks), tol=TOL)
         assert all(r.converged for r in batch.results)
         for solo, result in zip(solos, batch.results):
             assert np.abs(solo.p - result.p).max() <= 1e-4
@@ -324,7 +326,9 @@ class TestStraggler:
         easies = [simple_block(6, 0.2 + 0.02 * i) for i in range(8)]
         strag = straggler_block(24, with_inequality=True)
         blocks = easies[:4] + [strag] + easies[4:]
-        batch = solve_batch_dual(blocks, tol=TOL, max_iterations=25)
+        batch = solve_batch_dual(
+            stack_duals(blocks), tol=TOL, max_iterations=25
+        )
         assert batch.rounds > 1
         assert all(r.converged for r in batch.results)
         # The straggler fell off the batched path but still converged.
@@ -336,7 +340,7 @@ class TestStraggler:
         easies = [simple_block(6, 0.2 + 0.02 * i) for i in range(4)]
         strag = straggler_block(24, with_inequality=True)
         batch = solve_batch_dual(
-            easies + [strag], tol=TOL, max_iterations=10
+            stack_duals(easies + [strag]), tol=TOL, max_iterations=10
         )
         assert batch.results[4].iterations >= batch.rounds * 1
 
@@ -386,7 +390,7 @@ class TestBatchProperty:
     @given(random_blocks())
     def test_random_size_mixes_match_per_component(self, blocks):
         solos = [solve_dual_lbfgs(d, tol=TOL) for d in blocks]
-        batch = solve_batch_dual(blocks, tol=TOL)
+        batch = solve_batch_dual(stack_duals(blocks), tol=TOL)
         assert len(batch.results) == len(blocks)
         for solo, result in zip(solos, batch.results):
             # The batched path must never be less robust than

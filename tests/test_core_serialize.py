@@ -227,7 +227,7 @@ def statements(draw):
 class TestConfigsAndBounds:
     def test_config_round_trip(self):
         config = MaxEntConfig(
-            use_presolve=False, tol=1e-8, cache_path="/tmp/cache.pkl"
+            use_closed_form=False, tol=1e-8, cache_path="/tmp/cache.pkl"
         )
         payload = json_round_trip(wire.config_to_dict(config))
         assert wire.config_from_dict(payload) == config
@@ -242,14 +242,28 @@ class TestConfigsAndBounds:
             "solver": "lbfgs",
             "kernel": "numpy",
             "drop_redundant": False,
+            "use_presolve": True,
+            "warm_start": True,
+            "replay": "tolerance",
+            "infeasibility_threshold": 0.01,
         }
         assert wire.config_from_dict(parent_form) == config
         # A retired knob that asked for a different program is rejected,
-        # naming the key, rather than silently solved on L-BFGS.
+        # naming the key, rather than silently solved on L-BFGS; so is
+        # an accepted value sent as another JSON type.
         for key, value in (
             ("solver", "gis"),
             ("drop_redundant", True),
+            ("drop_redundant", 0),
+            ("drop_redundant", 0.0),
             ("kernel", "fortran"),
+            ("use_presolve", False),
+            ("use_presolve", 1),
+            ("warm_start", False),
+            ("replay", "bitwise"),
+            ("replay", None),
+            ("infeasibility_threshold", 0.05),
+            ("infeasibility_threshold", "0.01"),
         ):
             with pytest.raises(ReproError, match=key):
                 wire.config_from_dict({**parent_form, key: value})

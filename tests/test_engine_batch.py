@@ -15,11 +15,7 @@ from repro.data.paper_example import S1, paper_published
 import repro.engine.engine as engine_module
 from repro.engine import PrivacyEngine, bin_batch_groups, component_fingerprint
 import repro.engine.component as component_module
-from repro.engine.component import (
-    solve_component,
-    solve_component_batch,
-    solve_component_group,
-)
+from repro.engine.component import solve_component_group
 from repro.engine.plan import build_plan
 from repro.errors import InfeasibleKnowledgeError, ReproError
 from repro.experiments.workloads import (
@@ -36,7 +32,7 @@ from repro.maxent.constraints import ConstraintSystem, data_constraints
 from repro.maxent.decompose import Component
 from repro.maxent.indexing import GroupVariableSpace
 from repro.obs.trace import get_tracer
-from tests.legacy import solve_component_batch_per_component
+from tests.legacy import solve_component, solve_component_batch_per_component
 
 TOL = 1e-6
 
@@ -90,22 +86,7 @@ class TestConfigKnobs:
     def test_defaults_are_on(self):
         config = MaxEntConfig()
         assert config.batch_components == 1024
-        assert config.replay == "tolerance"
         assert config.batching_enabled
-
-    def test_bitwise_replay_disables_batching(self):
-        config = MaxEntConfig(replay="bitwise", batch_components=512)
-        assert not config.batching_enabled
-
-    def test_replay_validated(self):
-        with pytest.raises(ReproError, match="replay"):
-            MaxEntConfig(replay="exact")
-
-    def test_replay_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY", "bitwise")
-        config = MaxEntConfig()
-        assert config.replay == "bitwise"
-        assert not config.batching_enabled
 
     def test_validation(self):
         with pytest.raises(ReproError, match="batch_components"):
@@ -118,18 +99,10 @@ class TestConfigKnobs:
             PLAIN.solve_key()
         )
 
-    def test_bitwise_gets_its_own_solve_key(self):
-        # Bitwise results come off a different (per-component) code path,
-        # so they must not share cache entries with tolerance solves.
-        bitwise = MaxEntConfig(replay="bitwise")
-        assert bitwise.solve_key() != MaxEntConfig().solve_key()
-        assert bitwise.solve_key()[-1] == "bitwise"
-
 
 class TestBinning:
     def test_disabled_config_bins_nothing(self):
         assert bin_batch_groups([4, 5, 6], PLAIN) == []
-        assert bin_batch_groups([4, 5, 6], MaxEntConfig(replay="bitwise")) == []
 
     def test_threshold_filters_large_items(self):
         config = MaxEntConfig(batch_components=8, batch_max_vars=10)
@@ -201,7 +174,7 @@ class TestEngineEquivalence:
     def test_batched_entries_serve_per_component_solves(self):
         # The v3 contract: a cache entry is tolerance-equivalent to the
         # per-component result, so entries written by either path are
-        # interchangeable under replay="tolerance".
+        # interchangeable.
         space, system = _synthetic_workload()
         engine = PrivacyEngine(cache_size=4096)
         first = engine.solve(space, system, BATCHED)
@@ -219,21 +192,6 @@ class TestEngineEquivalence:
         assert replay.stats.cache_hits > 0
         assert replay.stats.batched_components == 0  # all served warm
         assert np.array_equal(first.p, replay.p)
-
-    def test_bitwise_does_not_share_tolerance_entries(self):
-        # replay="bitwise" promises bit-identical per-component results,
-        # so it must never be served an entry a batched solve wrote.
-        space, system = _synthetic_workload()
-        engine = PrivacyEngine(cache_size=4096)
-        warm = engine.solve(space, system, BATCHED)
-        assert warm.stats.batched_components > 0
-        bitwise = engine.solve(
-            space, system, MaxEntConfig(
-                raise_on_infeasible=False, replay="bitwise"
-            )
-        )
-        assert bitwise.stats.cache_hits == 0
-        assert bitwise.stats.batched_components == 0
 
     def test_warm_cache_replays_without_batching(self):
         space, system = _synthetic_workload()
@@ -391,21 +349,17 @@ def _untimed(stats):
 class TestStackedPresolveReference:
     """One presolve of a group's stack vs presolving each component."""
 
-    @pytest.mark.parametrize("use_presolve", [True, False])
     @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
-    def test_bitwise_equal_to_per_component_presolve(self, name, use_presolve):
+    def test_bitwise_equal_to_per_component_presolve(self, name):
         components = REFERENCE_GROUPS[name]()
         config = MaxEntConfig(
-            raise_on_infeasible=False,
-            batch_components=512,
-            batch_max_vars=512,
-            use_presolve=use_presolve,
+            raise_on_infeasible=False, batch_components=512, batch_max_vars=512
         )
-        batch = solve_component_batch(components, config)
+        solves = solve_component_group(components, config)
         reference = solve_component_batch_per_component(components, config)
         solvers = set()
         for solve, (p, stats, multipliers) in zip(
-            batch.solves, reference, strict=True
+            solves, reference, strict=True
         ):
             assert solve.p.tobytes() == p.tobytes()
             assert _untimed(solve.stats) == _untimed(stats)
@@ -420,40 +374,133 @@ class TestStackedPresolveReference:
 
     def test_warm_started_group_is_bitwise_equal(self):
         components = _largest_batch_group(_synthetic_workload)
-        cold = solve_component_batch(components, BATCHED)
-        warm = [solve.multipliers for solve in cold.solves]
+        cold = solve_component_group(components, BATCHED)
+        warm = [solve.multipliers for solve in cold]
         warm[::3] = [None] * len(warm[::3])
-        batch = solve_component_batch(components, BATCHED, warm)
+        solves = solve_component_group(components, BATCHED, warm)
         reference = solve_component_batch_per_component(
             components, BATCHED, warm
         )
-        for solve, (p, stats, _) in zip(batch.solves, reference, strict=True):
+        for solve, (p, stats, _) in zip(solves, reference, strict=True):
             assert solve.p.tobytes() == p.tobytes()
             assert _untimed(solve.stats) == _untimed(stats)
 
     def test_presolve_runs_once_per_batch_group(self, monkeypatch):
-        space, system = _synthetic_workload()
-        plan = build_plan(space, system, BATCHED)
+        # ... and once for each component solved alone: every work unit
+        # presolves its stack once.
+        space, system = _adult_workload()
+        config = MaxEntConfig(raise_on_infeasible=False, batch_max_vars=50)
+        plan = build_plan(space, system, config)
         assert plan.batch_groups
         stacks: list[int] = []
-        singles: list[int] = []
         real_stack = component_module.presolve_stack
-        real_single = component_module.presolve
 
-        def spy_stack(systems, **kwargs):
+        def spy_stack(systems):
             stacks.append(len(systems))
-            return real_stack(systems, **kwargs)
-
-        def spy_single(system):
-            singles.append(system.n_vars)
-            return real_single(system)
+            return real_stack(systems)
 
         monkeypatch.setattr(component_module, "presolve_stack", spy_stack)
-        monkeypatch.setattr(component_module, "presolve", spy_single)
-        PrivacyEngine(cache_size=0).solve(space, system, BATCHED)
-        assert stacks == [len(group) for group in plan.batch_groups]
+        PrivacyEngine(cache_size=0).solve(space, system, config)
         grouped = sum(len(group) for group in plan.batch_groups)
-        assert len(singles) == len(plan.numeric) - grouped
+        singles = len(plan.numeric) - grouped
+        assert singles > 0
+        assert sorted(stacks) == sorted(
+            [len(group) for group in plan.batch_groups] + [1] * singles
+        )
+
+
+def _numeric_components(workload, limit=None):
+    space, system = workload()
+    plan = build_plan(space, system, PLAIN)
+    return [plan.components[pos] for pos in plan.numeric[:limit]]
+
+
+def _one_component_units():
+    return (
+        _numeric_components(_paper_workload)
+        + _numeric_components(_adult_workload)
+        + _numeric_components(_synthetic_workload, limit=12)
+    )
+
+
+class TestOneComponentUnit:
+    """A lone component's unit vs the retired single-component task."""
+
+    @staticmethod
+    def _assert_same(solve, reference):
+        assert solve.p.tobytes() == reference.p.tobytes()
+        assert _untimed(solve.stats) == _untimed(reference.stats)
+        if reference.multipliers is None:
+            assert solve.multipliers is None
+        else:
+            assert solve.multipliers.tobytes() == (
+                reference.multipliers.tobytes()
+            )
+
+    def test_cold_units_are_bitwise_equal(self):
+        components = _one_component_units()
+        assert len(components) > 10
+        for component in components:
+            (solve,) = solve_component_group([component], PLAIN)
+            self._assert_same(solve, solve_component(component, PLAIN))
+            assert solve.stats.solver == "lbfgs"
+            assert solve.stats.batched_components == 0
+
+    def test_warm_started_units_are_bitwise_equal(self):
+        for component in _one_component_units():
+            (cold,) = solve_component_group([component], PLAIN)
+            assert cold.multipliers is not None
+            starts = [
+                0.5 * cold.multipliers,
+                # Starts presolve's reduced dual cannot use are ignored.
+                np.zeros(cold.multipliers.size + 1),
+                np.full(cold.multipliers.size, np.nan),
+            ]
+            for start in starts:
+                (solve,) = solve_component_group([component], PLAIN, [start])
+                self._assert_same(
+                    solve, solve_component(component, PLAIN, start)
+                )
+
+    def test_forced_units_are_bitwise_equal(self):
+        forced = [
+            component
+            for component in _group_with_forced_components()
+            if component.buckets == (-1,)
+        ]
+        assert len(forced) == 3
+        for component in forced:
+            (solve,) = solve_component_group([component], PLAIN, [None])
+            self._assert_same(solve, solve_component(component, PLAIN))
+            assert solve.stats.solver == "presolve"
+
+    @pytest.mark.parametrize("clash", ["out-of-range", "conflicting-fixes"])
+    def test_infeasible_unit_raises_the_same_message(self, clash):
+        system = ConstraintSystem(3)
+        system.add_equality([0, 1, 2], [1.0] * 3, 0.6, kind="qi", label="m")
+        if clash == "out-of-range":
+            system.add_equality([1], [1.0], 1.5, kind="stmt", label="big")
+        else:
+            system.add_equality([0], [1.0], 0.1, kind="stmt", label="a")
+            system.add_equality([0], [1.0], 0.2, kind="stmt", label="b")
+        component = _free_component(system, 0.6)
+        with pytest.raises(InfeasibleKnowledgeError) as unit:
+            solve_component_group([component], PLAIN)
+        with pytest.raises(InfeasibleKnowledgeError) as reference:
+            solve_component(component, PLAIN)
+        assert str(unit.value) == str(reference.value)
+
+    def test_span_records_an_unbatched_unit(self):
+        (component,) = _numeric_components(_paper_workload)
+        (solve,), trace = TestSolveGroupSpan._trace(
+            lambda: solve_component_group([component], PLAIN),
+            "engine.solve_group",
+        )
+        (span,) = trace["spans"]
+        assert span["attributes"]["batched"] is False
+        assert span["attributes"]["rounds"] == 0
+        assert span["attributes"]["solo_fallbacks"] == 0
+        assert solve.stats.batched_components == 0
 
 
 class TestSolveGroupSpan:

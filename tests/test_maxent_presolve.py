@@ -498,22 +498,6 @@ class TestStackedPresolve:
         for k, system in enumerate(systems):
             assert split_block(stack, systems, k) == per_block(presolve(system))
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(feasible_systems(), min_size=2, max_size=4))
-    def test_without_reduction_the_stack_is_the_systems(self, cases):
-        systems = [build_system(p.size, rows) for p, rows in cases]
-        stack = presolve_stack(systems, reduce=False)
-        assert stack.fixed_vars.size == 0
-        assert stack.mass_removed == [0.0] * len(systems)
-        for k, system in enumerate(systems):
-            block = split_block(stack, systems, k)
-            nothing = per_block(presolve(ConstraintSystem(system.n_vars)))
-            assert block["free_vars"] == list(range(system.n_vars))
-            assert len(block["rows"]) == (
-                system.n_equalities + system.n_inequalities
-            )
-            assert block["restored"] == nothing["restored"]
-
     @settings(max_examples=150, deadline=None)
     @given(st.lists(feasible_systems(), min_size=2, max_size=6), st.data())
     def test_one_contradictory_block_raises_its_own_message(self, cases, data):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core.quantifier import PosteriorTable
 from repro.data.paper_example import paper_published
-from repro.engine.component import solve_component
 from repro.engine.fingerprint import fingerprint_system, structure_fingerprint
 from repro.maxent.closed_form import closed_form_batch
 from repro.experiments.workloads import build_adult_workload
@@ -197,7 +196,7 @@ class TestPosteriors:
                     space, component.var_indices
                 )
             else:
-                result = solve_component(component, config)
+                result = legacy.solve_component(component, config)
                 p_old[component.var_indices] = result.p
 
         np.testing.assert_allclose(solution.p, p_old, atol=1e-10)
@@ -220,7 +219,7 @@ class TestPosteriors:
 
         p_old = np.zeros(person_space.n_vars)
         for component in legacy.decompose_rowwise(person_space, old):
-            result = solve_component(component, config)
+            result = legacy.solve_component(component, config)
             p_old[component.var_indices] = result.p
         np.testing.assert_allclose(solution.p, p_old, atol=1e-10)
 

@@ -322,6 +322,55 @@ class TestPosterior:
             assert excinfo.value.status == 400
             assert key in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "key, value, other",
+        [
+            ("replay", "tolerance", "bitwise"),
+            ("use_presolve", True, False),
+            ("warm_start", True, False),
+            ("infeasibility_threshold", 0.01, 0.05),
+        ],
+    )
+    def test_retired_solver_knob_is_accepted_at_its_default(
+        self, client, release_id, key, value, other
+    ):
+        """A body carrying a knob retired from ``MaxEntConfig`` at the
+        value every solve now runs gets the same answer as one without
+        it, from the same result-cache entry; any other value is a 400
+        naming the key."""
+        statements = [
+            statement_to_dict(
+                ConditionalProbability(
+                    given={"gender": "male"}, sa_value=S1, probability=0.15
+                )
+            )
+        ]
+        path = f"/v1/releases/{release_id}/posterior"
+        current = config_to_dict(MaxEntConfig())
+        plain, response = client._raw_request(
+            "POST", path, {"statements": statements, "config": current}
+        )
+        assert response.status == 200
+        old, response = client._raw_request(
+            "POST",
+            path,
+            {"statements": statements, "config": {**current, key: value}},
+        )
+        assert response.status == 200
+        old, plain = json.loads(old), json.loads(plain)
+        assert old.pop("served_from") == "result-cache"
+        plain.pop("served_from")
+        assert old == plain
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST",
+                path,
+                {"statements": statements, "config": {**current, key: other}},
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert key in str(excinfo.value)
+
     def test_unknown_config_knob_is_400(self, client, release_id):
         with pytest.raises(ServiceError) as excinfo:
             client._request(
@@ -341,9 +390,10 @@ class TestPosterior:
             {"use_presolve": 1},
             {"replay": None},
             {"tol": float("nan")},
+            {"drop_redundant": 0},
         ],
         ids=["str-float", "bool-int", "str-int", "float-int", "int-bool",
-             "null-str", "nan"],
+             "null-str", "nan", "retired-int-bool"],
     )
     def test_wrong_typed_config_value_is_400(self, client, release_id, knob):
         with pytest.raises(ServiceError) as excinfo:
