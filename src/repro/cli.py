@@ -37,6 +37,7 @@ from repro.core.privacy_maxent import assess
 from repro.core.report import render_assessments
 from repro.data.adult import load_adult_synthetic
 from repro.data.io import write_csv
+from repro.errors import ReproError
 from repro.experiments.figures import (
     Figure5Config,
     Figure6Config,
@@ -51,6 +52,17 @@ from repro.knowledge.bounds import TopKBound
 from repro.knowledge.mining import MiningConfig, mine_association_rules
 from repro.maxent.config import MaxEntConfig
 from repro.utils.tabulate import render_table
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of a count that may be zero but not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -414,8 +426,6 @@ def _open_connector(args: argparse.Namespace):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-
     try:
         connector = _open_connector(args)
     except ReproError as exc:
@@ -500,7 +510,6 @@ def _ingest_embedded(args, schema, chunks) -> dict:
 def _cmd_workload(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ReproError
     from repro.workload import (
         EmbeddedBackend,
         ServiceBackend,
@@ -670,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     assess_cmd.add_argument("--max-antecedent", type=int, default=2)
     assess_cmd.add_argument(
         "--k",
-        type=int,
+        type=_non_negative_int,
         nargs="+",
         default=[50, 200, 800],
         help="total rule counts to assess (split half positive, half negative)",
@@ -690,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     utility.add_argument("--max-antecedent", type=int, default=2)
     utility.add_argument(
         "--k",
-        type=int,
+        type=_non_negative_int,
         nargs="*",
         default=[],
         help="optionally also score knowledge-informed posteriors",
@@ -1052,10 +1061,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A :class:`~repro.errors.ReproError` (an invalid argument value the
+    library rejects, an infeasible knowledge set, ...) is a usage error:
+    one line on stderr and exit status 2, as argparse reports its own.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

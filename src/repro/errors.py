@@ -96,9 +96,9 @@ class SolverError(ReproError):
 class NotSupportedError(ReproError):
     """A solver was asked to handle a problem feature it does not support.
 
-    For example, GIS and IIS require non-negative constraint coefficients;
-    passing a comparison constraint (which has mixed signs) to them raises
-    this error rather than silently producing a wrong answer.
+    For example, the assignment-enumeration baseline cannot express a
+    probabilistic rule; passing one raises this error rather than silently
+    producing a wrong answer.
     """
 
 

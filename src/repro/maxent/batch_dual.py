@@ -52,8 +52,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, minimize
 
 from repro.maxent.dual import DualProblem
 from repro.maxent.lbfgs import (
@@ -205,6 +203,8 @@ class DualStack:
 
     def block(self, k: int) -> DualProblem:
         """Block ``k`` as its own :class:`DualProblem` (built from slices)."""
+        import scipy.sparse as sp
+
         lo, hi = int(self.row_indptr[k]), int(self.row_indptr[k + 1])
         start, stop = int(self.indptr[lo]), int(self.indptr[hi])
         n_vars = int(self.var_indptr[k + 1] - self.var_indptr[k])
@@ -273,6 +273,9 @@ class _StackedDual:
     """
 
     def __init__(self, stack: DualStack) -> None:
+        import scipy.sparse as sp
+        from scipy.optimize import Bounds
+
         self.var_indptr = stack.var_indptr
         self.row_indptr = stack.row_indptr
         self.var_counts = stack.var_counts
@@ -395,6 +398,8 @@ def solve_batch_dual(
     per-component dispatch, and such blocks are reported with
     ``batched = False``.
     """
+    from scipy.optimize import minimize
+
     n = stack.n_blocks
     row_counts = stack.row_counts
     var_counts = stack.var_counts

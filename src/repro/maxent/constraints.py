@@ -35,13 +35,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ReproError
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 VariableSpace = GroupVariableSpace | PersonVariableSpace
 
@@ -420,6 +422,8 @@ class _RowStore:
         (sorts / deduplicates) lazily in place, which must never mutate the
         store.
         """
+        import scipy.sparse as sp
+
         flat = self.arrays()
         matrix = sp.csr_matrix(
             (

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from repro.errors import ReproError
 from repro.maxent.constraints import (
@@ -119,15 +117,21 @@ def _bucket_labels(
         edge_src.append(np.repeat(first, lengths))
         edge_dst.append(space.var_bucket[arrays.indices])
 
-    if edge_src:
-        src = np.concatenate(edge_src)
-        dst = np.concatenate(edge_dst)
-        graph = sp.coo_matrix(
-            (np.ones(src.size, dtype=np.int8), (src, dst)),
-            shape=(n_buckets, n_buckets),
-        )
-    else:
-        graph = sp.coo_matrix((n_buckets, n_buckets), dtype=np.int8)
+    if all(np.array_equal(s, d) for s, d in zip(edge_src, edge_dst)):
+        # No row spans two buckets (as with no knowledge rows): every
+        # bucket is its own component, already in canonical order, and
+        # there is no graph to label.
+        return n_buckets, np.arange(n_buckets, dtype=np.int64)
+
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    src = np.concatenate(edge_src)
+    dst = np.concatenate(edge_dst)
+    graph = sp.coo_matrix(
+        (np.ones(src.size, dtype=np.int8), (src, dst)),
+        shape=(n_buckets, n_buckets),
+    )
     n_components, labels = connected_components(graph, directed=False)
 
     # Canonical order: components sorted by their smallest bucket id.

@@ -23,12 +23,15 @@ overflow-free regardless of multiplier magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ReproError
 from repro.maxent.constraints import ConstraintSystem
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -122,6 +125,8 @@ class DualProblem:
 
 def build_dual(system: ConstraintSystem, mass: float) -> DualProblem:
     """Assemble a :class:`DualProblem` from a (component-local) system."""
+    import scipy.sparse as sp
+
     if mass <= 0:
         raise ReproError(f"component mass must be positive, got {mass}")
     a_matrix, c = system.equality_matrix()

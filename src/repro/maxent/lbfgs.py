@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.maxent.dual import DualProblem
 
@@ -103,6 +102,8 @@ def solve_dual_lbfgs(
     ``x0`` of the wrong shape, or not finite, is ignored (see
     :func:`usable_start`).
     """
+    from scipy.optimize import minimize
+
     scale = dual.residual_scale()
     gtol = max(tol * scale * 0.1, 1e-15)
     bounds = dual.bounds() if dual.n_inequalities else None

@@ -8,9 +8,8 @@ implements the full Section 5.5 pipeline:
 2. irrelevant components (Definition 5.6) take the closed-form Eq. (9)
    solution (Theorem 5) — batched over all of them in one vectorized call,
 3. the rest are presolved (forced variables eliminated) and solved on the
-   L-BFGS dual — the paper's solver; GIS / IIS / Newton / primal remain
-   as standalone modules that only the tests call, as reference solvers
-   (``tests/test_maxent_solvers.py``),
+   L-BFGS dual — the paper's solver (the GIS / IIS / Newton / primal
+   reference solvers live with the tests, ``tests/reference_solvers.py``),
 4. per-component solutions are reassembled, statistics aggregated, and
    clear errors raised when the constraints turn out infeasible.
 

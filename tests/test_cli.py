@@ -17,6 +17,49 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
 
+class TestUsageErrors:
+    """A rejected argument value is one line on stderr and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bucketize", "--records", "100", "-l", "0"], "l must be positive, got 0"),
+            (["assess", "--records", "0"], "n_records must be positive, got 0"),
+            (
+                ["utility", "--records", "100", "--queries", "-1"],
+                "n_queries must be positive",
+            ),
+        ],
+        ids=["bucketize-l", "assess-records", "utility-queries"],
+    )
+    def test_library_rejection_is_a_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"privacy-maxent: error: ReproError: {message}\n"
+
+    @pytest.mark.parametrize("command", ["assess", "utility"])
+    def test_negative_k_is_rejected_at_parse_time(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--records", "100", "--k", "-3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --k: must be non-negative, got -3" in err
+        assert "-2" not in err
+
+    def test_no_traceback_from_the_entry_point(self):
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "bucketize", "--records", "100", "-l", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "l must be positive, got 0" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestGenerate:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "adult.csv"

@@ -21,7 +21,7 @@ from repro.maxent.dual import build_dual
 from repro.maxent.indexing import GroupVariableSpace
 from repro.maxent.inequality import classify_inequalities, verify_kkt
 from repro.maxent.lbfgs import solve_dual_lbfgs
-from repro.maxent.primal import solve_primal
+from tests.reference_solvers import solve_primal
 
 
 @pytest.fixture(scope="module")

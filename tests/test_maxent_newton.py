@@ -1,4 +1,4 @@
-"""Tests for the Newton-CG dual solver."""
+"""Tests for the Newton-CG reference dual solver (``tests/reference_solvers.py``)."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.maxent.constraints import data_constraints
 from repro.maxent.dual import build_dual
 from repro.maxent.indexing import GroupVariableSpace
 from repro.maxent.lbfgs import solve_dual_lbfgs
-from repro.maxent.newton import solve_dual_newton
+from tests.reference_solvers import solve_dual_newton
 
 
 @pytest.fixture(scope="module")

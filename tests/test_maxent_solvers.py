@@ -17,13 +17,11 @@ from repro.maxent.closed_form import closed_form_solution
 from repro.maxent.constraints import data_constraints
 from repro.maxent.decompose import decompose
 from repro.maxent.dual import build_dual
-from repro.maxent.gis import solve_gis
-from repro.maxent.iis import solve_iis
 from repro.maxent.indexing import GroupVariableSpace
 from repro.maxent.lbfgs import solve_dual_lbfgs
 from repro.maxent.presolve import presolve
-from repro.maxent.primal import solve_primal
 from repro.utils.probability import entropy
+from tests.reference_solvers import solve_gis, solve_iis, solve_primal
 
 
 @pytest.fixture(scope="module")

@@ -57,7 +57,6 @@ class TestSubpackages:
             "repro.knowledge.skyline",
             "repro.maxent.diagnostics",
             "repro.maxent.dual",
-            "repro.maxent.newton",
             "repro.experiments.figures",
             "repro.cli",
         ],
@@ -83,3 +82,68 @@ class TestNoAccidentalHeavyImports:
         )
         result = subprocess.run([sys.executable, "-c", code])
         assert result.returncode == 0
+
+    def test_serving_boot_leaves_the_solve_stack_unloaded(self, tmp_path):
+        # scipy (sparse matrices, L-BFGS) is imported by the first numeric
+        # solve, not by the entry points: a server boots, recovers its
+        # journal and answers a knowledge-free (Eq. 9) posterior without it.
+        import subprocess
+        import sys
+        import textwrap
+
+        code = textwrap.dedent(
+            """
+            import sys
+
+            import repro
+            import repro.cli
+            import repro.cluster.frontend
+            import repro.engine.engine
+            import repro.service.server
+            from repro.core.privacy_maxent import PrivacyMaxEnt
+            from repro.core.serialize import published_from_dict, published_to_dict
+            from repro.data.paper_example import S2, paper_published
+            from repro.engine.engine import PrivacyEngine
+            from repro.knowledge.statements import ConditionalProbability
+            from repro.service.durability import DurableState
+            from repro.service.server import PrivacyService, ServiceConfig
+            from repro.service.store import SessionStore, release_digest
+
+            state_dir = sys.argv[1]
+            payload = published_to_dict(paper_published())
+            digest = release_digest(payload)
+            durable = DurableState(state_dir)
+            SessionStore().register_digest(digest, published_from_dict(payload))
+            durable.record_register(digest, payload)
+            durable.close()
+
+            engine = PrivacyEngine()
+            service = PrivacyService(ServiceConfig(port=0, state_dir=state_dir))
+            assert len(service.store) == 1, "the journaled release was not recovered"
+            PrivacyMaxEnt(paper_published(), engine=engine).posterior()
+            loaded = sorted(
+                name for name in sys.modules
+                if name == "scipy" or name.startswith("scipy.")
+            )
+            assert not loaded, f"loaded before any numeric solve: {loaded[:5]}"
+
+            knowledge = [
+                ConditionalProbability(
+                    given={"gender": "male"}, sa_value=S2, probability=0.4
+                )
+            ]
+            posterior = PrivacyMaxEnt(
+                paper_published(), knowledge=knowledge, engine=engine
+            ).posterior()
+            assert abs(posterior.matrix.sum(axis=1) - 1.0).max() < 1e-9
+            assert "scipy.optimize" in sys.modules, "no numeric solve ran"
+            service.close()
+            engine.close()
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "state")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
