@@ -426,19 +426,10 @@ def _open_connector(args: argparse.Namespace):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    try:
-        connector = _open_connector(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    connector = _open_connector(args)
     with connector:
-        try:
-            schema = connector.schema()
-            total_rows = connector.row_count()
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        schema = connector.schema()
+        total_rows = connector.row_count()
         print(
             f"source: {args.table!r} ({total_rows} rows, "
             f"qi={list(args.qi)}, sa={args.sa!r})"
@@ -451,14 +442,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 )
                 yield seq, len(chunk.rows), _bucket_payloads(published)
 
-        try:
-            if args.embedded:
-                summary = _ingest_embedded(args, schema, anonymized_chunks())
-            else:
-                summary = _ingest_service(args, schema, anonymized_chunks())
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        if args.embedded:
+            summary = _ingest_embedded(args, schema, anonymized_chunks())
+        else:
+            summary = _ingest_service(args, schema, anonymized_chunks())
     print(
         f"registered release {summary['release_id']!r}: "
         f"{summary['n_records']} records in {summary['n_buckets']} buckets "
@@ -552,9 +539,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         )
     try:
         report = WorkloadDriver(backend, rules=rules, config=config).run()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
         backend.close()
         if client is not None:

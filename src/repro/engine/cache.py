@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +42,17 @@ class CacheEntry:
         zeroed because this run did no numeric work (batched or
         otherwise).
         """
-        return replace(
-            self.stats,
-            seconds=0.0,
-            cpu_seconds=0.0,
-            cache_hits=1,
-            batched_components=0,
-            phase_seconds={},
+        # The constructor over the stored fields: half the cost of
+        # ``dataclasses.replace``, paid once per hit component.
+        return SolverStats(
+            **{
+                **vars(self.stats),
+                "seconds": 0.0,
+                "cpu_seconds": 0.0,
+                "cache_hits": 1,
+                "batched_components": 0,
+                "phase_seconds": {},
+            }
         )
 
 

@@ -2,12 +2,16 @@
 
 Every work unit the engine's solve loop runs — a batch group of small
 components or a single component — takes the same task,
-:func:`solve_component_group`.  It stacks the unit's systems
-block-diagonally and presolves them once (presolve's eliminations are
-the numerical precondition of the dual), hands the reduced stack to the
-L-BFGS dual, lifts the solution back in one scatter, and unbundles
-per-component results (residuals, iterations, multipliers) so everything
-downstream — cache, warm starts, telemetry — sees one contract.
+:func:`solve_component_group`.  Its components are views into one
+:class:`~repro.maxent.decompose.ComponentStack`; presolve gathers their
+rows straight from the stack as one block-diagonal CSR and runs once
+(presolve's eliminations are the numerical precondition of the dual),
+the reduced stack goes to the L-BFGS dual, and the solution is lifted
+back in one scatter.  Per-component results (residuals, iterations,
+multipliers) come out in one shape, so the cache, warm starts and
+telemetry see one contract.  No per-component constraint system is
+built: sizes and row counts come from the stack's arrays, and a
+component presolve forced whole gets its residual from the stack's rows.
 
 A unit of one component differs in one call only: its block goes to
 :func:`~repro.maxent.lbfgs.solve_dual_lbfgs` on its own (as a batch's
@@ -23,8 +27,8 @@ import numpy as np
 
 from repro.maxent.batch_dual import DualStack, solve_batch_dual
 from repro.maxent.config import MaxEntConfig
-from repro.maxent.decompose import Component
-from repro.maxent.lbfgs import DualSolveResult, solve_dual_lbfgs
+from repro.maxent.decompose import Component, ComponentStack
+from repro.maxent.lbfgs import solve_dual_lbfgs
 from repro.maxent.presolve import presolve_stack
 from repro.maxent.solution import SolverStats
 from repro.obs.trace import get_tracer
@@ -42,54 +46,44 @@ class ComponentSolve:
     multipliers: np.ndarray | None = None
 
 
-def _forced_solve(
-    component: Component,
-    config: MaxEntConfig,
-    p_local: np.ndarray,
-    fixed_count: int,
-) -> ComponentSolve:
-    """The everything-was-forced-by-presolve result (free variables at 0)."""
-    residual = component.system.residual(p_local)
-    stats = SolverStats(
-        solver="presolve",
-        iterations=0,
+def _stats(
+    shape: tuple[int, int, int], solver: str, fixed_count: int, **fields
+) -> SolverStats:
+    """A component's stats; ``shape`` is (vars, equalities, inequalities)."""
+    n_vars, n_equalities, n_inequalities = shape
+    return SolverStats(
+        solver=solver,
+        iterations=fields.pop("iterations", 0),
         seconds=0.0,
-        n_vars=component.n_vars,
-        n_equalities=component.system.n_equalities,
-        n_inequalities=component.system.n_inequalities,
-        eq_residual=residual,
-        ineq_residual=0.0,
-        converged=residual <= config.tol,
+        n_vars=n_vars,
+        n_equalities=n_equalities,
+        n_inequalities=n_inequalities,
+        eq_residual=fields.pop("eq_residual"),
+        ineq_residual=fields.pop("ineq_residual", 0.0),
+        converged=fields.pop("converged"),
         presolve_fixed=fixed_count,
+        **fields,
     )
-    return ComponentSolve(p=p_local, stats=stats, multipliers=None)
 
 
-def _package_solve(
-    component: Component,
-    p_local: np.ndarray,
-    fixed_count: int,
-    result: DualSolveResult,
-    *,
-    batched: bool = False,
-) -> ComponentSolve:
-    """Wrap a dual result, lifted to component coordinates, with stats."""
-    multipliers = result.multipliers if result.converged else None
-    stats = SolverStats(
-        solver="lbfgs",
-        iterations=result.iterations,
-        seconds=0.0,
-        n_vars=component.n_vars,
-        n_equalities=component.system.n_equalities,
-        n_inequalities=component.system.n_inequalities,
-        eq_residual=result.eq_residual,
-        ineq_residual=result.ineq_residual,
-        converged=result.converged,
-        presolve_fixed=fixed_count,
-        message=result.message,
-        batched_components=1 if batched else 0,
-    )
-    return ComponentSolve(p=p_local, stats=stats, multipliers=multipliers)
+def _residual(stack: ComponentStack, k: int, p_local: np.ndarray) -> float:
+    """Worst row violation of component ``k`` at ``p_local``.
+
+    Each row's left side is summed entry by entry in row order, as
+    :meth:`ConstraintSystem.residual` does.
+    """
+    rows = stack.rows([k])
+    lengths = np.diff(rows.indptr)
+    excess = np.bincount(
+        np.repeat(np.arange(rows.rhs.size), lengths),
+        weights=rows.coefficients * p_local[rows.indices],
+        minlength=rows.rhs.size,
+    ) - rows.rhs
+    split = int(rows.n_equalities[0])
+    worst = float(np.abs(excess[:split]).max()) if split else 0.0
+    if excess.size > split:
+        worst = max(worst, float(np.clip(excess[split:], 0.0, None).max()))
+    return worst
 
 
 def solve_component_group(
@@ -99,8 +93,9 @@ def solve_component_group(
 ) -> list[ComponentSolve]:
     """Solve one engine work unit: a batch group or a single component.
 
-    The components' systems are stacked block-diagonally and presolved
-    once; the surviving reduced stack goes straight to the dual, and the
+    ``components`` are views into one stack; their rows are presolved
+    once as a block-diagonal stack, the surviving reduced stack goes
+    straight to the dual, and the
     solution is lifted onto the stack in one scatter and unbundled into
     per-component :class:`ComponentSolve` records.  A component presolve
     leaves nothing to optimize (no free variable, or no mass) is a forced
@@ -116,30 +111,32 @@ def solve_component_group(
     the stacked dual's rounds and solo fallbacks (both 0 for a lone
     component).
     """
-    n = len(components)
+    stack = components[0].stack
+    if any(component.stack is not stack for component in components):
+        raise ValueError("a work unit's components must share one stack")
+    members = [component.index for component in components]
+    n = len(members)
     warm_list = list(warm_starts) if warm_starts is not None else [None] * n
     with get_tracer().span(
         "engine.solve_group", n_components=n, batched=n > 1
     ) as span:
         with Timer() as timer:
             with Timer() as presolve_timer:
-                stack = presolve_stack(
-                    [component.system for component in components]
+                presolved = presolve_stack(stack, members)
+                masses = stack.masses[members] - np.array(
+                    presolved.mass_removed
                 )
-                masses = np.array(
-                    [component.mass for component in components]
-                ) - np.array(stack.mass_removed)
-                free_counts = stack.free_counts
+                free_counts = presolved.free_counts
                 numeric = (free_counts > 0) & (masses > 1e-15)
                 # The numeric components' reduced blocks, as the dual stack.
                 dual_stack = DualStack(
-                    indptr=stack.indptr,
-                    indices=stack.indices,
-                    data=stack.coefficients,
-                    rhs=stack.rhs,
-                    row_indptr=stack.row_indptr,
-                    var_indptr=stack.free_indptr,
-                    n_equalities=stack.n_equalities,
+                    indptr=presolved.indptr,
+                    indices=presolved.indices,
+                    data=presolved.coefficients,
+                    rhs=presolved.rhs,
+                    row_indptr=presolved.row_indptr,
+                    var_indptr=presolved.free_indptr,
+                    n_equalities=presolved.n_equalities,
                     masses=masses,
                 ).select(numeric)
             positions = np.flatnonzero(numeric).tolist()
@@ -172,37 +169,59 @@ def solve_component_group(
                     ]
                     results = zip(alone, [False] * len(alone))
                     p_numeric = alone[0].p if alone else np.zeros(0)
-            p_free = np.zeros(int(stack.free_indptr[-1]))
+            p_free = np.zeros(int(presolved.free_indptr[-1]))
             p_free[np.repeat(numeric, free_counts)] = p_numeric
-            p = stack.lift(p_free)
-            var_bounds = stack.var_indptr.tolist()
-            fixed_counts = stack.fixed_counts.tolist()
+            p = presolved.lift(p_free)
+            var_bounds = presolved.var_indptr.tolist()
+            p_blocks = [
+                p[lo:hi].copy()
+                for lo, hi in zip(var_bounds[:-1], var_bounds[1:])
+            ]
+            shapes = list(
+                zip(
+                    stack.var_counts[members].tolist(),
+                    stack.n_equalities[members].tolist(),
+                    stack.inequality_rows[members].tolist(),
+                )
+            )
+            fixed_counts = presolved.fixed_counts.tolist()
             solves: list[ComponentSolve] = []
-            for index, component in enumerate(components):
-                p_local = p[var_bounds[index] : var_bounds[index + 1]].copy()
+            for index, p_local in enumerate(p_blocks):
                 if numeric[index]:
+                    # Everything presolve left went through the dual.
                     result, batched = next(results)
-                    solves.append(
-                        _package_solve(
-                            component,
-                            p_local,
-                            fixed_counts[index],
-                            result,
-                            batched=batched,
-                        )
+                    stats = _stats(
+                        shapes[index],
+                        "lbfgs",
+                        fixed_counts[index],
+                        iterations=result.iterations,
+                        eq_residual=result.eq_residual,
+                        ineq_residual=result.ineq_residual,
+                        converged=result.converged,
+                        message=result.message,
+                        batched_components=1 if batched else 0,
+                    )
+                    multipliers = (
+                        result.multipliers if result.converged else None
                     )
                 else:
-                    solves.append(
-                        _forced_solve(
-                            component, config, p_local, fixed_counts[index]
-                        )
+                    # Presolve forced every variable (free ones stay 0).
+                    residual = _residual(stack, members[index], p_local)
+                    stats = _stats(
+                        shapes[index],
+                        "presolve",
+                        fixed_counts[index],
+                        eq_residual=residual,
+                        converged=residual <= config.tol,
                     )
+                    multipliers = None
+                solves.append(ComponentSolve(p_local, stats, multipliers))
 
         # Attribute the unit's wall time across components by problem
         # size (the residual per-component signal telemetry consumers sum
         # over); the presolve/dual phase breakdown is shared out the same
         # way.
-        weights = np.array([max(c.n_vars, 1) for c in components], dtype=float)
+        weights = np.maximum(stack.var_counts[members], 1).astype(float)
         total_weight = weights.sum()
         shares = timer.seconds * weights / total_weight
         presolve_shares = presolve_timer.seconds * weights / total_weight

@@ -5,7 +5,8 @@ store, and runs the full Section 5.5 pipeline in process:
 
 1. build an :class:`~repro.engine.plan.ExecutionPlan`,
 2. solve every irrelevant component in one batched closed-form call,
-3. fingerprint each numeric component; cache hits return bit-identical
+3. fingerprint every numeric component in one pass over the
+   decomposition's component stack; cache hits return bit-identical
    stored solutions, misses are solved one work unit (a batch group or a
    single component) at a time by one task — presolve the unit's stack
    once, then the L-BFGS dual — warm-started from structurally identical
@@ -32,7 +33,11 @@ import numpy as np
 
 from repro.engine.cache import CacheEntry, SolveCache, WarmStartStore
 from repro.engine.component import solve_component_group
-from repro.engine.fingerprint import component_fingerprint, structure_fingerprint
+from repro.engine.fingerprint import (
+    component_fingerprint,
+    component_keys,
+    structure_keys,
+)
 from repro.engine.plan import ExecutionPlan, build_plan
 from repro.errors import InfeasibleKnowledgeError, ReproError
 from repro.maxent.closed_form import closed_form_batch
@@ -107,31 +112,31 @@ def _check_component(
 
 
 def _group_work(
-    entries: list[tuple], groups: list[list[int]]
-) -> list[list[tuple]]:
-    """Bin pending entries into work units (batch groups + singletons).
+    positions: list[int], groups: list[list[int]]
+) -> list[list[int]]:
+    """Bin pending plan positions into work units (batch groups + singletons).
 
-    ``groups`` is a plan's ``batch_groups``; an entry's key is its plan
-    position (``entry[0]``).  Order-preserving: a batch group appears at
-    its first present member's position, ungrouped entries stay
-    individual — so groups thinned by cache hits simply shrink.
+    ``groups`` is a plan's ``batch_groups``.  Order-preserving: a batch
+    group appears at its first present member's position, ungrouped
+    positions stay individual — so groups thinned by cache hits simply
+    shrink.
     """
     member_of: dict[int, int] = {}
     for group_index, group in enumerate(groups):
-        for key in group:
-            member_of[key] = group_index
-    units: list[list[tuple]] = []
-    unit_by_group: dict[int, list[tuple]] = {}
-    for entry in entries:
-        group_index = member_of.get(entry[0])
+        for position in group:
+            member_of[position] = group_index
+    units: list[list[int]] = []
+    unit_by_group: dict[int, list[int]] = {}
+    for position in positions:
+        group_index = member_of.get(position)
         if group_index is None:
-            units.append([entry])
+            units.append([position])
             continue
         unit = unit_by_group.get(group_index)
         if unit is None:
             unit = unit_by_group[group_index] = []
             units.append(unit)
-        unit.append(entry)
+        unit.append(position)
     return units
 
 
@@ -465,18 +470,18 @@ class PrivacyEngine:
         """Solve all irrelevant components in one vectorized Eq. (9) call."""
         if not plan.closed_form:
             return
-        indices = np.concatenate(
-            [plan.components[pos].var_indices for pos in plan.closed_form]
-        )
+        stack = plan.components
+        indices = stack.variables(plan.closed_form)
         p[indices] = closed_form_batch(space, indices)
-        for pos in plan.closed_form:
-            component = plan.components[pos]
+        n_vars = stack.var_counts[plan.closed_form].tolist()
+        n_equalities = stack.n_equalities[plan.closed_form].tolist()
+        for pos, size, rows in zip(plan.closed_form, n_vars, n_equalities):
             stats_by_position[pos] = SolverStats(
                 solver="closed-form",
                 iterations=0,
                 seconds=0.0,
-                n_vars=component.n_vars,
-                n_equalities=component.system.n_equalities,
+                n_vars=size,
+                n_equalities=rows,
                 n_inequalities=0,
                 eq_residual=0.0,
                 ineq_residual=0.0,
@@ -500,32 +505,35 @@ class PrivacyEngine:
         Returns ``(cpu_seconds, fingerprint_seconds)`` — summed component
         compute time and the wall time spent encoding cache keys.
         """
-        solve_key = config.solve_key()
-        caching = self.cache.enabled
-        pending: list[tuple[int, Component, str | None, str | None]] = []
-        fingerprint_timer = Timer()
+        stack = plan.components
+        pending = plan.numeric
+        keys: dict[int, str] = {}
+        structures: dict[int, str] = {}
         fingerprint_seconds = 0.0
-
-        for pos in plan.numeric:
-            component = plan.components[pos]
-            fingerprint = None
-            structure = None
-            if caching:
-                fingerprint_timer.start()
-                fingerprint = component_fingerprint(
-                    component.system, component.mass, solve_key
-                )
-                fingerprint_seconds += fingerprint_timer.stop()
-                entry = self.cache.lookup(fingerprint)
-                if entry is not None:
-                    p[component.var_indices] = entry.p
-                    stats_by_position[pos] = entry.replay_stats()
+        if self.cache.enabled and pending:
+            with Timer() as timer:
+                encoded = component_keys(stack, pending, config.solve_key())
+            keys = dict(zip(pending, encoded))
+            fingerprint_seconds += timer.seconds
+            hits: list[int] = []
+            replayed: list[np.ndarray] = []
+            misses: list[int] = []
+            for pos, key in keys.items():
+                entry = self.cache.lookup(key)
+                if entry is None:
+                    misses.append(pos)
                     continue
-                fingerprint_timer.start()
-                structure = structure_fingerprint(component.system)
-                fingerprint_seconds += fingerprint_timer.stop()
-            pending.append((pos, component, fingerprint, structure))
-
+                hits.append(pos)
+                replayed.append(entry.p)
+                stats_by_position[pos] = entry.replay_stats()
+            if hits:
+                p[stack.variables(hits)] = np.concatenate(replayed)
+            pending = misses
+            if pending:
+                with Timer() as timer:
+                    encoded = structure_keys(stack, pending)
+                structures = dict(zip(pending, encoded))
+                fingerprint_seconds += timer.seconds
         if not pending:
             return 0.0, fingerprint_seconds
 
@@ -537,32 +545,31 @@ class PrivacyEngine:
         units = _group_work(pending, plan.batch_groups)
         warm_starts = [
             [
-                self.warm_starts.get(structure) if structure else None
-                for _, _, _, structure in unit
+                self.warm_starts.get(structures[pos])
+                if pos in structures
+                else None
+                for pos in unit
             ]
             for unit in units
         ]
         cpu_seconds = 0.0
         batched = 0
         for unit, unit_warm_starts in zip(units, warm_starts):
+            components = [stack[pos] for pos in unit]
             results = solve_component_group(
-                [component for _, component, _, _ in unit],
-                config,
-                unit_warm_starts,
+                components, config, unit_warm_starts
             )
-            for (pos, component, fingerprint, structure), result in zip(
-                unit, results
-            ):
+            for pos, component, result in zip(unit, components, results):
                 p[component.var_indices] = result.p
                 stats_by_position[pos] = result.stats
                 cpu_seconds += result.stats.seconds
                 batched += result.stats.batched_components
-                if fingerprint is not None and result.stats.converged:
+                if pos in keys and result.stats.converged:
                     self.cache.put(
-                        fingerprint, CacheEntry(p=result.p, stats=result.stats)
+                        keys[pos], CacheEntry(p=result.p, stats=result.stats)
                     )
-                if structure is not None and result.multipliers is not None:
-                    self.warm_starts.put(structure, result.multipliers)
+                if pos in structures and result.multipliers is not None:
+                    self.warm_starts.put(structures[pos], result.multipliers)
                 _check_component(component, result.stats, config)
         if batched:
             with self._telemetry_lock:
@@ -595,10 +602,16 @@ class PrivacyEngine:
         batched_components = 0
         phase_seconds: dict[str, float] = {}
 
-        for pos, component in enumerate(plan.components):
+        stack = plan.components
+        buckets = stack.buckets.tolist()
+        bounds = stack.bucket_indptr.tolist()
+        for pos in range(len(stack)):
             stats = stats_by_position[pos]
             records.append(
-                ComponentRecord(buckets=component.buckets, stats=stats)
+                ComponentRecord(
+                    buckets=tuple(buckets[bounds[pos] : bounds[pos + 1]]),
+                    stats=stats,
+                )
             )
             total_iterations += stats.iterations
             worst_eq = max(worst_eq, stats.eq_residual)

@@ -1,7 +1,9 @@
 """Execution planning: classify decomposed components by solve path.
 
-A plan is the engine's unit of scheduling: the decomposition's components,
-split into the *batched closed-form* path (irrelevant components of a
+A plan is the engine's unit of scheduling: the decomposition's
+:class:`~repro.maxent.decompose.ComponentStack`, its positions split by
+array masks over the stack's per-component knowledge and inequality
+counts into the *batched closed-form* path (irrelevant components of a
 group space, Definition 5.6 — all solved in one vectorized Eq. (9) call)
 and the *numeric* path (everything touched by knowledge, solved one
 work unit at a time).  When the config allows batching
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.decompose import Component, decompose
+from repro.maxent.decompose import ComponentStack, decompose
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from repro.utils.timer import Timer
 
@@ -30,7 +34,7 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 class ExecutionPlan:
     """The scheduled shape of one MaxEnt solve."""
 
-    components: list[Component]
+    components: ComponentStack
     #: Positions (into ``components``) taking the batched Eq. (9) path.
     closed_form: list[int] = field(default_factory=list)
     #: Positions solved numerically (presolve + L-BFGS dual).
@@ -104,16 +108,15 @@ def build_plan(
     plan = ExecutionPlan(
         components=components, decompose_seconds=timer.seconds
     )
-    closed_form_ok = config.use_closed_form and isinstance(
-        space, GroupVariableSpace
-    )
-    for position, component in enumerate(components):
-        if closed_form_ok and component.is_irrelevant:
-            plan.closed_form.append(position)
-        else:
-            plan.numeric.append(position)
+    closed_form = np.zeros(len(components), dtype=bool)
+    if config.use_closed_form and isinstance(space, GroupVariableSpace):
+        closed_form = (components.knowledge_rows == 0) & (
+            components.inequality_rows == 0
+        )
+    plan.closed_form = np.flatnonzero(closed_form).tolist()
+    plan.numeric = np.flatnonzero(~closed_form).tolist()
     groups = bin_batch_groups(
-        [components[pos].n_vars for pos in plan.numeric], config
+        components.var_counts[plan.numeric].tolist(), config
     )
     plan.batch_groups = [
         [plan.numeric[index] for index in group] for group in groups

@@ -49,16 +49,19 @@ Fixes keep their first-fix order (round, then row) and surviving rows keep
 their order, kinds and labels.  A system on which nothing fires comes back
 as the same object.
 
-:func:`presolve_stack` runs the same loop once over many independent
-systems (an engine batch group) stacked block-diagonally.  Rows never
-cross blocks, so each round on the stack is the union of the per-block
-rounds, and the results it splits back out per block equal
-:func:`presolve`'s bit for bit.
+:func:`presolve_stack` runs the same loop once over the components of
+an engine work unit (a batch group, or one component), as the blocks of
+one block-diagonal CSR gathered straight from the decomposition's
+:class:`~repro.maxent.decompose.ComponentStack`: each block's equalities,
+then its inequalities, in the stack's order.  Rows never cross blocks,
+so each round on the stack is the union of the per-block rounds, and the
+results it splits back out per block equal :func:`presolve`'s on each
+component's own system bit for bit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,6 +69,7 @@ import numpy as np
 
 from repro.errors import InfeasibleKnowledgeError
 from repro.maxent.constraints import ConstraintSystem
+from repro.maxent.decompose import ComponentStack, StackedRows
 
 #: Absolute tolerance for treating right-hand sides as zero.  Right-hand
 #: sides are rationals with denominator N (record count), so genuine zeros
@@ -132,18 +136,17 @@ def presolve(system: ConstraintSystem) -> PresolveResult:
     ineq = system.inequality_arrays()
     n_eq = eq.n_rows
     n_rows = n_eq + ineq.n_rows
-    indptr = np.concatenate((eq.indptr, ineq.indptr[1:] + eq.indptr[-1]))
-    indices = np.concatenate((eq.indices, ineq.indices))
-    coefficients = np.concatenate((eq.coefficients, ineq.coefficients))
+    rows = StackedRows.of_system(system)
+    indptr, indices, coefficients = rows.indptr, rows.indices, rows.coefficients
     labels = eq.labels + ineq.labels
     state = _fixed_point(
         n_vars,
         indptr,
         indices,
         coefficients,
-        np.concatenate((eq.rhs, ineq.rhs)),
+        rows.rhs.copy(),
         np.arange(n_rows) < n_eq,
-        labels,
+        labels.__getitem__,
     )
     if not state.fixed_vars.size and state.keep.all():
         return PresolveResult(
@@ -247,54 +250,35 @@ class StackedPresolve:
         return full
 
 
-def presolve_stack(systems: Sequence[ConstraintSystem]) -> StackedPresolve:
-    """Stack independent systems block-diagonally and presolve them once.
+def presolve_stack(stack: ComponentStack, positions) -> StackedPresolve:
+    """Presolve the stack's components at ``positions`` once, as blocks.
 
-    An infeasibility names its row and the block-local variable index, so
-    its message is the one :func:`presolve` gives on that block alone.
+    The blocks' rows are gathered straight from the stack, each block's
+    equalities, then its inequalities.  An infeasibility names its row and
+    the block-local variable index, so its message is the one
+    :func:`presolve` gives on that component's own system.
     """
-    n_blocks = len(systems)
-    families = []
-    for system in systems:
-        families.append(system.equality_arrays())
-        families.append(system.inequality_arrays())
-    var_counts = np.array([system.n_vars for system in systems], dtype=np.int64)
+    positions = np.asarray(positions, dtype=np.int64)
+    n_blocks = positions.size
+    rows = stack.rows(positions)
+    var_counts = stack.var_counts[positions]
     var_indptr = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(var_counts, out=var_indptr[1:])
-    family_rows = np.array([f.n_rows for f in families], dtype=np.int64)
-    family_nnz = np.array([f.indices.size for f in families], dtype=np.int64)
-    n_rows = int(family_rows.sum())
-
-    # Each family's indptr starts at 0; dropping the diffs across family
-    # seams leaves every row's length.
-    raw = np.concatenate([f.indptr for f in families] or [_EMPTY])
-    seams = np.cumsum(family_rows + 1)[:-1] - 1
-    lengths = np.delete(np.diff(raw), seams)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    indices = np.concatenate([f.indices for f in families] or [_EMPTY])
-    indices += np.repeat(np.repeat(var_indptr[:-1], 2), family_nnz)
-    coefficients = np.concatenate(
-        [f.coefficients for f in families] or [_EMPTY_F]
+    row_block = np.repeat(np.arange(n_blocks), np.diff(rows.row_indptr))
+    indices = rows.indices + np.repeat(
+        var_indptr[:-1][row_block], np.diff(rows.indptr)
     )
-    rhs = np.concatenate([f.rhs for f in families] or [_EMPTY_F])
-    is_eq = np.repeat(np.arange(2 * n_blocks) % 2 == 0, family_rows)
-    row_block = np.repeat(np.arange(n_blocks).repeat(2), family_rows)
-
-    labels: list[str] = []
-    for family in families:
-        labels.extend(family.labels)
+    is_eq = rows.is_equality()
     state = _fixed_point(
         int(var_indptr[-1]),
-        indptr,
+        rows.indptr,
         indices,
-        coefficients,
-        rhs,
+        rows.coefficients,
+        rows.rhs.copy(),
         is_eq,
-        labels,
+        lambda row: stack.label(rows.rows[row]),
         var_indptr,
     )
-
     var_block = np.repeat(np.arange(n_blocks), var_counts)
     fixed_block = var_block[state.fixed_vars]
     order = np.argsort(fixed_block, kind="stable")
@@ -334,7 +318,7 @@ def presolve_stack(systems: Sequence[ConstraintSystem]) -> StackedPresolve:
         ),
         indptr=kept_indptr,
         indices=(np.cumsum(free) - 1)[indices[entries]],
-        coefficients=coefficients[entries],
+        coefficients=rows.coefficients[entries],
         rhs=state.rhs[kept_rows],
     )
 
@@ -346,7 +330,7 @@ def _fixed_point(
     coefficients: np.ndarray,
     rhs: np.ndarray,
     is_eq: np.ndarray,
-    labels: Sequence[str],
+    label: Callable[[int], str],
     var_indptr: np.ndarray | None = None,
 ) -> _FixedPoint:
     """Run the reductions on one flat CSR (``rhs`` is updated in place).
@@ -420,29 +404,29 @@ def _fixed_point(
         bad[rows[out_of_range | conflict]] = True
         if np.count_nonzero(bad):
             row = int(np.argmax(bad))
-            label = labels[row]
+            name = label(row)
             if lengths[row] == 0:
                 relation = "=" if is_eq[row] else "<="
                 raise InfeasibleKnowledgeError(
-                    f"constraint {label!r} reduces to 0 {relation} "
+                    f"constraint {name!r} reduces to 0 {relation} "
                     f"{rhs[row]:.3e}"
                 )
             if infeasible[row]:
                 raise InfeasibleKnowledgeError(
-                    f"constraint {label!r} bounds a non-negative sum "
+                    f"constraint {name!r} bounds a non-negative sum "
                     f"above by {rhs[row]:.3e}"
                 )
             at = ((rows == row) & (out_of_range | conflict)).nonzero()[0][0]
             if out_of_range[at]:
                 raise InfeasibleKnowledgeError(
-                    f"constraint {label!r} forces P = {forced[at]:.3e}, "
+                    f"constraint {name!r} forces P = {forced[at]:.3e}, "
                     "outside [0, 1]"
                 )
             var = variables[at]
             if var_indptr is not None:
                 var -= var_indptr[np.searchsorted(var_indptr, var, "right") - 1]
             raise InfeasibleKnowledgeError(
-                f"constraint {label!r} forces variable {var} to "
+                f"constraint {name!r} forces variable {var} to "
                 f"{values[at]:.3e}, but it was already fixed to "
                 f"{first_value[at]:.3e}"
             )
@@ -466,7 +450,7 @@ def _fixed_point(
 
     keep = live & ~_duplicates(
         (live & is_eq).nonzero()[0], lengths, row_of, indices, coefficients,
-        rhs, live_entry, labels,
+        rhs, live_entry, label,
     )
     return _FixedPoint(
         fixed_vars=np.concatenate(fixed_vars) if fixed_vars else _EMPTY,
@@ -482,7 +466,7 @@ def _fixed_point(
 
 
 def _duplicates(
-    rows, lengths, row_of, indices, coefficients, rhs, live_entry, labels
+    rows, lengths, row_of, indices, coefficients, rhs, live_entry, label
 ) -> np.ndarray:
     """Mask of the ``rows`` whose live left side repeats an earlier row's.
 
@@ -525,7 +509,7 @@ def _duplicates(
             continue
         if abs(seen[key] - rhs[row]) > 1e-9:
             raise InfeasibleKnowledgeError(
-                f"constraints conflict: row {labels[row]!r} duplicates "
+                f"constraints conflict: row {label(row)!r} duplicates "
                 f"another row's left side with a different value "
                 f"({rhs[row]:.3e} vs {seen[key]:.3e})"
             )

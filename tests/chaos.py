@@ -29,9 +29,8 @@ every time:
   drill the durable serving mode exists for, plus SIGTERM
   (:meth:`ServerProcess.terminate`) for the graceful-drain contract.
 
-Nothing here is imported by production code paths; it ships in the
-package (not the test tree) so benchmarks and downstream users can run
-the same fire drills.
+Only the chaos suites (``test_cluster_chaos.py``, ``test_service_chaos.py``)
+import this module; the package itself never does.
 """
 
 from __future__ import annotations

@@ -20,6 +20,8 @@ from repro.data.schema import Attribute, Schema
 from repro.data.table import Table
 from repro.engine.plan import build_plan
 from repro.knowledge.expressions import ProbabilityExpression
+from repro.maxent.constraints import known_kind_codes
+from repro.maxent.decompose import DATA_ROW_KINDS, ComponentStack, StackedRows
 from repro.maxent.dual import build_dual
 from repro.maxent.lbfgs import solve_dual_lbfgs
 from repro.maxent.solver import MaxEntConfig, solve_maxent
@@ -155,3 +157,61 @@ def unreduced_solution(space, system, tol: float) -> np.ndarray:
         dual = build_dual(component.system, component.mass)
         p[component.var_indices] = solve_dual_lbfgs(dual, tol=tol).p
     return p
+
+
+def stack_systems(systems, masses=None, buckets=None) -> ComponentStack:
+    """``systems`` as the components of one stack, in order.
+
+    Component ``k`` is ``systems[k]`` over its own variables, with mass
+    ``masses[k]`` (default 1) and buckets ``buckets[k]`` (default
+    ``(k,)``).  This is how tests feed hand-built or mixed systems to
+    code that reads component stacks.
+    """
+    n = len(systems)
+    buckets = buckets or [(k,) for k in range(n)]
+    blocks = [StackedRows.of_system(system) for system in systems]
+    kinds = [
+        np.concatenate(
+            (s.equality_arrays().kind_codes, s.inequality_arrays().kind_codes)
+        )
+        for s in systems
+    ]
+    labels = [
+        label
+        for s in systems
+        for label in s.equality_arrays().labels + s.inequality_arrays().labels
+    ]
+    lengths = np.concatenate(
+        [np.diff(block.indptr) for block in blocks] + [np.zeros(0, int)]
+    )
+    n_equalities = np.array([int(b.n_equalities[0]) for b in blocks], dtype=int)
+    kind_codes = np.concatenate(kinds + [np.zeros(0, int)]).astype(np.int64)
+    eq_rows = np.concatenate(
+        [np.arange(b.rhs.size) < b.n_equalities[0] for b in blocks]
+        + [np.zeros(0, bool)]
+    )
+    knowledge = eq_rows & ~np.isin(kind_codes, known_kind_codes(DATA_ROW_KINDS))
+    row_counts = [block.rhs.size for block in blocks]
+    return ComponentStack(
+        var_indptr=np.concatenate(([0], np.cumsum([s.n_vars for s in systems]))),
+        var_indices=np.arange(sum(s.n_vars for s in systems)),
+        bucket_indptr=np.concatenate(([0], np.cumsum([len(b) for b in buckets]))),
+        buckets=np.array([bucket for group in buckets for bucket in group]),
+        row_indptr=np.concatenate(([0], np.cumsum(row_counts))).astype(np.int64),
+        n_equalities=n_equalities,
+        indptr=np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
+        indices=np.concatenate(
+            [b.indices for b in blocks] + [np.zeros(0, np.int64)]
+        ),
+        coefficients=np.concatenate(
+            [b.coefficients for b in blocks] + [np.zeros(0)]
+        ),
+        rhs=np.concatenate([b.rhs for b in blocks] + [np.zeros(0)]),
+        kind_codes=kind_codes,
+        labels=labels,
+        label_rows=np.arange(len(labels)),
+        masses=np.ones(n) if masses is None else np.asarray(masses, float),
+        knowledge_rows=np.bincount(
+            np.repeat(np.arange(n), row_counts)[knowledge], minlength=n
+        ),
+    )

@@ -43,11 +43,11 @@ from repro.data.table import Table
 from repro.errors import ReproError
 from repro.knowledge.mining import MiningConfig, _antecedent_sizes
 from repro.knowledge.rules import AssociationRule, NegativeRule, PositiveRule
-from repro.engine.component import ComponentSolve, _forced_solve, _package_solve
+from repro.engine.component import ComponentSolve
 from repro.maxent.batch_dual import DualStack, solve_batch_dual
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, Row
-from repro.maxent.decompose import DATA_ROW_KINDS, Component
+from repro.maxent.decompose import DATA_ROW_KINDS
 from repro.maxent.dual import DualProblem, build_dual
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from repro.maxent.lbfgs import solve_dual_lbfgs
@@ -140,12 +140,32 @@ def _component_mass(space: VariableSpace, rows: list[Row]) -> float:
     return float(mass)
 
 
+@dataclass
+class RowwiseComponent:
+    """One component of the row-wise decomposition, with its own system."""
+
+    buckets: tuple[int, ...]
+    var_indices: np.ndarray
+    system: ConstraintSystem
+    mass: float
+    knowledge_rows: int
+    inequality_rows: int
+
+    @property
+    def n_vars(self) -> int:
+        return int(self.var_indices.size)
+
+    @property
+    def is_irrelevant(self) -> bool:
+        return self.knowledge_rows == 0 and self.inequality_rows == 0
+
+
 def decompose_rowwise(
     space: VariableSpace,
     system: ConstraintSystem,
     *,
     enabled: bool = True,
-) -> list[Component]:
+) -> list[RowwiseComponent]:
     """Section 5.5 decomposition via union-find and per-row Python loops."""
     n_buckets = int(space.var_bucket.max()) + 1 if space.n_vars else 0
     all_rows = [*system.equalities, *system.inequalities]
@@ -179,7 +199,7 @@ def decompose_rowwise(
         root = union.find(int(space.var_bucket[row.indices[0]]))
         row_groups.setdefault(root, []).append((row, False))
 
-    components: list[Component] = []
+    components: list[RowwiseComponent] = []
     for root in sorted(bucket_groups):
         variables = np.array(var_groups.get(root, []), dtype=np.int64)
         if variables.size == 0:
@@ -206,7 +226,7 @@ def decompose_rowwise(
                 )
                 inequality_rows += 1
         components.append(
-            Component(
+            RowwiseComponent(
                 buckets=tuple(bucket_groups[root]),
                 var_indices=variables,
                 system=local,
@@ -251,15 +271,22 @@ def _encode_row(row: Row, family: bytes, *, with_rhs: bool) -> bytes:
 
 
 def fingerprint_system_rowwise(
-    system: ConstraintSystem, mass: float = 1.0
+    system: ConstraintSystem, mass: float | None = 1.0
 ) -> str:
-    """The historical per-row fingerprint encoding (digest-compatible)."""
-    rows = [_encode_row(r, b"E", with_rhs=True) for r in system.equalities]
-    rows += [_encode_row(r, b"I", with_rhs=True) for r in system.inequalities]
+    """The historical per-row fingerprint encoding (digest-compatible).
+
+    ``mass=None`` gives the structure fingerprint (no rhs, no mass).
+    """
+    with_rhs = mass is not None
+    rows = [_encode_row(r, b"E", with_rhs=with_rhs) for r in system.equalities]
+    rows += [
+        _encode_row(r, b"I", with_rhs=with_rhs) for r in system.inequalities
+    ]
     rows.sort()
     digest = hashlib.sha256()
     digest.update(struct.pack("<q", system.n_vars))
-    digest.update(struct.pack("<d", mass))
+    if with_rhs:
+        digest.update(struct.pack("<d", mass))
     for encoded in rows:
         digest.update(struct.pack("<q", len(encoded)))
         digest.update(encoded)
@@ -271,7 +298,7 @@ class PipelineResult:
     """Everything the cold construction pipeline produces, for comparison."""
 
     system: ConstraintSystem
-    components: list[Component]
+    components: list[RowwiseComponent]
     fingerprints: list[str]
 
 
@@ -367,7 +394,7 @@ def mine_association_rules_rowwise(
 
 
 def solve_component_batch_per_component(
-    components: list[Component],
+    components: list,
     config: MaxEntConfig,
     warm_starts: list[np.ndarray | None] | None = None,
 ) -> list[tuple[np.ndarray, SolverStats, np.ndarray | None]]:
@@ -430,7 +457,7 @@ def solve_component_batch_per_component(
 
 
 def _legacy_stats(
-    component: Component, solver: str, fixed_count: int, **fields
+    component, solver: str, fixed_count: int, **fields
 ) -> SolverStats:
     return SolverStats(
         solver=solver,
@@ -502,7 +529,7 @@ def _usable_warm_start(
 
 
 def _reduce(
-    component: Component, config: MaxEntConfig
+    component, config: MaxEntConfig
 ) -> tuple[ConstraintSystem, float, PresolveResult | None, int]:
     """Apply presolve: (system, mass, reduction, fixed)."""
     reduction = presolve(component.system)
@@ -522,7 +549,7 @@ def _restore(
 
 
 def solve_component(
-    component: Component,
+    component,
     config: MaxEntConfig,
     warm_start: np.ndarray | None = None,
 ) -> ComponentSolve:
@@ -536,11 +563,14 @@ def solve_component(
         with Timer() as presolve_timer:
             system, mass, reduction, fixed_count = _reduce(component, config)
         if system.n_vars == 0 or mass <= 1e-15:
-            solve = _forced_solve(
-                component,
-                config,
-                _restore(reduction, np.zeros(system.n_vars)),
-                fixed_count,
+            p_local = _restore(reduction, np.zeros(system.n_vars))
+            residual = component.system.residual(p_local)
+            solve = ComponentSolve(
+                p_local,
+                _legacy_stats(
+                    component, "presolve", fixed_count,
+                    eq_residual=residual, converged=residual <= config.tol,
+                ),
             )
         else:
             with Timer() as dual_timer:
@@ -551,8 +581,17 @@ def solve_component(
                     max_iterations=config.max_iterations,
                     x0=_usable_warm_start(warm_start, dual.n_params),
                 )
-            solve = _package_solve(
-                component, _restore(reduction, result.p), fixed_count, result
+            solve = ComponentSolve(
+                _restore(reduction, result.p),
+                _legacy_stats(
+                    component, "lbfgs", fixed_count,
+                    iterations=result.iterations,
+                    eq_residual=result.eq_residual,
+                    ineq_residual=result.ineq_residual,
+                    converged=result.converged,
+                    message=result.message,
+                ),
+                result.multipliers if result.converged else None,
             )
             solve.stats.add_phase("dual", dual_timer.seconds)
     solve.stats.add_phase("presolve", presolve_timer.seconds)

@@ -180,16 +180,21 @@ class TestIngestCommand:
             ["ingest", str(tmp_path / "absent.db"), "--qi", "age",
              "--sa", "education", "--embedded"]
         )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("privacy-maxent: error: ConnectorError: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_postgres_gate_names_the_extra(self, capsys):
         code = main(
             ["ingest", "dbname=nope", "--postgres", "--qi", "age",
              "--sa", "education", "--embedded"]
         )
-        assert code == 1
-        assert "repro[postgres]" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("privacy-maxent: error: ConnectorError: ")
+        assert "repro[postgres]" in err
 
 
 class TestWorkloadCommand:

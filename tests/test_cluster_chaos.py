@@ -1,7 +1,7 @@
 """Seeded fault injection: the elastic cluster's claims, proven under fire.
 
 Every test here drives *real* worker subprocesses through deterministic
-fault schedules (:mod:`repro.cluster.chaos`): connections refused,
+fault schedules (:mod:`tests.chaos`): connections refused,
 responses cut mid-flight, latency spikes, SIGKILL and respawn with the
 same persisted identity.  The invariants asserted are the robustness
 acceptance bar for the elastic cluster:
@@ -29,11 +29,11 @@ from repro.cluster import (
     MembershipConfig,
     ShardedFrontend,
 )
-from repro.cluster.chaos import ChaosProxy, FaultSchedule, WorkerProcess
 from repro.core.privacy_maxent import PrivacyMaxEnt
 from repro.data.paper_example import Q4, S1, paper_published
 from repro.knowledge.statements import ConditionalProbability
 from repro.service import BackgroundService, ServiceClient, ServiceConfig
+from tests.chaos import ChaosProxy, FaultSchedule, WorkerProcess
 
 #: One seed for the whole suite — date of the paper's conference run.
 SEED = 20080612

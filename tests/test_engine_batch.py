@@ -29,9 +29,9 @@ from repro.knowledge.statements import ConditionalProbability
 from repro.maxent.batch_dual import MAX_ROUNDS
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, data_constraints
-from repro.maxent.decompose import Component
 from repro.maxent.indexing import GroupVariableSpace
 from repro.obs.trace import get_tracer
+from tests.helpers import stack_systems
 from tests.legacy import solve_component, solve_component_batch_per_component
 
 TOL = 1e-6
@@ -300,18 +300,22 @@ def _vague_topk_group():
     components = []
     for k, component in enumerate(vague):
         components += [component] + plain[4 * k : 4 * k + 4]
-    return components
+    return _restacked(components)
+
+
+def _restacked(components):
+    """Components of several stacks as the components of one."""
+    return list(
+        stack_systems(
+            [component.system for component in components],
+            [component.mass for component in components],
+            [component.buckets for component in components],
+        )
+    )
 
 
 def _free_component(system, mass):
-    return Component(
-        buckets=(-1,),
-        var_indices=np.arange(system.n_vars),
-        system=system,
-        mass=mass,
-        knowledge_rows=system.n_equalities,
-        inequality_rows=system.n_inequalities,
-    )
+    return stack_systems([system], [mass], [(-1,)])[0]
 
 
 def _group_with_forced_components():
@@ -323,7 +327,7 @@ def _group_with_forced_components():
     pinned.add_equality([1], [1.0], 0.05, kind="stmt", label="pin1")
     massless = ConstraintSystem(4)
     numeric = _largest_batch_group(_synthetic_workload)[:12]
-    return (
+    return _restacked(
         [_free_component(pinned, 0.3)]
         + numeric[:6]
         + [_free_component(massless, 1e-16)]
@@ -395,9 +399,9 @@ class TestStackedPresolveReference:
         stacks: list[int] = []
         real_stack = component_module.presolve_stack
 
-        def spy_stack(systems):
-            stacks.append(len(systems))
-            return real_stack(systems)
+        def spy_stack(stack, positions):
+            stacks.append(len(positions))
+            return real_stack(stack, positions)
 
         monkeypatch.setattr(component_module, "presolve_stack", spy_stack)
         PrivacyEngine(cache_size=0).solve(space, system, config)
@@ -559,9 +563,10 @@ class TestSolveGroupSpan:
                 list(range(k)), [1.0] * k, total, kind="stmt", label=f"p{k}"
             )
         straggler.add_inequality([0, 1], [1.0, 1.0], 0.02, kind="vague")
-        components = _largest_batch_group(_synthetic_workload)[:8] + [
-            _free_component(straggler, 1.0)
-        ]
+        components = _restacked(
+            _largest_batch_group(_synthetic_workload)[:8]
+            + [_free_component(straggler, 1.0)]
+        )
         config = MaxEntConfig(
             raise_on_infeasible=False,
             batch_components=512,

@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 from repro.errors import InfeasibleKnowledgeError
 from repro.maxent.constraints import ConstraintSystem
 from repro.maxent.presolve import presolve, presolve_stack
+from tests.helpers import stack_systems
+
+
+def presolve_blocks(systems):
+    """Presolve ``systems`` once, as the blocks of one component stack."""
+    return presolve_stack(stack_systems(systems), range(len(systems)))
 
 
 def system_of(n_vars, equalities=(), inequalities=()):
@@ -494,7 +500,7 @@ class TestStackedPresolve:
             build_system(p_star.size, rows, prefix=f"b{k}.")
             for k, (p_star, rows) in enumerate(cases)
         ]
-        stack = presolve_stack(systems)
+        stack = presolve_blocks(systems)
         for k, system in enumerate(systems):
             assert split_block(stack, systems, k) == per_block(presolve(system))
 
@@ -513,7 +519,7 @@ class TestStackedPresolve:
         with pytest.raises(InfeasibleKnowledgeError) as own:
             presolve(systems[bad])
         with pytest.raises(InfeasibleKnowledgeError) as stacked:
-            presolve_stack(systems)
+            presolve_blocks(systems)
         assert str(stacked.value) == str(own.value)
 
     def test_mass_removed_is_each_blocks_sequential_sum(self):
@@ -523,7 +529,7 @@ class TestStackedPresolve:
         assert sum(values) != float(np.sum(values))
         pinned = system_of(13, [([k], [1.0], v) for k, v in enumerate(values)])
         clean = system_of(3, [([0, 1, 2], [1.0] * 3, 0.5)])
-        stack = presolve_stack([clean, pinned, clean])
+        stack = presolve_blocks([clean, pinned, clean])
         assert stack.mass_removed == [0.0, presolve(pinned).mass_removed, 0.0]
         assert stack.mass_removed[1] == sum(values)
 
@@ -534,5 +540,5 @@ class TestStackedPresolve:
             presolve(bad)
         assert "forces variable 2 " in str(own.value)
         with pytest.raises(InfeasibleKnowledgeError) as stacked:
-            presolve_stack([clean, clean, bad])
+            presolve_blocks([clean, clean, bad])
         assert str(stacked.value) == str(own.value)

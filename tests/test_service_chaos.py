@@ -1,7 +1,7 @@
 """Front-door fault injection: durable serving, proven under fire.
 
 Every test here drives a *real* ``repro serve --state-dir`` subprocess
-(:class:`~repro.cluster.chaos.ServerProcess`) through crash scenarios
+(:class:`tests.chaos.ServerProcess`) through crash scenarios
 the durability layer claims to survive:
 
 - SIGKILL mid-chunked-upload, restart on the same state dir, resume the
@@ -22,7 +22,6 @@ import os
 
 import pytest
 
-from repro.cluster.chaos import ChaosProxy, FaultSchedule, ServerProcess
 from repro.cluster.retry import RetryPolicy
 from repro.core.privacy_maxent import PrivacyMaxEnt
 from repro.core.serialize import published_to_dict
@@ -34,6 +33,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from tests.chaos import ChaosProxy, FaultSchedule, ServerProcess
 
 #: One seed for the whole suite — date of the paper's conference run.
 SEED = 20080612
