@@ -6,13 +6,26 @@ bag, severing the record-level QI <-> SA binding.  An *assignment*
 (Definition 5.2/5.3 of the paper) is a way to re-attach the SA bag of a
 bucket to its QI slots; the original table corresponds to one (unknown)
 assignment.
+
+A :class:`BucketizedTable` codes its records once, at construction, into
+integer arrays (:class:`RecordCodes`): each record's bucket, QI-tuple id
+and SA id, with the distinct QI tuples and SA values in first-appearance
+order and their counts.  The published marginals and both MaxEnt
+variable spaces (:mod:`repro.maxent.indexing`) read those arrays, so no
+per-bucket ``Counter`` is rebuilt per space or per posterior.  The same
+pass validates the release: every QI tuple must be a tuple of one string
+per QI attribute, and every SA value a string of the schema's SA domain.
+QI values are not checked against their domains, because generalizing
+anonymizers (Mondrian) publish range labels.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +86,109 @@ class Bucket:
         return tuple(seen)
 
 
+class RecordCodes(NamedTuple):
+    """A release's records as integer codes (read-only arrays).
+
+    Records are numbered bucket by bucket, in slot order.  ``qi[r]`` and
+    ``sa[r]`` index ``qi_tuples`` and ``sa_values``, which list the
+    distinct values in order of first appearance; ``qi_counts`` and
+    ``sa_counts`` are their record counts (``N * P(q)``, ``N * P(s)``).
+    """
+
+    bucket: np.ndarray
+    qi: np.ndarray
+    sa: np.ndarray
+    qi_tuples: tuple[QITuple, ...]
+    qi_id_of: dict[QITuple, int]
+    qi_counts: np.ndarray
+    sa_values: tuple[str, ...]
+    sa_id_of: dict[str, int]
+    sa_counts: np.ndarray
+
+
+def _code_records(schema: Schema, buckets: tuple[Bucket, ...]) -> RecordCodes:
+    """Code every record of ``buckets`` and validate the distinct values."""
+    qi_id_of: dict[QITuple, int] = {}
+    sa_id_of: dict[str, int] = {}
+    sizes = np.fromiter(
+        (b.size for b in buckets), dtype=np.int64, count=len(buckets)
+    )
+    n = int(sizes.sum())
+    try:
+        qi = np.fromiter(
+            (
+                qi_id_of.setdefault(q, len(qi_id_of))
+                for b in buckets
+                for q in b.qi_tuples
+            ),
+            dtype=np.int64,
+            count=n,
+        )
+        sa = np.fromiter(
+            (
+                sa_id_of.setdefault(s, len(sa_id_of))
+                for b in buckets
+                for s in b.sa_values
+            ),
+            dtype=np.int64,
+            count=n,
+        )
+    except TypeError as exc:
+        raise AnonymizationError(
+            f"unhashable QI tuple or SA value: {exc}"
+        ) from None
+    qi_tuples, sa_values = tuple(qi_id_of), tuple(sa_id_of)
+    _check_values(schema, qi_tuples, sa_values)
+    codes = RecordCodes(
+        bucket=np.repeat(np.arange(len(buckets), dtype=np.int64), sizes),
+        qi=qi,
+        sa=sa,
+        qi_tuples=qi_tuples,
+        qi_id_of=qi_id_of,
+        qi_counts=np.bincount(qi, minlength=len(qi_tuples)),
+        sa_values=sa_values,
+        sa_id_of=sa_id_of,
+        sa_counts=np.bincount(sa, minlength=len(sa_values)),
+    )
+    for array in (codes.bucket, codes.qi, codes.sa, codes.qi_counts, codes.sa_counts):
+        array.setflags(write=False)
+    return codes
+
+
+def _all_of(values: Iterable, kind: type) -> bool:
+    """Whether every value is a ``kind`` (one ``type`` per value, in C)."""
+    return all(issubclass(t, kind) for t in set(map(type, values)))
+
+
+def _check_values(
+    schema: Schema, qi_tuples: tuple[QITuple, ...], sa_values: tuple[str, ...]
+) -> None:
+    """Reject a distinct QI tuple or SA value the schema cannot hold."""
+    arity = len(schema.qi_attributes)
+    if not (
+        _all_of(qi_tuples, tuple)
+        and set(map(len, qi_tuples)) == {arity}
+        and _all_of(chain.from_iterable(qi_tuples), str)
+    ):
+        bad = next(
+            q
+            for q in qi_tuples
+            if not isinstance(q, tuple)
+            or len(q) != arity
+            or not _all_of(q, str)
+        )
+        raise AnonymizationError(
+            f"QI tuple {bad!r} must hold one string per QI attribute "
+            f"{schema.qi_attributes!r}"
+        )
+    domain = set(schema.sa.domain)
+    for s in sa_values:
+        if not isinstance(s, str) or s not in domain:
+            raise AnonymizationError(
+                f"SA value {s!r} is not in the domain of {schema.sa_attribute!r}"
+            )
+
+
 class BucketizedTable:
     """A published bucketized dataset ``D'``.
 
@@ -92,7 +208,8 @@ class BucketizedTable:
             )
         self._schema = schema.without_ids()
         self._buckets = tuple(buckets)
-        self._n_records = sum(b.size for b in self._buckets)
+        self._codes = _code_records(self._schema, self._buckets)
+        self._n_records = int(self._codes.bucket.size)
 
     # -- construction ------------------------------------------------------
 
@@ -153,6 +270,11 @@ class BucketizedTable:
         """Total number of records ``N``."""
         return self._n_records
 
+    @property
+    def codes(self) -> RecordCodes:
+        """The records as integer codes (see :class:`RecordCodes`)."""
+        return self._codes
+
     def bucket(self, index: int) -> Bucket:
         """Bucket ``index`` (0-based)."""
         try:
@@ -169,18 +291,14 @@ class BucketizedTable:
     # P(Q, B), P(S, B) constants (Section 3.1).
 
     def qi_marginal(self) -> Counter:
-        """``N * P(q)``: total count of each QI tuple across buckets."""
-        total: Counter = Counter()
-        for bucket in self._buckets:
-            total.update(bucket.qi_counts())
-        return total
+        """``N * P(q)``: total count of each QI tuple, first-appearance order."""
+        codes = self._codes
+        return Counter(dict(zip(codes.qi_tuples, codes.qi_counts.tolist())))
 
     def sa_marginal(self) -> Counter:
-        """``N * P(s)``: total count of each SA value across buckets."""
-        total: Counter = Counter()
-        for bucket in self._buckets:
-            total.update(bucket.sa_counts())
-        return total
+        """``N * P(s)``: total count of each SA value, first-appearance order."""
+        codes = self._codes
+        return Counter(dict(zip(codes.sa_values, codes.sa_counts.tolist())))
 
     def qv_count(self, qv: dict[str, str]) -> int:
         """Count of records whose QI tuple matches the partial spec ``qv``.

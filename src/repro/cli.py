@@ -191,12 +191,12 @@ def _cmd_utility(args: argparse.Namespace) -> int:
 
 
 def _with_engine(config, args: argparse.Namespace):
-    """Apply the CLI's engine flags to a figure config's solver settings."""
+    """Apply the CLI's engine flags to a figure config's MaxEnt settings."""
     overrides = _engine_overrides(args)
     if not overrides:
         return config
     return dataclasses.replace(
-        config, solver=dataclasses.replace(config.solver, **overrides)
+        config, config=dataclasses.replace(config.config, **overrides)
     )
 
 

@@ -96,8 +96,7 @@ class PosteriorTable:
             solution.p,
         )
 
-        marginal = published.qi_marginal()
-        weights = np.array([marginal[q] / n for q in qi_tuples])
+        weights = space.qi_counts / n
         return cls(qi_tuples, sa_domain, _project_rows(joint), weights)
 
     @classmethod

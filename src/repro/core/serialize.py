@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Iterable, Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -118,6 +119,40 @@ def published_to_dict(published: BucketizedTable) -> dict:
     }
 
 
+def _types(values: Iterable) -> set[type]:
+    return set(map(type, values))
+
+
+def bucket_from_dict(raw, index: int) -> Bucket:
+    """Parse one wire bucket: ``qi_tuples`` is an array of arrays of
+    strings and ``sa_values`` an array of strings.
+
+    Only the JSON shape is checked here (a string where an array belongs
+    is rejected, not split into characters); a QI arity or an SA value
+    that does not fit the schema is rejected when the buckets become a
+    :class:`~repro.anonymize.buckets.BucketizedTable`.
+    """
+    raw = _require_mapping(raw, f"bucket {index}")
+    _check_keys(raw, ("qi_tuples", "sa_values"), f"bucket {index}")
+    qi_tuples = raw.get("qi_tuples")
+    if not (
+        type(qi_tuples) is list
+        and _types(qi_tuples) <= {list}
+        and _types(chain.from_iterable(qi_tuples)) <= {str}
+    ):
+        raise ReproError(
+            f"bucket {index}: qi_tuples must be a JSON array of arrays of strings"
+        )
+    sa_values = raw.get("sa_values")
+    if not (type(sa_values) is list and _types(sa_values) <= {str}):
+        raise ReproError(f"bucket {index}: sa_values must be a JSON array of strings")
+    return Bucket(
+        index=index,
+        qi_tuples=tuple(map(tuple, qi_tuples)),
+        sa_values=tuple(sa_values),
+    )
+
+
 def published_from_dict(payload) -> BucketizedTable:
     """Rebuild a :class:`~repro.anonymize.buckets.BucketizedTable`."""
     payload = _require_mapping(payload, "release")
@@ -126,20 +161,7 @@ def published_from_dict(payload) -> BucketizedTable:
     raw_buckets = payload.get("buckets")
     if not isinstance(raw_buckets, list) or not raw_buckets:
         raise ReproError("release needs a non-empty list of buckets")
-    buckets = []
-    for index, raw in enumerate(raw_buckets):
-        raw = _require_mapping(raw, f"bucket {index}")
-        _check_keys(raw, ("qi_tuples", "sa_values"), f"bucket {index}")
-        try:
-            buckets.append(
-                Bucket(
-                    index=index,
-                    qi_tuples=tuple(tuple(q) for q in raw["qi_tuples"]),
-                    sa_values=tuple(raw["sa_values"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ReproError(f"malformed bucket {index}: {exc!r}") from exc
+    buckets = [bucket_from_dict(raw, index) for index, raw in enumerate(raw_buckets)]
     return BucketizedTable(schema, buckets)
 
 

@@ -43,28 +43,17 @@ class PseudonymTable:
         self._by_qi: dict[QITuple, tuple[Pseudonym, ...]] = {}
         self._by_name: dict[str, Pseudonym] = {}
 
-        counter = 1
-        # First-appearance order over buckets gives stable, paper-like names.
-        seen: dict[QITuple, int] = {}
-        for bucket in published.buckets:
-            for q in bucket.qi_tuples:
-                seen[q] = seen.get(q, 0) + 1
-        order: list[QITuple] = []
-        emitted: set[QITuple] = set()
-        for bucket in published.buckets:
-            for q in bucket.qi_tuples:
-                if q not in emitted:
-                    emitted.add(q)
-                    order.append(q)
-        for q in order:
-            group = []
-            for _ in range(seen[q]):
-                pseudonym = Pseudonym(name=f"i{counter}", qi=q)
-                counter += 1
-                group.append(pseudonym)
-                self._pseudonyms.append(pseudonym)
-                self._by_name[pseudonym.name] = pseudonym
-            self._by_qi[q] = tuple(group)
+        # The release's distinct QI tuples come in first-appearance order
+        # over the buckets, which gives stable, paper-like names.
+        codes = published.codes
+        for q, count in zip(codes.qi_tuples, codes.qi_counts.tolist()):
+            start = len(self._pseudonyms) + 1
+            group = tuple(
+                Pseudonym(name=f"i{i}", qi=q) for i in range(start, start + count)
+            )
+            self._pseudonyms.extend(group)
+            self._by_name.update((p.name, p) for p in group)
+            self._by_qi[q] = group
 
     @property
     def published(self) -> BucketizedTable:

@@ -284,6 +284,8 @@ class _StackedDual:
             (stack.data, stack.indices, stack.indptr),
             shape=(int(self.row_indptr[-1]), int(self.var_indptr[-1])),
         )
+        # Built once per stacked dual, like DualProblem.transpose.
+        self.transpose = self.matrix.T.tocsr()
         self.rhs = stack.rhs
         self.masses = stack.masses
 
@@ -309,7 +311,7 @@ class _StackedDual:
         self, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(stacked primal point, per-block logsumexp)."""
-        theta = -(self.matrix.T @ x)
+        theta = -(self.transpose @ x)
         return _softmax_parts(
             theta, self.var_indptr, self.var_counts, self.masses
         )
@@ -328,7 +330,7 @@ class _StackedDual:
     def hess_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Block-diagonal Hessian-vector product (Newton-CG polish)."""
         p = self.primal(x)
-        w = self.matrix.T @ v
+        w = self.transpose @ v
         rp = self.matrix @ p
         pw = segment_sum(p * w, self.var_indptr)
         return self.matrix @ (p * w) - rp * np.repeat(

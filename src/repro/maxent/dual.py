@@ -18,11 +18,19 @@ whose gradient is ``(c - A p, d - G p)`` — i.e. the negated constraint
 residual — making L-BFGS(-B) the natural solver, exactly as the paper
 implements with Nocedal's package.  The log-sum-exp keeps the evaluation
 overflow-free regardless of multiplier magnitudes.
+
+Evaluations multiply by the stacked matrix ``R = [A; G]`` and by its
+transpose.  :class:`DualProblem` builds ``R^T`` as a CSR matrix once,
+when the dual is assembled (``matrix.T.tocsr()``): ``matrix.T @ x``
+would build a fresh CSC view per call, which costs more than the product
+itself on the duals this package solves.  The CSR transpose adds each
+entry's terms in the same order as that CSC product, so the results are
+bitwise equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,6 +51,11 @@ class DualProblem:
     n_equalities: int
     n_inequalities: int
     mass: float
+    #: ``matrix.T`` as CSR, built once here rather than per evaluation.
+    transpose: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.transpose = self.matrix.T.tocsr()
 
     @property
     def n_params(self) -> int:
@@ -64,7 +77,7 @@ class DualProblem:
 
     def theta(self, x: np.ndarray) -> np.ndarray:
         """Exponential-family parameters ``-(R^T x)`` at multipliers x."""
-        return -(self.matrix.T @ x)
+        return -(self.transpose @ x)
 
     def primal(self, x: np.ndarray) -> np.ndarray:
         """The primal point ``p = M softmax(theta)`` at multipliers x."""
@@ -98,7 +111,7 @@ class DualProblem:
         ill-conditioned (near-collinear knowledge) systems.
         """
         p = self.primal(x)
-        w = self.matrix.T @ v
+        w = self.transpose @ v
         rp = self.matrix @ p
         return self.matrix @ (p * w) - rp * (float(p @ w) / self.mass)
 

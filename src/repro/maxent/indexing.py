@@ -19,10 +19,13 @@ and the solvers:
 - ``vars_matching(qv, sa_value)`` and ``qv_probability(qv)`` — the same
   two queries for one antecedent.
 
-Everything on the hot construction path is array-native: variable
-enumeration is built with ``repeat`` / ``tile`` per bucket, invariant
-cardinality lookups resolve through sorted key tables
-(:class:`_CountTable`), and summation sets come from one precomputed
+Everything on the hot construction path is array-native and reads the
+release's record codes (:class:`~repro.anonymize.buckets.RecordCodes`,
+built once per release): the distinct (bucket, QI) and (bucket, SA)
+pairs are one ``unique`` each over the coded records, variable
+enumeration is one vectorised expansion of those pairs (no loop over
+buckets), invariant cardinality lookups resolve through sorted key
+tables (:class:`_CountTable`), and summation sets come from one precomputed
 composite-key sort (:class:`_PairIndex`) probed with ``searchsorted``
 ranges.  Antecedents resolve through per-attribute integer codes of the
 distinct QI tuples (:class:`_QIRegistry`): the antecedents of a batch are
@@ -78,10 +81,10 @@ class _QIRegistry:
     def __init__(self, published: BucketizedTable) -> None:
         self._names = published.schema.qi_attributes
         self._positions = {name: i for i, name in enumerate(self._names)}
-        marginal = published.qi_marginal()
-        self.tuples: list[QITuple] = list(marginal)
-        self.id_of: dict[QITuple, int] = {q: i for i, q in enumerate(self.tuples)}
-        self.counts = np.array([marginal[q] for q in self.tuples], dtype=np.int64)
+        codes = published.codes
+        self.tuples: list[QITuple] = list(codes.qi_tuples)
+        self.id_of: dict[QITuple, int] = codes.qi_id_of
+        self.counts = codes.qi_counts
         self._coded: tuple[np.ndarray, list[dict[str, int]]] | None = None
 
     def _codes(self) -> tuple[np.ndarray, list[dict[str, int]]]:
@@ -161,29 +164,25 @@ class _QIRegistry:
 class _CountTable:
     """Sorted (a, b) -> count table supporting vectorized batch lookups.
 
-    Built once from a counts dict (bulk conversion, no per-item Python
-    loop on the query path); every lookup is one composite-key encode plus
-    one ``searchsorted``.  The composite stride always covers both the
-    stored and the queried key range, so stored buckets beyond the queried
-    range simply never match (they read as zero — no crash, no aliasing).
+    Built once from parallel key and count arrays; every lookup is one
+    composite-key encode plus one ``searchsorted``.  The composite stride
+    always covers both the stored and the queried key range, so stored
+    buckets beyond the queried range simply never match (they read as
+    zero — no crash, no aliasing).
     """
 
-    def __init__(self, counts: dict[tuple[int, int], int]) -> None:
-        if counts:
-            pairs = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
-            values = np.fromiter(
-                counts.values(), dtype=np.float64, count=len(counts)
-            )
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            self._a = pairs[order, 0]
-            self._b = pairs[order, 1]
-            self._values = values[order]
-            self._max_b = int(self._b.max())
-        else:
-            self._a = np.empty(0, dtype=np.int64)
-            self._b = np.empty(0, dtype=np.int64)
-            self._values = np.empty(0)
-            self._max_b = -1
+    def __init__(
+        self, keys_a: np.ndarray, keys_b: np.ndarray, counts: np.ndarray
+    ) -> None:
+        order = np.lexsort((keys_b, keys_a))
+        self._a = keys_a[order]
+        self._b = keys_b[order]
+        self._values = counts[order].astype(np.float64)
+        self._max_b = int(self._b.max()) if self._b.size else -1
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every stored (a, b) key, ascending."""
+        return list(zip(self._a.tolist(), self._b.tolist()))
 
     def lookup(self, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
         keys_a = np.asarray(keys_a, dtype=np.int64)
@@ -202,16 +201,48 @@ class _CountTable:
         return np.where(found, self._values[position], 0.0)
 
 
-def _gather_counts(
-    counts: dict[tuple[int, int], int], keys_a: np.ndarray, keys_b: np.ndarray
-) -> np.ndarray:
-    """Vectorized ``counts.get((a, b), 0)`` for parallel key arrays.
+def _bucket_pairs(
+    record_bucket: np.ndarray, record_ids: np.ndarray, n_ids: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (bucket, id) pairs of a release's records, with counts.
 
-    One-shot convenience over :class:`_CountTable` — the variable spaces
-    keep persistent tables instead so the dict -> array conversion happens
-    once, not per query.
+    Returns ``(bucket, id, count)`` in order of first appearance.  Records
+    are numbered bucket by bucket, so the pairs come bucket-major and,
+    within a bucket, in the order its slots first show each id: the order
+    a per-bucket ``Counter`` iterates.
     """
-    return _CountTable(counts).lookup(keys_a, keys_b)
+    key = record_bucket * max(n_ids, 1) + record_ids
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    return record_bucket[first], record_ids[first], counts[order]
+
+
+def _bucket_product(
+    row_key: np.ndarray,
+    row_bucket: np.ndarray,
+    sa_bucket: np.ndarray,
+    sa_ids: np.ndarray,
+    n_buckets: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair every row with every distinct SA value of its bucket.
+
+    ``row_key``/``row_bucket`` is the left factor (QI ids or pseudonym
+    ids) and ``sa_bucket``/``sa_ids`` each bucket's distinct SA ids, both
+    bucket-major.  Returns ``(key, bucket, sa)`` per variable, row-major
+    and SA-minor within each bucket.
+    """
+    sa_indptr = _offsets(np.bincount(sa_bucket, minlength=n_buckets))
+    width = np.diff(sa_indptr)[row_bucket]
+    take = _take_ranges(sa_indptr[row_bucket], sa_indptr[row_bucket + 1])
+    return np.repeat(row_key, width), np.repeat(row_bucket, width), sa_ids[take]
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR-style offsets of consecutive segments of ``counts`` items."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 class _PairIndex:
@@ -288,83 +319,35 @@ class _KnowledgeQueries:
         return float(count) / self.n_records
 
 
-class GroupVariableSpace(_KnowledgeQueries):
-    """Variables ``P(q, s, b)`` over valid (QI tuple, SA value, bucket).
+class _ReleaseSpace(_KnowledgeQueries):
+    """What both spaces read off the release's record codes.
 
-    "Group" refers to the paper's main model where knowledge is about the
-    data distribution, not individuals; every QI occurrence of the same
-    tuple is interchangeable.
+    The QI registry, the SA ids and the ``n(q, b)``/``n(s, b)`` tables
+    of the invariant rows all come from
+    :attr:`~repro.anonymize.buckets.BucketizedTable.codes`: the distinct
+    (bucket, id) pairs are one ``unique`` over the coded records, in the
+    order a per-bucket scan would first meet them.
     """
-
-    #: Row kind whose rows partition the variables (used to derive component
-    #: masses in decomposition).
-    mass_partition_kind = "qi"
 
     def __init__(self, published: BucketizedTable) -> None:
         self._published = published
         self._registry = _QIRegistry(published)
-
-        sa_marginal = published.sa_marginal()
-        self.sa_values: list[str] = list(sa_marginal)
-        self.sa_id_of: dict[str, int] = {s: i for i, s in enumerate(self.sa_values)}
-
-        # n(q, b) and n(s, b) multiplicities drive the invariant right-hand
-        # sides; keep them next to the variables they govern.
-        self._n_qb: dict[tuple[int, int], int] = {}
-        self._n_sb: dict[tuple[int, int], int] = {}
-
-        bucket_chunks: list[np.ndarray] = []
-        qi_chunks: list[np.ndarray] = []
-        sa_chunks: list[np.ndarray] = []
-        for bucket in published.buckets:
-            qi_counts = bucket.qi_counts()
-            sa_counts = bucket.sa_counts()
-            q_ids = np.array(
-                [self._registry.id_of[q] for q in qi_counts], dtype=np.int64
-            )
-            s_ids = np.array(
-                [self.sa_id_of[s] for s in sa_counts], dtype=np.int64
-            )
-            for q, count in qi_counts.items():
-                self._n_qb[(self._registry.id_of[q], bucket.index)] = count
-            for s, count in sa_counts.items():
-                self._n_sb[(self.sa_id_of[s], bucket.index)] = count
-            # The (qid, sid) product in legacy nesting order: qid-major.
-            n_pairs = q_ids.size * s_ids.size
-            bucket_chunks.append(
-                np.full(n_pairs, bucket.index, dtype=np.int64)
-            )
-            qi_chunks.append(np.repeat(q_ids, s_ids.size))
-            sa_chunks.append(np.tile(s_ids, q_ids.size))
-
-        if bucket_chunks:
-            self.var_bucket = np.concatenate(bucket_chunks)
-            self.var_qi = np.concatenate(qi_chunks)
-            self.var_sa = np.concatenate(sa_chunks)
-        else:
-            self.var_bucket = np.empty(0, dtype=np.int64)
-            self.var_qi = np.empty(0, dtype=np.int64)
-            self.var_sa = np.empty(0, dtype=np.int64)
-
-        # Point-lookup and grouped-query structures are built lazily so the
-        # cold construction path (build -> decompose -> fingerprint) never
-        # pays for them.
+        codes = published.codes
+        self.sa_values: list[str] = list(codes.sa_values)
+        self.sa_id_of: dict[str, int] = codes.sa_id_of
+        self._qi_pairs = _bucket_pairs(codes.bucket, codes.qi, len(codes.qi_tuples))
+        self._sa_pairs = _bucket_pairs(codes.bucket, codes.sa, len(codes.sa_values))
+        buckets, qids, counts = self._qi_pairs
+        self._qb_table = _CountTable(qids, buckets, counts)
+        buckets, sids, counts = self._sa_pairs
+        self._sb_table = _CountTable(sids, buckets, counts)
         self._index_cache: dict[tuple[int, int, int], int] | None = None
         self._qi_sa_index: _PairIndex | None = None
-        self._qb_table: _CountTable | None = None
-        self._sb_table: _CountTable | None = None
-
-    # -- geometry ------------------------------------------------------------
 
     @property
     def published(self) -> BucketizedTable:
         """The release this space indexes."""
         return self._published
-
-    @property
-    def n_vars(self) -> int:
-        """Number of valid ``P(q, s, b)`` variables."""
-        return len(self.var_bucket)
 
     @property
     def n_records(self) -> int:
@@ -375,6 +358,71 @@ class GroupVariableSpace(_KnowledgeQueries):
     def qi_tuples(self) -> list[QITuple]:
         """Distinct QI tuples, id order."""
         return self._registry.tuples
+
+    @property
+    def qi_counts(self) -> np.ndarray:
+        """Records per distinct QI tuple (``N * P(q)``), id order."""
+        return self._registry.counts
+
+    # -- invariant cardinalities ----------------------------------------------
+
+    def qi_bucket_count(self, qid: int, bucket: int) -> int:
+        """``n(q, b)``: multiplicity of QI tuple ``qid`` in ``bucket``."""
+        return int(self.qi_bucket_counts(np.array([qid]), np.array([bucket]))[0])
+
+    def sa_bucket_count(self, sid: int, bucket: int) -> int:
+        """``n(s, b)``: multiplicity of SA value ``sid`` in ``bucket``."""
+        return int(self.sa_bucket_counts(np.array([sid]), np.array([bucket]))[0])
+
+    def qi_bucket_pairs(self) -> list[tuple[int, int]]:
+        """All (qid, bucket) pairs with ``n(q, b) > 0``, ascending."""
+        return self._qb_table.pairs()
+
+    def sa_bucket_pairs(self) -> list[tuple[int, int]]:
+        """All (sid, bucket) pairs with ``n(s, b) > 0``, ascending."""
+        return self._sb_table.pairs()
+
+    def qi_bucket_counts(
+        self, qids: np.ndarray, buckets: np.ndarray
+    ) -> np.ndarray:
+        """Vectorized ``n(q, b)`` over parallel (qid, bucket) arrays."""
+        return self._qb_table.lookup(qids, buckets)
+
+    def sa_bucket_counts(
+        self, sids: np.ndarray, buckets: np.ndarray
+    ) -> np.ndarray:
+        """Vectorized ``n(s, b)`` over parallel (sid, bucket) arrays."""
+        return self._sb_table.lookup(sids, buckets)
+
+
+class GroupVariableSpace(_ReleaseSpace):
+    """Variables ``P(q, s, b)`` over valid (QI tuple, SA value, bucket).
+
+    "Group" refers to the paper's main model where knowledge is about the
+    data distribution, not individuals; every QI occurrence of the same
+    tuple is interchangeable.  Bucket by bucket, the variables pair each
+    distinct QI tuple with each distinct SA value (QI-major), both in
+    first-appearance order.
+    """
+
+    #: Row kind whose rows partition the variables (used to derive component
+    #: masses in decomposition).
+    mass_partition_kind = "qi"
+
+    def __init__(self, published: BucketizedTable) -> None:
+        super().__init__(published)
+        buckets, qids, _ = self._qi_pairs
+        sa_buckets, sids, _ = self._sa_pairs
+        self.var_qi, self.var_bucket, self.var_sa = _bucket_product(
+            qids, buckets, sa_buckets, sids, published.n_buckets
+        )
+
+    # -- geometry ------------------------------------------------------------
+
+    @property
+    def n_vars(self) -> int:
+        """Number of valid ``P(q, s, b)`` variables."""
+        return len(self.var_bucket)
 
     @property
     def _index(self) -> dict[tuple[int, int, int], int]:
@@ -412,40 +460,6 @@ class GroupVariableSpace(_KnowledgeQueries):
             int(self.var_bucket[var]),
         )
 
-    # -- invariant cardinalities ----------------------------------------------
-
-    def qi_bucket_count(self, qid: int, bucket: int) -> int:
-        """``n(q, b)``: multiplicity of QI tuple ``qid`` in ``bucket``."""
-        return self._n_qb.get((qid, bucket), 0)
-
-    def sa_bucket_count(self, sid: int, bucket: int) -> int:
-        """``n(s, b)``: multiplicity of SA value ``sid`` in ``bucket``."""
-        return self._n_sb.get((sid, bucket), 0)
-
-    def qi_bucket_pairs(self) -> list[tuple[int, int]]:
-        """All (qid, bucket) pairs with ``n(q, b) > 0`` (QI-invariant rows)."""
-        return sorted(self._n_qb)
-
-    def sa_bucket_pairs(self) -> list[tuple[int, int]]:
-        """All (sid, bucket) pairs with ``n(s, b) > 0`` (SA-invariant rows)."""
-        return sorted(self._n_sb)
-
-    def qi_bucket_counts(
-        self, qids: np.ndarray, buckets: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized ``n(q, b)`` over parallel (qid, bucket) arrays."""
-        if self._qb_table is None:
-            self._qb_table = _CountTable(self._n_qb)
-        return self._qb_table.lookup(qids, buckets)
-
-    def sa_bucket_counts(
-        self, sids: np.ndarray, buckets: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized ``n(s, b)`` over parallel (sid, bucket) arrays."""
-        if self._sb_table is None:
-            self._sb_table = _CountTable(self._n_sb)
-        return self._sb_table.lookup(sids, buckets)
-
     # -- knowledge-compiler queries ---------------------------------------------
 
     def _summation_index(self) -> _PairIndex:
@@ -454,26 +468,21 @@ class GroupVariableSpace(_KnowledgeQueries):
         return self._qi_sa_index
 
 
-class PersonVariableSpace(_KnowledgeQueries):
+class PersonVariableSpace(_ReleaseSpace):
     """Variables ``P(i, s, b)`` over the pseudonym model (Section 6).
 
     Pseudonym ``i`` with QI tuple ``q`` may occupy any bucket containing
     ``q`` and carry any SA value of that bucket; all other combinations are
-    structural zeros.
+    structural zeros.  Bucket by bucket, the variables pair the pseudonyms
+    of each distinct QI tuple (first-appearance order, then naming order)
+    with each distinct SA value, person-major.
     """
 
     mass_partition_kind = "person"
 
     def __init__(self, pseudonyms: PseudonymTable) -> None:
+        super().__init__(pseudonyms.published)
         self._pseudonyms = pseudonyms
-        published = pseudonyms.published
-        self._published = published
-        self._registry = _QIRegistry(published)
-
-        sa_marginal = published.sa_marginal()
-        self.sa_values: list[str] = list(sa_marginal)
-        self.sa_id_of: dict[str, int] = {s: i for i, s in enumerate(self.sa_values)}
-
         people = pseudonyms.pseudonyms
         self.person_id_of: dict[str, int] = {
             p.name: i for i, p in enumerate(people)
@@ -483,73 +492,22 @@ class PersonVariableSpace(_KnowledgeQueries):
             [self._registry.id_of[p.qi] for p in people], dtype=np.int64
         )
 
-        # Pseudonym ids grouped by distinct QI tuple, in naming order —
-        # shared across every bucket containing that tuple.
-        pids_by_q: dict[QITuple, np.ndarray] = {}
-
-        self._n_qb: dict[tuple[int, int], int] = {}
-        self._n_sb: dict[tuple[int, int], int] = {}
-        person_chunks: list[np.ndarray] = []
-        bucket_chunks: list[np.ndarray] = []
-        sa_chunks: list[np.ndarray] = []
-
-        for bucket in published.buckets:
-            qi_counts = bucket.qi_counts()
-            sa_counts = bucket.sa_counts()
-            for q, count in qi_counts.items():
-                self._n_qb[(self._registry.id_of[q], bucket.index)] = count
-            for s, count in sa_counts.items():
-                self._n_sb[(self.sa_id_of[s], bucket.index)] = count
-            bucket_sids = np.array(
-                [self.sa_id_of[s] for s in sa_counts], dtype=np.int64
-            )
-            pid_groups = []
-            for q in qi_counts:
-                pids = pids_by_q.get(q)
-                if pids is None:
-                    pids = np.array(
-                        [
-                            self.person_id_of[person.name]
-                            for person in pseudonyms.of_qi(q)
-                        ],
-                        dtype=np.int64,
-                    )
-                    pids_by_q[q] = pids
-                pid_groups.append(pids)
-            bucket_pids = (
-                np.concatenate(pid_groups)
-                if pid_groups
-                else np.empty(0, dtype=np.int64)
-            )
-            # Legacy nesting order: person-major, SA-minor, per bucket.
-            n_pairs = bucket_pids.size * bucket_sids.size
-            person_chunks.append(np.repeat(bucket_pids, bucket_sids.size))
-            sa_chunks.append(np.tile(bucket_sids, bucket_pids.size))
-            bucket_chunks.append(
-                np.full(n_pairs, bucket.index, dtype=np.int64)
-            )
-
-        if person_chunks:
-            self.var_person = np.concatenate(person_chunks)
-            self.var_bucket = np.concatenate(bucket_chunks)
-            self.var_sa = np.concatenate(sa_chunks)
-        else:
-            self.var_person = np.empty(0, dtype=np.int64)
-            self.var_bucket = np.empty(0, dtype=np.int64)
-            self.var_sa = np.empty(0, dtype=np.int64)
-
-        self._index_cache: dict[tuple[int, int, int], int] | None = None
+        # Each bucket's (q, b) slot expands to the pseudonyms of q, which
+        # are the ids of one segment once grouped by QI id (naming order).
+        buckets, qids, _ = self._qi_pairs
+        by_qi = np.argsort(self._person_qi, kind="stable")
+        qi_indptr = _offsets(
+            np.bincount(self._person_qi, minlength=len(self._registry.tuples))
+        )
+        row_pids = by_qi[_take_ranges(qi_indptr[qids], qi_indptr[qids + 1])]
+        row_buckets = np.repeat(buckets, np.diff(qi_indptr)[qids])
+        sa_buckets, sids, _ = self._sa_pairs
+        self.var_person, self.var_bucket, self.var_sa = _bucket_product(
+            row_pids, row_buckets, sa_buckets, sids, self._published.n_buckets
+        )
         self._person_sa_index: _PairIndex | None = None
-        self._qi_sa_index: _PairIndex | None = None
-        self._qb_table: _CountTable | None = None
-        self._sb_table: _CountTable | None = None
 
     # -- geometry ------------------------------------------------------------
-
-    @property
-    def published(self) -> BucketizedTable:
-        """The release this space indexes."""
-        return self._published
 
     @property
     def pseudonym_table(self) -> PseudonymTable:
@@ -560,11 +518,6 @@ class PersonVariableSpace(_KnowledgeQueries):
     def n_vars(self) -> int:
         """Number of valid ``P(i, s, b)`` variables."""
         return len(self.var_person)
-
-    @property
-    def n_records(self) -> int:
-        """Total record count ``N`` (= number of pseudonyms)."""
-        return self._published.n_records
 
     @property
     def _index(self) -> dict[tuple[int, int, int], int]:
@@ -601,40 +554,6 @@ class PersonVariableSpace(_KnowledgeQueries):
     def person_qi_ids(self) -> np.ndarray:
         """The distinct-QI id of every pseudonym, id order (read-only)."""
         return self._person_qi
-
-    # -- invariant cardinalities ----------------------------------------------
-
-    def qi_bucket_count(self, qid: int, bucket: int) -> int:
-        """``n(q, b)`` for the slot constraints."""
-        return self._n_qb.get((qid, bucket), 0)
-
-    def sa_bucket_count(self, sid: int, bucket: int) -> int:
-        """``n(s, b)`` for the SA constraints."""
-        return self._n_sb.get((sid, bucket), 0)
-
-    def qi_bucket_pairs(self) -> list[tuple[int, int]]:
-        """All (qid, bucket) pairs with ``n(q, b) > 0``."""
-        return sorted(self._n_qb)
-
-    def sa_bucket_pairs(self) -> list[tuple[int, int]]:
-        """All (sid, bucket) pairs with ``n(s, b) > 0``."""
-        return sorted(self._n_sb)
-
-    def qi_bucket_counts(
-        self, qids: np.ndarray, buckets: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized ``n(q, b)`` over parallel (qid, bucket) arrays."""
-        if self._qb_table is None:
-            self._qb_table = _CountTable(self._n_qb)
-        return self._qb_table.lookup(qids, buckets)
-
-    def sa_bucket_counts(
-        self, sids: np.ndarray, buckets: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized ``n(s, b)`` over parallel (sid, bucket) arrays."""
-        if self._sb_table is None:
-            self._sb_table = _CountTable(self._n_sb)
-        return self._sb_table.lookup(sids, buckets)
 
     # -- knowledge-compiler queries ---------------------------------------------
 

@@ -40,8 +40,8 @@ import time
 from collections import Counter
 
 from repro.anonymize.buckets import Bucket, BucketizedTable
-from repro.core.serialize import schema_from_dict
-from repro.errors import IngestError
+from repro.core.serialize import bucket_from_dict, schema_from_dict
+from repro.errors import IngestError, ReproError
 from repro.service.admission import QueueFullError
 
 #: Default cap on concurrent (unfinalized) upload sessions.
@@ -102,7 +102,9 @@ class IngestSession:
         Raises :class:`~repro.errors.IngestError` on protocol violations
         (HTTP 409): out-of-order sequence numbers, a digest that does not
         match the chunk's content, or a retried sequence number carrying
-        different content.
+        different content.  A malformed bucket is a
+        :class:`~repro.errors.ReproError` (HTTP 400), and the chunk may be
+        re-sent fixed under the same ``seq``.
 
         ``journal(seq, raw_buckets)``, when given, is invoked under the
         session lock after validation and before the chunk is applied —
@@ -164,24 +166,10 @@ class IngestSession:
             return self._ack(seq, duplicate=False)
 
     def _parse_bucket(self, raw, index: int, seq) -> Bucket:
-        if not isinstance(raw, dict):
-            raise IngestError(f"chunk {seq}: bucket {index} must be an object")
-        unknown = set(raw) - {"qi_tuples", "sa_values"}
-        if unknown:
-            raise IngestError(
-                f"chunk {seq}: bucket {index} has unknown field(s): "
-                f"{sorted(unknown)}"
-            )
         try:
-            return Bucket(
-                index=index,
-                qi_tuples=tuple(tuple(q) for q in raw["qi_tuples"]),
-                sa_values=tuple(raw["sa_values"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise IngestError(
-                f"chunk {seq}: malformed bucket {index}: {exc!r}"
-            ) from exc
+            return bucket_from_dict(raw, index)
+        except ReproError as exc:
+            raise ReproError(f"chunk {seq}: {exc}") from exc
 
     def _ack(self, seq, *, duplicate: bool) -> dict:
         return {

@@ -132,6 +132,15 @@ def random_published(
     return table, published, bucket_of_row
 
 
+def gather_counts(counts: dict, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
+    """Vectorized ``counts.get((a, b), 0)`` through the spaces' count table."""
+    from repro.maxent.indexing import _CountTable
+
+    pairs = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
+    values = np.array(list(counts.values()), dtype=np.int64)
+    return _CountTable(pairs[:, 0], pairs[:, 1], values).lookup(keys_a, keys_b)
+
+
 def single_bucket(qi_values: list[str], sa_values: list[str]) -> Bucket:
     """A standalone bucket (for invariant-matrix tests)."""
     return Bucket(

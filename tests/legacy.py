@@ -13,6 +13,13 @@ rule object and sorts each family with ``AssociationRule.sort_key``; the
 rule-selection oracle suite (``test_knowledge_mining.py``) holds the
 lazily sorted rule families to it.
 
+It also keeps the per-bucket variable-space construction
+(:func:`group_space_rowwise`, :func:`person_space_rowwise`): one pass over
+the buckets with a ``Counter`` of QI tuples and of SA values each, and
+the release marginals summed from those ``Counter``s.  The spaces now
+read the release's record codes instead; the coded-space suite
+(``test_maxent_indexing.py``) holds them to this builder.
+
 Last, it keeps the per-component solve paths.  The batch solve
 presolves and assembles each component of a batch group alone, then
 stacks the duals (:func:`stack_duals`); the single-component task
@@ -34,13 +41,16 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from repro.data.table import Table
+from repro.anonymize.buckets import BucketizedTable
+from repro.data.table import QITuple, Table
 from repro.errors import ReproError
+from repro.knowledge.individuals import Pseudonym, PseudonymTable
 from repro.knowledge.mining import MiningConfig, _antecedent_sizes
 from repro.knowledge.rules import AssociationRule, NegativeRule, PositiveRule
 from repro.engine.component import ComponentSolve
@@ -59,12 +69,158 @@ from tests.unionfind import UnionFind
 VariableSpace = GroupVariableSpace | PersonVariableSpace
 
 
-def data_constraints_rowwise(space: VariableSpace) -> ConstraintSystem:
+@dataclass
+class RowwiseSpace:
+    """The arrays and counts of a space built bucket by bucket."""
+
+    var_bucket: np.ndarray
+    var_sa: np.ndarray
+    qi_tuples: list[QITuple]
+    qi_counts: np.ndarray
+    sa_values: list[str]
+    n_qb: dict[tuple[int, int], int]
+    n_sb: dict[tuple[int, int], int]
+    n_records: int
+
+    @property
+    def n_vars(self) -> int:
+        return int(self.var_bucket.size)
+
+    def qi_bucket_pairs(self) -> list[tuple[int, int]]:
+        return sorted(self.n_qb)
+
+    def sa_bucket_pairs(self) -> list[tuple[int, int]]:
+        return sorted(self.n_sb)
+
+    def qi_bucket_count(self, qid: int, bucket: int) -> int:
+        return self.n_qb.get((qid, bucket), 0)
+
+    def sa_bucket_count(self, sid: int, bucket: int) -> int:
+        return self.n_sb.get((sid, bucket), 0)
+
+
+@dataclass
+class RowwiseGroupSpace(RowwiseSpace):
+    var_qi: np.ndarray
+
+
+@dataclass
+class RowwisePersonSpace(RowwiseSpace):
+    var_person: np.ndarray
+    people: tuple[Pseudonym, ...]
+    person_qi: np.ndarray
+
+    def person_qi_id(self, pid: int) -> int:
+        return int(self.person_qi[pid])
+
+
+def _release_ids(published: BucketizedTable):
+    """Distinct QI tuples and SA values, summed from per-bucket Counters."""
+    qi_marginal: Counter = Counter()
+    sa_marginal: Counter = Counter()
+    for bucket in published.buckets:
+        qi_marginal.update(bucket.qi_counts())
+        sa_marginal.update(bucket.sa_counts())
+    qi_tuples = list(qi_marginal)
+    sa_values = list(sa_marginal)
+    qi_counts = np.array([qi_marginal[q] for q in qi_tuples], dtype=np.int64)
+    return (
+        qi_tuples,
+        {q: i for i, q in enumerate(qi_tuples)},
+        qi_counts,
+        sa_values,
+        {s: i for i, s in enumerate(sa_values)},
+    )
+
+
+def group_space_rowwise(published: BucketizedTable) -> RowwiseGroupSpace:
+    """The group space's arrays, one ``Counter`` pass per bucket."""
+    qi_tuples, qi_id_of, qi_counts, sa_values, sa_id_of = _release_ids(published)
+    n_qb: dict[tuple[int, int], int] = {}
+    n_sb: dict[tuple[int, int], int] = {}
+    bucket_chunks, qi_chunks, sa_chunks = [], [], []
+    for bucket in published.buckets:
+        qi_counts_b = bucket.qi_counts()
+        sa_counts_b = bucket.sa_counts()
+        q_ids = np.array([qi_id_of[q] for q in qi_counts_b], dtype=np.int64)
+        s_ids = np.array([sa_id_of[s] for s in sa_counts_b], dtype=np.int64)
+        for q, count in qi_counts_b.items():
+            n_qb[(qi_id_of[q], bucket.index)] = count
+        for s, count in sa_counts_b.items():
+            n_sb[(sa_id_of[s], bucket.index)] = count
+        # The (qid, sid) product, qid-major.
+        bucket_chunks.append(
+            np.full(q_ids.size * s_ids.size, bucket.index, dtype=np.int64)
+        )
+        qi_chunks.append(np.repeat(q_ids, s_ids.size))
+        sa_chunks.append(np.tile(s_ids, q_ids.size))
+    return RowwiseGroupSpace(
+        var_bucket=np.concatenate(bucket_chunks),
+        var_sa=np.concatenate(sa_chunks),
+        qi_tuples=qi_tuples,
+        qi_counts=qi_counts,
+        sa_values=sa_values,
+        n_qb=n_qb,
+        n_sb=n_sb,
+        n_records=published.n_records,
+        var_qi=np.concatenate(qi_chunks),
+    )
+
+
+def person_space_rowwise(pseudonyms: PseudonymTable) -> RowwisePersonSpace:
+    """The pseudonym space's arrays, one ``Counter`` pass per bucket."""
+    published = pseudonyms.published
+    qi_tuples, qi_id_of, qi_counts, sa_values, sa_id_of = _release_ids(published)
+    people = pseudonyms.pseudonyms
+    person_id_of = {p.name: i for i, p in enumerate(people)}
+    n_qb: dict[tuple[int, int], int] = {}
+    n_sb: dict[tuple[int, int], int] = {}
+    person_chunks, bucket_chunks, sa_chunks = [], [], []
+    for bucket in published.buckets:
+        qi_counts_b = bucket.qi_counts()
+        sa_counts_b = bucket.sa_counts()
+        for q, count in qi_counts_b.items():
+            n_qb[(qi_id_of[q], bucket.index)] = count
+        for s, count in sa_counts_b.items():
+            n_sb[(sa_id_of[s], bucket.index)] = count
+        bucket_sids = np.array([sa_id_of[s] for s in sa_counts_b], dtype=np.int64)
+        bucket_pids = np.array(
+            [
+                person_id_of[person.name]
+                for q in qi_counts_b
+                for person in pseudonyms.of_qi(q)
+            ],
+            dtype=np.int64,
+        )
+        # Person-major, SA-minor, per bucket.
+        person_chunks.append(np.repeat(bucket_pids, bucket_sids.size))
+        sa_chunks.append(np.tile(bucket_sids, bucket_pids.size))
+        bucket_chunks.append(
+            np.full(bucket_pids.size * bucket_sids.size, bucket.index, dtype=np.int64)
+        )
+    return RowwisePersonSpace(
+        var_bucket=np.concatenate(bucket_chunks),
+        var_sa=np.concatenate(sa_chunks),
+        qi_tuples=qi_tuples,
+        qi_counts=qi_counts,
+        sa_values=sa_values,
+        n_qb=n_qb,
+        n_sb=n_sb,
+        n_records=published.n_records,
+        var_person=np.concatenate(person_chunks),
+        people=people,
+        person_qi=np.array([qi_id_of[p.qi] for p in people], dtype=np.int64),
+    )
+
+
+def data_constraints_rowwise(
+    space: VariableSpace | RowwiseSpace,
+) -> ConstraintSystem:
     """Section 5 invariants via one full-length mask per (pair, bucket)."""
     system = ConstraintSystem(space.n_vars)
     n = space.n_records
 
-    if isinstance(space, GroupVariableSpace):
+    if isinstance(space, (GroupVariableSpace, RowwiseGroupSpace)):
         for qid, bucket in space.qi_bucket_pairs():
             mask = (space.var_bucket == bucket) & (space.var_qi == qid)
             indices = np.nonzero(mask)[0]
@@ -87,7 +243,7 @@ def data_constraints_rowwise(space: VariableSpace) -> ConstraintSystem:
             )
         return system
 
-    if isinstance(space, PersonVariableSpace):
+    if isinstance(space, (PersonVariableSpace, RowwisePersonSpace)):
         for pid, person in enumerate(space.people):
             indices = np.nonzero(space.var_person == pid)[0]
             system.add_equality(

@@ -129,9 +129,9 @@ class TestEngineFacade:
     def test_count_lookup_outside_stored_buckets_is_zero(self):
         # Regression: querying only buckets below every stored pair must
         # return zeros, not crash on an empty lookup table.
-        from repro.maxent.indexing import _gather_counts
+        from tests.helpers import gather_counts
 
-        out = _gather_counts({(0, 5): 3}, np.array([0]), np.array([1]))
+        out = gather_counts({(0, 5): 3}, np.array([0]), np.array([1]))
         assert out.tolist() == [0.0]
 
     def test_config_validates_engine_knobs(self):

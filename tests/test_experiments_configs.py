@@ -33,16 +33,16 @@ class TestPaperScaleFactories:
 
     def test_perf_configs_disable_decomposition(self):
         # Section 7: "we have not applied the optimization techniques".
-        assert Figure7aConfig().solver.decompose is False
-        assert Figure7bcConfig().solver.decompose is False
+        assert Figure7aConfig().config.decompose is False
+        assert Figure7bcConfig().config.decompose is False
         # And force numeric solving so the 0-knowledge series costs time.
-        assert Figure7bcConfig().solver.use_closed_form is False
+        assert Figure7bcConfig().config.use_closed_form is False
 
     def test_accuracy_configs_keep_decomposition(self):
         # Figures 5/6 report accuracy, not time; decomposition changes
         # nothing about the solution and keeps the sweep fast.
-        assert Figure5Config().solver.decompose is True
-        assert Figure6Config().solver.decompose is True
+        assert Figure5Config().config.decompose is True
+        assert Figure6Config().config.decompose is True
 
 
 class TestScaledConfig:

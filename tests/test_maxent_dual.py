@@ -1,11 +1,18 @@
 """Direct unit tests for the dual machinery (repro.maxent.dual)."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.maxent.batch_dual import _StackedDual, solve_batch_dual
 from repro.maxent.constraints import ConstraintSystem
 from repro.maxent.dual import build_dual
+from repro.maxent.lbfgs import solve_dual_lbfgs
+from tests.legacy import stack_duals
 
 
 def simple_system():
@@ -112,3 +119,129 @@ class TestResiduals:
     def test_residual_scale_positive(self):
         dual = build_dual(simple_system(), 1.0)
         assert dual.residual_scale() > 0
+
+
+# -- the transpose built once ------------------------------------------------
+
+
+@st.composite
+def random_systems(draw, min_rows: int = 0):
+    """A random system; some columns may be in no row at all."""
+    n_vars = draw(st.integers(1, 8))
+    system = ConstraintSystem(n_vars)
+    coefficient = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda c: c != 0.0)
+    for _ in range(draw(st.integers(min_rows, 6))):
+        indices = draw(
+            st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=n_vars, unique=True)
+        )
+        coefficients = [draw(coefficient) for _ in indices]
+        rhs = draw(st.floats(-2.0, 2.0, allow_nan=False))
+        if draw(st.booleans()):
+            system.add_equality(indices, coefficients, rhs, kind="bk")
+        else:
+            system.add_inequality(indices, coefficients, rhs, kind="bk")
+    return system
+
+
+def _with_csc_transpose(surface):
+    """``surface`` evaluated through a fresh ``matrix.T`` (a CSC view)."""
+    reference = copy.copy(surface)
+    reference.transpose = surface.matrix.T
+    return reference
+
+
+def _assert_bitwise_equal(surface, x: np.ndarray, v: np.ndarray) -> None:
+    reference = _with_csc_transpose(surface)
+    value, grad = surface.value_and_grad(x)
+    ref_value, ref_grad = reference.value_and_grad(x)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert surface.primal(x).tobytes() == reference.primal(x).tobytes()
+    assert surface.hess_vec(x, v).tobytes() == reference.hess_vec(x, v).tobytes()
+
+
+class TestTransposeOnce:
+    """Evaluations read the CSR transpose built at assembly; each must be
+    bitwise equal to the same evaluation through ``matrix.T @ x``."""
+
+    @given(
+        system=random_systems(),
+        mass=st.floats(0.05, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_dual_problem_is_bitwise_the_csc_form(self, system, mass, seed):
+        dual = build_dual(system, mass)
+        assert dual.transpose.format == "csr"
+        rng = np.random.default_rng(seed)
+        x = 3.0 * rng.standard_normal(dual.n_params)
+        v = rng.standard_normal(dual.n_params)
+        _assert_bitwise_equal(dual, x, v)
+
+    @given(
+        systems=st.lists(random_systems(), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stacks_are_bitwise_the_csc_form(self, systems, seed):
+        # Blocks with no rows at all (the ConstraintSystem of a fully
+        # presolved component) sit between ordinary ones.
+        rng = np.random.default_rng(seed)
+        duals = [build_dual(s, float(rng.uniform(0.1, 2.0))) for s in systems]
+        stack = stack_duals(duals)
+        stacked = _StackedDual(stack)
+        x = 3.0 * rng.standard_normal(stack.rhs.size)
+        v = rng.standard_normal(stack.rhs.size)
+        _assert_bitwise_equal(stacked, x, v)
+        for k in range(stack.n_blocks):
+            block = stack.block(k)
+            lo, hi = stack.row_indptr[k], stack.row_indptr[k + 1]
+            _assert_bitwise_equal(block, x[lo:hi], v[lo:hi])
+
+    def test_a_solve_builds_no_transpose_after_assembly(self, monkeypatch):
+        system = ConstraintSystem(12)
+        system.add_equality(list(range(12)), [1.0] * 12, 1.0, kind="qi")
+        for k in range(11, 1, -2):
+            system.add_equality(list(range(k)), [1.0] * k, 0.6 ** (12 - k), kind="bk")
+        system.add_inequality([0, 1], [1.0, 1.0], 0.05, kind="bk")
+        dual = build_dual(system, 1.0)
+        stack = stack_duals([dual, build_dual(ConstraintSystem(3), 0.5), dual])
+
+        transposes = []
+        for matrix_type in {type(dual.matrix), type(dual.transpose)}:
+            owner = next(c for c in matrix_type.__mro__ if "transpose" in vars(c))
+            original = owner.transpose
+
+            def spy(self, *args, _original=original, **kwargs):
+                transposes.append(self.shape)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "transpose", spy)
+        # Count the stacked duals the batch loop assembles, and their
+        # evaluations.
+        evaluations = []
+        real_value_and_grad = _StackedDual.value_and_grad
+        stacked_builds = []
+        real_init = _StackedDual.__init__
+
+        def counting_init(self, *args, **kwargs):
+            stacked_builds.append(1)
+            real_init(self, *args, **kwargs)
+
+        def counting_value_and_grad(self, x):
+            evaluations.append(1)
+            return real_value_and_grad(self, x)
+
+        monkeypatch.setattr(_StackedDual, "__init__", counting_init)
+        monkeypatch.setattr(_StackedDual, "value_and_grad", counting_value_and_grad)
+
+        solo = solve_dual_lbfgs(dual, tol=1e-9)
+        assert solo.iterations > 0
+        assert transposes == []  # the lone dual was assembled before the spy
+
+        batch = solve_batch_dual(stack, tol=1e-9)
+        assert all(batch.batched)
+        # One transpose per stacked dual the loop assembles, none per
+        # evaluation.
+        assert len(transposes) == len(stacked_builds)
+        assert len(evaluations) > len(stacked_builds)

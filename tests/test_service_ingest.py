@@ -295,3 +295,81 @@ class TestSampledOutRequestsStillServe:
             assert traces["sample_rate"] == 0.0
         finally:
             tracer.set_sample_rate(previous)
+
+
+def _malformed(case: str) -> dict:
+    """The paper release with one value of bucket 0 broken as ``case``."""
+    payload = wire()
+    bucket = payload["buckets"][0]
+    if case == "sa_outside_domain":
+        bucket["sa_values"][0] = "Smallpox"
+    elif case == "sa_not_a_string":
+        bucket["sa_values"][0] = 7
+    elif case == "short_qi_tuple":
+        bucket["qi_tuples"][0] = bucket["qi_tuples"][0][:1]
+    elif case == "qi_tuple_as_string":
+        bucket["qi_tuples"][0] = "ab"  # two characters, two QI attributes
+    return payload
+
+
+MALFORMED = (
+    "sa_outside_domain",
+    "sa_not_a_string",
+    "short_qi_tuple",
+    "qi_tuple_as_string",
+)
+
+
+class TestMalformedReleases:
+    """A release the schema cannot hold is a 400 on both routes, never a
+    201 that fails later at posterior time."""
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_one_shot_registration_is_400(self, client, case):
+        before = len(client.releases())
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/releases", {"release": _malformed(case)})
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert len(client.releases()) == before
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_chunked_upload_is_400(self, client, case):
+        # A value the JSON shape forbids fails its chunk; one the schema
+        # forbids fails the finalize.  Either way nothing registers.
+        payload = _malformed(case)
+        before = len(client.releases())
+        upload_id = client.begin_upload(payload["schema"])
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                for seq, chunk in enumerate(split(payload["buckets"], 2)):
+                    client.upload_chunk(upload_id, seq, chunk)
+                client.finalize_upload(upload_id)
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad_request"
+        finally:
+            client.abort_upload(upload_id)
+        assert len(client.releases()) == before
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_library_rejects_the_release(self, case):
+        from repro.core.serialize import published_from_dict
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError):
+            published_from_dict(_malformed(case))
+
+    def test_rejected_chunk_can_be_resent_fixed(self, client):
+        payload = wire()
+        broken = _malformed("qi_tuple_as_string")["buckets"][:2]
+        upload_id = client.begin_upload(payload["schema"])
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                client.upload_chunk(upload_id, 0, broken)
+            assert excinfo.value.status == 400
+            for seq, chunk in enumerate(split(payload["buckets"], 2)):
+                client.upload_chunk(upload_id, seq, chunk)
+            summary = client.finalize_upload(upload_id)
+            assert summary["digest"] == release_digest(payload)
+        finally:
+            client.abort_upload(upload_id)
