@@ -29,6 +29,7 @@ from repro.core import (
     PosteriorTable,
     PrivacyAssessment,
     PrivacyMaxEnt,
+    ReleaseModel,
     assess,
     bayes_vulnerability,
     estimation_accuracy,
@@ -99,6 +100,7 @@ __all__ = [
     "PrivacyEngine",
     "PrivacyMaxEnt",
     "PseudonymTable",
+    "ReleaseModel",
     "ReproError",
     "Schema",
     "SolverError",

@@ -12,7 +12,9 @@ integer arrays (:class:`RecordCodes`): each record's bucket, QI-tuple id
 and SA id, with the distinct QI tuples and SA values in first-appearance
 order and their counts.  The published marginals and both MaxEnt
 variable spaces (:mod:`repro.maxent.indexing`) read those arrays, so no
-per-bucket ``Counter`` is rebuilt per space or per posterior.  The same
+per-bucket ``Counter`` is rebuilt per space or per posterior.  The QI
+tuples' per-attribute codes (:attr:`BucketizedTable.qi_value_codes`) that
+antecedent matching reads are built once, on first use.  The same
 pass validates the release: every QI tuple must be a tuple of one string
 per QI attribute, and every SA value a string of the schema's SA domain.
 QI values are not checked against their domains, because generalizing
@@ -210,6 +212,7 @@ class BucketizedTable:
         self._buckets = tuple(buckets)
         self._codes = _code_records(self._schema, self._buckets)
         self._n_records = int(self._codes.bucket.size)
+        self._qi_value_codes: tuple[np.ndarray, list[dict[str, int]]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -274,6 +277,27 @@ class BucketizedTable:
     def codes(self) -> RecordCodes:
         """The records as integer codes (see :class:`RecordCodes`)."""
         return self._codes
+
+    @property
+    def qi_value_codes(self) -> tuple[np.ndarray, list[dict[str, int]]]:
+        """``(codes, code_of)``: ``codes[i, a]`` codes attribute ``a`` of
+        QI tuple ``i``, ``code_of[a]`` maps its values to codes in order of
+        first appearance (built once, on first use)."""
+        if self._qi_value_codes is None:
+            tuples = self._codes.qi_tuples
+            codes = np.empty((len(tuples), len(tuples[0])), dtype=np.int64)
+            code_of: list[dict[str, int]] = []
+            for position in range(codes.shape[1]):
+                lookup: dict[str, int] = {}
+                codes[:, position] = [
+                    lookup.setdefault(q[position], len(lookup)) for q in tuples
+                ]
+                code_of.append(lookup)
+            # Held for the release's lifetime: the narrowest dtype that fits.
+            codes = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
+            codes.setflags(write=False)
+            self._qi_value_codes = (codes, code_of)
+        return self._qi_value_codes
 
     def bucket(self, index: int) -> Bucket:
         """Bucket ``index`` (0-based)."""

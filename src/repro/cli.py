@@ -150,7 +150,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _cmd_utility(args: argparse.Namespace) -> int:
-    from repro.core.privacy_maxent import PrivacyMaxEnt, baseline_posterior
+    from repro.core.privacy_maxent import PrivacyMaxEnt, ReleaseModel
     from repro.core.utility import query_workload, relative_query_error
 
     table = load_adult_synthetic(n_records=args.records, seed=args.seed)
@@ -163,7 +163,8 @@ def _cmd_utility(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     rows = []
-    baseline = baseline_posterior(published)
+    model = ReleaseModel(published)
+    baseline = PrivacyMaxEnt(model).posterior()
     report = relative_query_error(table, published, baseline, queries)
     rows.append(["no knowledge"] + report.row())
     if args.k:
@@ -174,7 +175,7 @@ def _cmd_utility(args: argparse.Namespace) -> int:
         for k in args.k:
             bound = TopKBound(k // 2, k - k // 2)
             engine = PrivacyMaxEnt(
-                published, knowledge=bound.statements(rules), config=config
+                model, knowledge=bound.statements(rules), config=config
             )
             report = relative_query_error(
                 table, published, engine.posterior(), queries

@@ -16,7 +16,7 @@ from repro.core.metrics import (
     max_disclosure,
     t_closeness,
 )
-from repro.core.privacy_maxent import PrivacyMaxEnt, assess
+from repro.core.privacy_maxent import PrivacyMaxEnt, ReleaseModel, assess
 from repro.core.quantifier import PosteriorTable, person_posterior
 from repro.core.report import PrivacyAssessment
 from repro.core.utility import (
@@ -33,6 +33,7 @@ __all__ = [
     "PosteriorTable",
     "PrivacyAssessment",
     "PrivacyMaxEnt",
+    "ReleaseModel",
     "UtilityReport",
     "assess",
     "estimate_count",

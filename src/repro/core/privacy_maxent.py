@@ -1,19 +1,23 @@
 """The Privacy-MaxEnt engine — the paper's contribution, end to end.
 
-:class:`PrivacyMaxEnt` wires the whole pipeline together:
+:class:`ReleaseModel` is the one place a release's program is built, once
+per release, since both parts depend on ``D'`` alone:
 
 1. index the published bucketized data into a variable space (group-level,
-   or person-level when individual knowledge is involved),
-2. derive the data invariants of Section 5 as equality rows,
-3. compile the supplied background knowledge (Sections 4 and 6) into
-   further rows,
-4. solve for the maximum-entropy joint (Section 3),
-5. expose the posterior ``P*(SA | QI)`` that privacy metrics consume.
+   or person-level when individual knowledge is involved, Section 6),
+2. derive the data invariants of Section 5 as equality rows.
+
+Only the background knowledge (Sections 4 and 6) depends on the bound.
+:class:`PrivacyMaxEnt` takes a release or its model, compiles the
+knowledge into further rows, solves for the maximum-entropy joint
+(Section 3) and exposes the posterior ``P*(SA | QI)`` that privacy
+metrics consume.  The service's registered releases hold a model too.
 
 :func:`assess` adds the Section 4.3 workflow on top: given the original
-data and a list of candidate Top-(K+, K-) bounds, it mines the rules once
-and returns one (bound, privacy score) assessment per bound, each scored
-by :func:`score_posterior` (which the service's ``/assess`` shares).
+data and a list of candidate Top-(K+, K-) bounds, it mines the rules and
+builds the model once, and returns one (bound, privacy score) assessment
+per bound, each scored by :func:`score_posterior` (which the service's
+``/assess`` shares).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.core.metrics import (
 from repro.core.quantifier import PosteriorTable, person_posterior
 from repro.core.report import PrivacyAssessment
 from repro.data.table import Table
-from repro.errors import ReproError
+from repro.errors import KnowledgeError, ReproError
 from repro.knowledge.bounds import TopKBound
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.individuals import IndividualStatement, PseudonymTable
@@ -44,13 +48,44 @@ from repro.maxent.solver import MaxEntConfig
 from repro.utils.timer import Timer
 
 
+class ReleaseModel:
+    """One release's variable space (group-level, or with ``individuals``
+    person-level over a :class:`PseudonymTable`) and data rows, built once."""
+
+    def __init__(
+        self, published: BucketizedTable, *, individuals: bool = False
+    ) -> None:
+        self.published = published
+        self.pseudonyms = PseudonymTable(published) if individuals else None
+        self.space: GroupVariableSpace | PersonVariableSpace = (
+            PersonVariableSpace(self.pseudonyms)
+            if individuals
+            else GroupVariableSpace(published)
+        )
+        self._data = data_constraints(self.space)
+        self._data.equality_arrays()  # compacted once; compiles only read it
+
+    def compile(self, statements: Iterable) -> tuple[ConstraintSystem, int, float]:
+        """``(system, n_knowledge_rows, seconds)`` for ``statements``: a
+        fresh system of the data rows (appended by block reference) and
+        the compiled knowledge rows, and the compile wall time."""
+        with Timer() as timer:
+            system = ConstraintSystem(self.space.n_vars)
+            system.extend(self._data)
+            knowledge = compile_statements(list(statements), self.space)
+            system.extend(knowledge)
+        n_rows = knowledge.n_equalities + knowledge.n_inequalities
+        return system, n_rows, timer.seconds
+
+
 class PrivacyMaxEnt:
     """Compute ``P*(SA | QI)`` for a bucketized release under knowledge.
 
     Parameters
     ----------
     published:
-        The bucketized release ``D'``.
+        The bucketized release ``D'``, or its prebuilt
+        :class:`ReleaseModel` (shared across many knowledge sets).
     knowledge:
         Background-knowledge statements (data-distribution statements from
         :mod:`repro.knowledge.statements`, association rules converted via
@@ -59,7 +94,8 @@ class PrivacyMaxEnt:
     individuals:
         Build the person-level (pseudonym) variable space of Section 6.
         Automatically enabled when ``knowledge`` contains an individual
-        statement.
+        statement.  A prebuilt group-level model cannot take either:
+        that raises :class:`~repro.errors.KnowledgeError`.
     config:
         Solver configuration; defaults to decomposed, presolved L-BFGS.
     engine:
@@ -77,7 +113,7 @@ class PrivacyMaxEnt:
 
     def __init__(
         self,
-        published: BucketizedTable,
+        published: BucketizedTable | ReleaseModel,
         knowledge: Iterable = (),
         *,
         individuals: bool = False,
@@ -88,27 +124,26 @@ class PrivacyMaxEnt:
         needs_people = individuals or any(
             isinstance(s, IndividualStatement) for s in statements
         )
-        self._published = published
         self._config = config or MaxEntConfig()
         self._engine = engine
+        model = published
         with Timer() as build_timer:
-            if needs_people:
-                self._pseudonyms = PseudonymTable(published)
-                self._space: GroupVariableSpace | PersonVariableSpace = (
-                    PersonVariableSpace(self._pseudonyms)
+            if not isinstance(model, ReleaseModel):
+                model = ReleaseModel(published, individuals=needs_people)
+            elif needs_people and model.pseudonyms is None:
+                raise KnowledgeError(
+                    "individual knowledge needs a person-level model: "
+                    "ReleaseModel(published, individuals=True)"
                 )
-            else:
-                self._pseudonyms = None
-                self._space = GroupVariableSpace(published)
-
-            self._system: ConstraintSystem = data_constraints(self._space)
-            self._n_data_rows = self._system.n_equalities
-            knowledge_system = compile_statements(statements, self._space)
-            self._system.extend(knowledge_system)
-        self._statements = statements
+            self._system, self._n_knowledge_rows, _ = model.compile(statements)
+        # Not the model: a model built here is dropped with its data rows,
+        # which the system then holds alone.
+        self._published = model.published
+        self._space = model.space
+        self._pseudonyms = model.pseudonyms
         self._solution: MaxEntSolution | None = None
-        # Construction cost of this quantifier, reported to the engine with
-        # the first solve (once — re-solves reuse the built system).
+        # What this constructor paid (the model build only when it built
+        # the model), reported to the engine with the first solve.
         self._build_seconds = build_timer.seconds
 
     # -- introspection ------------------------------------------------------
@@ -136,11 +171,7 @@ class PrivacyMaxEnt:
     @property
     def n_knowledge_rows(self) -> int:
         """Number of compiled background-knowledge rows (both families)."""
-        return (
-            self._system.n_equalities
-            - self._n_data_rows
-            + self._system.n_inequalities
-        )
+        return self._n_knowledge_rows
 
     @property
     def engine(self) -> PrivacyEngine:
@@ -206,12 +237,12 @@ def assess(
 ) -> list[PrivacyAssessment]:
     """Quantify privacy of ``published`` under each candidate bound.
 
-    Mines rules from ``original`` once (Section 4.2: the original data is
-    the authoritative source of background knowledge), then for each bound
-    selects the top rules, solves the MaxEnt program, and packages the
-    (bound, score) tuple of Section 4.3.  ``exclude_sa`` removes exempt
-    (non-sensitive) SA values from the disclosure metrics, matching a
-    footnote-3-style bucketization.
+    Mines rules from ``original`` (Section 4.2: the original data is the
+    authoritative source of background knowledge) and builds the release
+    model once, then for each bound selects the top rules, solves the
+    MaxEnt program, and packages the (bound, score) tuple of Section 4.3.
+    ``exclude_sa`` removes exempt (non-sensitive) SA values from the
+    disclosure metrics, matching a footnote-3-style bucketization.
 
     All bounds run on one execution engine (``engine``, or the shared
     engine for ``config``), so components untouched by the growing
@@ -221,11 +252,12 @@ def assess(
         rules = mine_association_rules(original, mining)
     truth = PosteriorTable.from_table(original)
     execution = engine or shared_engine(config or MaxEntConfig())
+    model = ReleaseModel(published)
 
     assessments = []
     for bound in bounds:
         quantifier = PrivacyMaxEnt(
-            published,
+            model,
             knowledge=bound.statements(rules),
             config=config,
             engine=execution,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.accuracy import estimation_accuracy
-from repro.core.privacy_maxent import PrivacyMaxEnt
+from repro.core.privacy_maxent import PrivacyMaxEnt, ReleaseModel
 from repro.engine.engine import PrivacyEngine
 from repro.errors import ExperimentError
 from repro.experiments.harness import ExperimentResult, append_engine_notes
@@ -36,13 +36,14 @@ from repro.maxent.solver import MaxEntConfig
 
 
 def _accuracy_under_bound(
+    model: ReleaseModel,
     workload: AdultWorkload,
     bound: TopKBound,
     config: MaxEntConfig,
     engine: PrivacyEngine | None = None,
 ) -> tuple[float, int, object]:
     quantifier = PrivacyMaxEnt(
-        workload.published,
+        model,
         knowledge=bound.statements(workload.rules),
         config=config,
         engine=engine,
@@ -96,6 +97,7 @@ def figure5(config: Figure5Config | None = None) -> ExperimentResult:
         ),
     )
     engine = PrivacyEngine.from_config(config.config)
+    model = ReleaseModel(workload.published)
     for k in k_grid(config.max_k, config.points):
         for name, bound in (
             ("K+", TopKBound(k, 0)),
@@ -103,7 +105,7 @@ def figure5(config: Figure5Config | None = None) -> ExperimentResult:
             ("(K+, K-)", TopKBound(k // 2, k - k // 2)),
         ):
             accuracy, n_rows, stats = _accuracy_under_bound(
-                workload, bound, config.config, engine
+                model, workload, bound, config.config, engine
             )
             result.add(
                 name,
@@ -166,10 +168,11 @@ def figure6(config: Figure6Config | None = None) -> ExperimentResult:
             max_antecedent=size,
             seed=config.seed,
         )
+        model = ReleaseModel(workload.published)
         for k in grid:
             bound = TopKBound(k // 2, k - k // 2)
             accuracy, n_rows, stats = _accuracy_under_bound(
-                workload, bound, config.config, engine
+                model, workload, bound, config.config, engine
             )
             result.add(
                 f"T={size}",
@@ -234,10 +237,11 @@ def figure7a(config: Figure7aConfig | None = None) -> ExperimentResult:
         ),
     )
     engine = PrivacyEngine.from_config(config.config)
+    model = ReleaseModel(workload.published)
     for count in config.constraint_counts:
         bound = TopKBound(count // 2, count - count // 2)
         _accuracy, n_rows, stats = _accuracy_under_bound(
-            workload, bound, config.config, engine
+            model, workload, bound, config.config, engine
         )
         result.add(
             "running time (s)", x=count, y=stats.seconds, constraints=n_rows
@@ -308,10 +312,11 @@ def figure7bc(
             max_antecedent=config.max_antecedent,
             seed=config.seed,
         )
+        model = ReleaseModel(workload.published)
         for size in config.knowledge_sizes:
             bound = TopKBound(size // 2, size - size // 2)
             _accuracy, n_rows, stats = _accuracy_under_bound(
-                workload, bound, config.config, engine
+                model, workload, bound, config.config, engine
             )
             label = f"#Constraints = {size}"
             time_result.add(label, x=n_buckets, y=stats.seconds, constraints=n_rows)

@@ -287,8 +287,8 @@ def compile_statements(
 ) -> ConstraintSystem:
     """Compile a batch of statements into a fresh constraint system.
 
-    The returned system holds only the background-knowledge rows; callers
-    merge it with :func:`repro.maxent.constraints.data_constraints`.
+    The returned system holds only the background-knowledge rows;
+    ``ReleaseModel.compile`` appends them to a release's data rows.
     Every antecedent is resolved up front in one batch; rows are then
     built in input order and appended in one batch per family.  The
     first statement (in input order) that cannot compile raises.

@@ -370,58 +370,6 @@ def _permute_rows(
     return _offsets(lengths), positions, rhs[order]
 
 
-def drop_redundant_data_rows(
-    space: VariableSpace, system: ConstraintSystem
-) -> ConstraintSystem:
-    """Remove one implied SA-invariant row per bucket (Theorem 3).
-
-    The conciseness theorem: within each bucket the QI- and SA-invariant
-    rows satisfy ``sum(QI rows) - sum(SA rows) = 0``, so any one row is
-    implied by the rest.  Dropping one "sa" row per bucket removes the exact
-    linear dependency, which conditions the dual and speeds every iterative
-    solver without changing the feasible set.
-
-    Implemented as a vectorized row filter over the CSR arrays: the first
-    "sa" row of each bucket (in insertion order) is masked out and the
-    survivors are re-appended as one batch.
-    """
-    eq = system.equality_arrays()
-    filtered = ConstraintSystem(system.n_vars)
-
-    keep = np.ones(eq.n_rows, dtype=bool)
-    sa_rows = np.nonzero(eq.kind_codes == kind_code("sa"))[0]
-    if sa_rows.size:
-        first_entries = eq.indices[eq.indptr[sa_rows]]
-        sa_buckets = space.var_bucket[first_entries]
-        _, first_of_bucket = np.unique(sa_buckets, return_index=True)
-        keep[sa_rows[first_of_bucket]] = False
-
-    kept = np.nonzero(keep)[0]
-    if kept.size:
-        indptr, positions, rhs = _permute_rows(eq.indptr, eq.rhs, kept)
-        filtered.add_equalities(
-            indptr,
-            eq.indices[positions],
-            eq.coefficients[positions],
-            rhs,
-            kinds=eq.kind_codes[kept],
-            labels=[eq.labels[int(r)] for r in kept],
-            validate=False,
-        )
-    ineq = system.inequality_arrays()
-    if ineq.n_rows:
-        filtered.add_inequalities(
-            ineq.indptr,
-            ineq.indices,
-            ineq.coefficients,
-            ineq.rhs,
-            kinds=ineq.kind_codes,
-            labels=list(ineq.labels),
-            validate=False,
-        )
-    return filtered
-
-
 def decompose(
     space: VariableSpace,
     system: ConstraintSystem,

@@ -31,9 +31,9 @@ ranges.  Antecedents resolve through per-attribute integer codes of the
 distinct QI tuples (:class:`_QIRegistry`): the antecedents of a batch are
 grouped by attribute subset, and each group costs one ``lexsort`` of the
 projected codes plus one ``searchsorted`` — never a string comparison per
-tuple.  The codes, the pair index and the triple -> variable dict needed
-by point lookups (``index_of``) are built lazily, off the construction
-path.
+tuple.  The codes (once per release, on the release), the pair index and
+the triple -> variable dict needed by point lookups (``index_of``) are
+built lazily, off the construction path.
 """
 
 from __future__ import annotations
@@ -75,31 +75,18 @@ class _QIRegistry:
     generalized releases (Mondrian output re-expressed as buckets, whose QI
     values are range labels like ``{17-21|22-26}``) work with the same
     machinery: each attribute's distinct published strings get their own
-    integer codes, built on the first match.
+    integer codes, built once per release on the first match
+    (:attr:`~repro.anonymize.buckets.BucketizedTable.qi_value_codes`).
     """
 
     def __init__(self, published: BucketizedTable) -> None:
+        self._published = published
         self._names = published.schema.qi_attributes
         self._positions = {name: i for i, name in enumerate(self._names)}
         codes = published.codes
         self.tuples: list[QITuple] = list(codes.qi_tuples)
         self.id_of: dict[QITuple, int] = codes.qi_id_of
         self.counts = codes.qi_counts
-        self._coded: tuple[np.ndarray, list[dict[str, int]]] | None = None
-
-    def _codes(self) -> tuple[np.ndarray, list[dict[str, int]]]:
-        """Per-attribute integer codes of the tuples, and value -> code."""
-        if self._coded is None:
-            codes = np.empty((len(self.tuples), len(self._names)), dtype=np.int64)
-            code_of: list[dict[str, int]] = []
-            for position in range(len(self._names)):
-                lookup: dict[str, int] = {}
-                codes[:, position] = [
-                    lookup.setdefault(q[position], len(lookup)) for q in self.tuples
-                ]
-                code_of.append(lookup)
-            self._coded = (codes, code_of)
-        return self._coded
 
     def match(self, qvs: Sequence[dict[str, str]]) -> AntecedentMatches:
         """Resolve every partial assignment in ``qvs`` in one batch.
@@ -126,7 +113,7 @@ class _QIRegistry:
                 groups.setdefault(subset, []).append(j)
         n_tuples = len(self.tuples)
         for subset, members in groups.items():
-            codes, code_of = self._codes()
+            codes, code_of = self._published.qi_value_codes
             wanted = np.array(
                 [
                     [code_of[p].get(qvs[j][self._names[p]], -1) for p in subset]

@@ -150,9 +150,7 @@ def solve_dual_lbfgs(
         )
         if polished.relative_residual <= outcome.relative_residual:
             outcome = polished
-        if outcome.converged or outcome.relative_residual <= 50 * tol:
-            # Within a small factor of the target: a further L-BFGS leg is
-            # all cost and no benefit (the polish already beat it).
+        if outcome.converged:
             return outcome
 
     # Last resort: a second L-BFGS leg with a larger budget, warm-started.

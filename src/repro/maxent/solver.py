@@ -1,7 +1,10 @@
 """Solver façade: decompose, presolve, dispatch, reassemble.
 
-``solve_maxent`` is the single entry point the core library calls.  It
-implements the full Section 5.5 pipeline:
+``solve_maxent`` solves one program on the process-wide shared engine.
+The core library (:class:`~repro.core.privacy_maxent.PrivacyMaxEnt`) and
+the service call a :class:`~repro.engine.engine.PrivacyEngine` directly;
+this function is for callers that hold only a space and a system.  The
+engine implements the full Section 5.5 pipeline:
 
 1. split the program into bucket components (unless disabled, to reproduce
    the paper's unoptimized performance numbers),
@@ -17,9 +20,8 @@ The actual execution — the component solve cache, warm-started duals,
 the batched closed form and the batched dual — lives in
 :mod:`repro.engine`; this module is the stable entry point wrapping the
 process-wide shared :class:`~repro.engine.engine.PrivacyEngine` for the
-config's cache knobs.  :class:`MaxEntConfig` and
-:func:`drop_redundant_data_rows` are re-exported here for compatibility
-with their original home.
+config's cache knobs.  :class:`MaxEntConfig` is re-exported from
+:mod:`repro.maxent.config`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from repro.engine.engine import shared_engine
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.decompose import drop_redundant_data_rows
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from repro.maxent.solution import MaxEntSolution
 
@@ -35,7 +36,6 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 
 __all__ = [
     "MaxEntConfig",
-    "drop_redundant_data_rows",
     "solve_maxent",
 ]
 

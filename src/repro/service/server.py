@@ -1145,7 +1145,7 @@ class PrivacyService:
         loop = asyncio.get_running_loop()
 
         def prepare():
-            system, n_rows, _, build_seconds = record.compiled_system(
+            system, n_rows, build_seconds = record.compiled_system(
                 statements
             )
             fingerprint = self.engine.request_fingerprint(system, config)
@@ -1223,7 +1223,7 @@ class PrivacyService:
             None,
             partial(
                 self.engine.solve,
-                record.space,
+                record.model.space,
                 system,
                 config,
                 build_seconds=build_seconds,

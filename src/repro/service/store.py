@@ -4,11 +4,13 @@ A long-lived service amortizes everything a cold ``PrivacyMaxEnt`` run
 pays per query:
 
 - :class:`RegisteredRelease` holds one registered bucketization with its
-  variable space and data-invariant rows built exactly once, the mined
-  rule sets per mining config, and an LRU of compiled constraint systems
+  :class:`~repro.core.privacy_maxent.ReleaseModel` (the library's own
+  space and data-invariant rows, built once), the mined rule sets per
+  mining config, and an LRU of the model's compiled constraint systems
   keyed by the knowledge list — so a repeat query skips indexing,
   invariant derivation, mining and compilation entirely and goes
-  straight to the (cached, coalesced) solve.
+  straight to the (cached, coalesced) solve.  The LRU lives here, where
+  repeat requests happen; the library caches no compiled systems.
 - :class:`SessionStore` owns the id → release map, the finished-result
   LRU and the request index in front of it.  A result entry is the
   compact JSON encoding of one posterior payload (``posterior``,
@@ -32,6 +34,7 @@ import json
 import threading
 import time
 
+from repro.core.privacy_maxent import ReleaseModel
 from repro.core.quantifier import PosteriorTable
 from repro.core.serialize import (
     published_from_dict,
@@ -41,11 +44,8 @@ from repro.core.serialize import (
     table_to_dict,
 )
 from repro.engine.cache import SolveCache
-from repro.knowledge.compiler import compile_statements
 from repro.knowledge.mining import MiningConfig, RuleSet, mine_association_rules
-from repro.maxent.constraints import ConstraintSystem, data_constraints
-from repro.maxent.indexing import GroupVariableSpace
-from repro.utils.timer import Timer
+from repro.maxent.constraints import ConstraintSystem
 
 
 def release_digest(payload: dict) -> str:
@@ -88,8 +88,7 @@ class RegisteredRelease:
         self.original = original
         self.created_at = time.time()
         # Indexing and invariant derivation happen once, at registration.
-        self.space = GroupVariableSpace(published)
-        self.data_system = data_constraints(self.space)
+        self.model = ReleaseModel(published)
         self.truth = (
             PosteriorTable.from_table(original) if original is not None else None
         )
@@ -111,37 +110,20 @@ class RegisteredRelease:
             self.truth = PosteriorTable.from_table(original)
             self._rules.clear()
 
-    def compiled_system(
-        self, statements
-    ) -> tuple[ConstraintSystem, int, bool, float]:
-        """The full constraint system for ``statements`` (cached).
-
-        Returns ``(system, n_knowledge_rows, was_cached, build_seconds)``.
-        The data rows are shared across all systems of this release (the
-        merge is an array-native block append, not a per-row copy); only
-        the knowledge rows are compiled per distinct statement list.
-        ``build_seconds`` is the compilation wall time actually paid by
-        this call — zero on a cache hit — which the server attributes to
-        the solve's engine telemetry.
-        """
+    def compiled_system(self, statements) -> tuple[ConstraintSystem, int, float]:
+        """:meth:`ReleaseModel.compile` of ``statements``, cached per
+        statement list: ``(system, n_knowledge_rows, build_seconds)``, the
+        seconds zero on a hit (the server reports them with the solve)."""
         key = statements_key(statements)
         cached = self._systems.lookup(key)
-        if cached is not None:
-            system, n_rows = cached
-            return system, n_rows, True, 0.0
-        with self._lock:
-            cached = self._systems.get(key)
-            if cached is not None:
-                system, n_rows = cached
-                return system, n_rows, True, 0.0
-            with Timer() as timer:
-                system = ConstraintSystem(self.space.n_vars)
-                system.extend(self.data_system)
-                knowledge = compile_statements(list(statements), self.space)
-                system.extend(knowledge)
-                n_rows = knowledge.n_equalities + knowledge.n_inequalities
-            self._systems.put(key, (system, n_rows))
-        return system, n_rows, False, timer.seconds
+        if cached is None:
+            with self._lock:
+                cached = self._systems.get(key)
+                if cached is None:
+                    system, n_rows, seconds = self.model.compile(statements)
+                    self._systems.put(key, (system, n_rows))
+                    return system, n_rows, seconds
+        return (*cached, 0.0)
 
     def rules(self, mining: MiningConfig | None = None) -> RuleSet:
         """Association rules mined from the registered original (cached)."""
@@ -165,7 +147,7 @@ class RegisteredRelease:
             "name": self.name,
             "n_buckets": self.published.n_buckets,
             "n_records": self.published.n_records,
-            "n_vars": self.space.n_vars,
+            "n_vars": self.model.space.n_vars,
             "has_original": self.has_original,
             "created_at_unix": self.created_at,
             "compiled_systems": len(self._systems),

@@ -153,9 +153,9 @@ class EmbeddedBackend:
 
     def posterior(self, statements) -> tuple[PosteriorTable, dict]:
         started = time.perf_counter()
-        system, _, _, build_seconds = self.record.compiled_system(statements)
+        system, _, build_seconds = self.record.compiled_system(statements)
         solution = self.engine.solve(
-            self.record.space, system, self.config, build_seconds=build_seconds
+            self.record.model.space, system, self.config, build_seconds=build_seconds
         )
         return PosteriorTable.from_solution(solution), {
             "solve_seconds": time.perf_counter() - started,

@@ -28,6 +28,10 @@ The engine runs one task for both — the block-diagonal stack of the
 unit presolved once — and must return the same solutions, statistics
 and multipliers bit for bit (``test_engine_batch.py``).
 
+It also holds Theorem 3's redundant-row filter in both forms, the
+array-native :func:`drop_redundant_data_rows` and its row-wise twin.  No
+solver path drops those rows; the tests keep the theorem checked.
+
 They live with the tests, not in ``repro``: production code routes
 through :func:`repro.maxent.constraints.data_constraints`,
 :func:`repro.maxent.decompose.decompose` and
@@ -56,8 +60,8 @@ from repro.knowledge.rules import AssociationRule, NegativeRule, PositiveRule
 from repro.engine.component import ComponentSolve
 from repro.maxent.batch_dual import DualStack, solve_batch_dual
 from repro.maxent.config import MaxEntConfig
-from repro.maxent.constraints import ConstraintSystem, Row
-from repro.maxent.decompose import DATA_ROW_KINDS
+from repro.maxent.constraints import ConstraintSystem, Row, kind_code
+from repro.maxent.decompose import DATA_ROW_KINDS, _permute_rows
 from repro.maxent.dual import DualProblem, build_dual
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from repro.maxent.lbfgs import solve_dual_lbfgs
@@ -392,6 +396,58 @@ def decompose_rowwise(
             )
         )
     return components
+
+
+def drop_redundant_data_rows(
+    space: VariableSpace, system: ConstraintSystem
+) -> ConstraintSystem:
+    """Remove one implied SA-invariant row per bucket (Theorem 3).
+
+    The conciseness theorem: within each bucket the QI- and SA-invariant
+    rows satisfy ``sum(QI rows) - sum(SA rows) = 0``, so any one row is
+    implied by the rest.  Dropping one "sa" row per bucket removes the exact
+    linear dependency without changing the feasible set.  No solver path
+    uses it: on Adult Top-K duals it nearly doubled the L-BFGS iterations.
+
+    Implemented as a vectorized row filter over the CSR arrays: the first
+    "sa" row of each bucket (in insertion order) is masked out and the
+    survivors are re-appended as one batch.
+    """
+    eq = system.equality_arrays()
+    filtered = ConstraintSystem(system.n_vars)
+
+    keep = np.ones(eq.n_rows, dtype=bool)
+    sa_rows = np.nonzero(eq.kind_codes == kind_code("sa"))[0]
+    if sa_rows.size:
+        first_entries = eq.indices[eq.indptr[sa_rows]]
+        sa_buckets = space.var_bucket[first_entries]
+        _, first_of_bucket = np.unique(sa_buckets, return_index=True)
+        keep[sa_rows[first_of_bucket]] = False
+
+    kept = np.nonzero(keep)[0]
+    if kept.size:
+        indptr, positions, rhs = _permute_rows(eq.indptr, eq.rhs, kept)
+        filtered.add_equalities(
+            indptr,
+            eq.indices[positions],
+            eq.coefficients[positions],
+            rhs,
+            kinds=eq.kind_codes[kept],
+            labels=[eq.labels[int(r)] for r in kept],
+            validate=False,
+        )
+    ineq = system.inequality_arrays()
+    if ineq.n_rows:
+        filtered.add_inequalities(
+            ineq.indptr,
+            ineq.indices,
+            ineq.coefficients,
+            ineq.rhs,
+            kinds=ineq.kind_codes,
+            labels=list(ineq.labels),
+            validate=False,
+        )
+    return filtered
 
 
 def drop_redundant_data_rows_rowwise(

@@ -92,6 +92,31 @@ class TestBucketizedTable:
             BucketizedTable(paper_table().schema, [bucket])
 
 
+class TestQIValueCodes:
+    def test_built_once_on_first_use(self):
+        from repro.maxent.indexing import GroupVariableSpace
+
+        published = paper_published()
+        assert published._qi_value_codes is None
+        first = GroupVariableSpace(published)
+        first.match_antecedents([{"gender": "male"}])
+        codes = published.qi_value_codes
+        second = GroupVariableSpace(published)
+        second.match_antecedents([{"degree": "college"}])
+        assert published.qi_value_codes is codes
+
+    def test_codes_in_first_appearance_order(self):
+        published = paper_published()
+        codes, code_of = published.qi_value_codes
+        tuples = published.codes.qi_tuples
+        assert codes.shape == (len(tuples), len(published.schema.qi_attributes))
+        assert not codes.flags.writeable
+        for position, lookup in enumerate(code_of):
+            values = [q[position] for q in tuples]
+            assert list(lookup) == list(dict.fromkeys(values))
+            assert codes[:, position].tolist() == [lookup[v] for v in values]
+
+
 class TestEnumerateAssignments:
     def test_figure2_count(self):
         """Figure 2's bucket (q1, q1, q2, q3 with SA bag s1,s2,s2,s3).

