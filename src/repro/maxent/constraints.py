@@ -34,8 +34,10 @@ variable arrays instead of one full-length boolean mask per invariant row.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -87,14 +89,129 @@ def known_kind_codes(kinds) -> np.ndarray:
     return np.array(sorted(codes), dtype=np.int64)
 
 
+def _objects(values: list) -> np.ndarray:
+    """``values`` as a flat object array (items are never unpacked)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _described(statement, suffix: str) -> str:
+    return statement.describe() + suffix
+
+
+class RowLabels(Sequence):
+    """The labels of a row family, formatted only when read.
+
+    Labels name rows in errors and diagnostics; a solve reads almost none
+    of them, so no label is formatted until it is read.  The sequence is
+    a list of segments ``(render, columns)``: row ``i`` of a segment is
+    ``render(*(column[i] for column in columns))``.  Data rows render a
+    format string over their id arrays (:meth:`formatted`), knowledge
+    rows their statement's ``describe()`` (:meth:`described`), and rows
+    appended without labels ``kind[i]``.  ``+`` and :meth:`take` build
+    new sequences without formatting anything; iterating formats every
+    label.  A ``RowLabels`` equals a list of the same strings.
+    """
+
+    __slots__ = ("_segments", "_offsets")
+
+    def __init__(self, segments=()) -> None:
+        self._segments = tuple(s for s in segments if len(s[1][0]))
+        offsets = [0]
+        for _, columns in self._segments:
+            offsets.append(offsets[-1] + len(columns[0]))
+        self._offsets = offsets
+
+    @classmethod
+    def formatted(cls, fmt: str, *columns) -> "RowLabels":
+        """Row ``i`` reads ``fmt.format(*(c[i] for c in columns))``."""
+        return cls([(fmt.format, columns)])
+
+    @classmethod
+    def described(cls, statements: np.ndarray, suffixes: np.ndarray) -> "RowLabels":
+        """Row ``i`` reads ``statements[i].describe() + suffixes[i]``
+        (both object arrays)."""
+        return cls([(_described, (statements, suffixes))])
+
+    @classmethod
+    def of(cls, labels: Sequence[str]) -> "RowLabels":
+        """``labels`` as a ``RowLabels`` (a given one is returned as is)."""
+        if isinstance(labels, RowLabels):
+            return labels
+        return cls.formatted("{}", _objects(list(labels)))
+
+    @classmethod
+    def concat(cls, parts: Sequence["RowLabels"]) -> "RowLabels":
+        """The labels of ``parts``, one after another."""
+        return cls([segment for part in parts for segment in part._segments])
+
+    def __len__(self) -> int:
+        return self._offsets[-1]
+
+    def __getitem__(self, index: int) -> str:
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError(f"row label {index} of {n}")
+        index = int(index) % n
+        k = bisect_right(self._offsets, index) - 1
+        render, columns = self._segments[k]
+        local = index - self._offsets[k]
+        return render(*(column[local] for column in columns))
+
+    def __iter__(self):
+        for render, columns in self._segments:
+            yield from map(render, *(column.tolist() for column in columns))
+
+    def __add__(self, other):
+        if not isinstance(other, RowLabels):
+            return NotImplemented
+        return RowLabels(self._segments + other._segments)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (RowLabels, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return RowLabels, (self._segments,)
+
+    def __repr__(self) -> str:
+        return f"RowLabels({list(self)!r})"
+
+    def take(self, rows) -> "RowLabels":
+        """The labels of rows ``rows`` (positions), in that order.
+
+        Each run of rows from one segment becomes one segment of the
+        result, so ascending ``rows`` give at most as many segments.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return _NO_LABELS
+        offsets = np.asarray(self._offsets)
+        segment = np.searchsorted(offsets, rows, side="right") - 1
+        bounds = [0, *(np.flatnonzero(np.diff(segment)) + 1).tolist(), rows.size]
+        parts = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            k = int(segment[lo])
+            render, columns = self._segments[k]
+            local = rows[lo:hi] - offsets[k]
+            parts.append((render, tuple(column[local] for column in columns)))
+        return RowLabels(parts)
+
+
+_NO_LABELS = RowLabels()
+
+
 class RowArrays(NamedTuple):
     """One row family as flat CSR-style arrays (the SoA view).
 
     ``indptr`` has ``n_rows + 1`` entries; row ``r`` owns
     ``indices[indptr[r]:indptr[r+1]]`` and the parallel ``coefficients``
     slice.  ``kind_codes`` index the process-wide kind intern table
-    (decode with :func:`kind_name`).  All arrays are owned by the system —
-    treat them as read-only.
+    (decode with :func:`kind_name`).  ``labels`` formats each row's label
+    when it is read (:class:`RowLabels`).  All arrays are owned by the
+    system — treat them as read-only.
     """
 
     indptr: np.ndarray
@@ -102,7 +219,7 @@ class RowArrays(NamedTuple):
     coefficients: np.ndarray
     rhs: np.ndarray
     kind_codes: np.ndarray
-    labels: list[str]
+    labels: RowLabels
 
     @property
     def n_rows(self) -> int:
@@ -129,7 +246,7 @@ def _empty_arrays() -> RowArrays:
         coefficients=_EMPTY_F64,
         rhs=_EMPTY_F64,
         kind_codes=_EMPTY_I64,
-        labels=[],
+        labels=_NO_LABELS,
     )
 
 
@@ -277,13 +394,13 @@ class _RowStore:
             )
 
         if labels is None:
-            base = self._n_rows
-            labels = [
-                f"{_KIND_NAMES[int(codes[i])]}[{base + i}]"
-                for i in range(n_rows)
-            ]
+            labels = RowLabels.formatted(
+                "{}[{}]",
+                _objects(_KIND_NAMES)[codes],
+                np.arange(self._n_rows, self._n_rows + n_rows),
+            )
         else:
-            labels = list(labels)
+            labels = RowLabels.of(labels)
             if len(labels) != n_rows:
                 raise ReproError(
                     f"batch append: {len(labels)} labels for {n_rows} rows"
@@ -378,9 +495,7 @@ class _RowStore:
                         for b, off in zip(self._blocks[1:], offsets[1:])
                     ]
                 )
-                labels: list[str] = []
-                for block in self._blocks:
-                    labels.extend(block.labels)
+                labels = RowLabels.concat([b.labels for b in self._blocks])
                 self._flat = RowArrays(
                     indptr=indptr,
                     indices=np.concatenate(
@@ -403,13 +518,14 @@ class _RowStore:
         if self._rows is None:
             flat = self.arrays()
             indptr = flat.indptr
+            labels = list(flat.labels)
             self._rows = tuple(
                 _row_view(
                     flat.indices[indptr[r] : indptr[r + 1]],
                     flat.coefficients[indptr[r] : indptr[r + 1]],
                     float(flat.rhs[r]),
                     _KIND_NAMES[int(flat.kind_codes[r])],
-                    flat.labels[r],
+                    labels[r],
                 )
                 for r in range(flat.n_rows)
             )
@@ -700,16 +816,13 @@ def data_constraints(space: VariableSpace) -> ConstraintSystem:
         if group_a.size == 0:
             return
         rhs = counts_fn(group_a, group_b) / n
-        labels = [
-            label_fmt(int(a), int(b)) for a, b in zip(group_a, group_b)
-        ]
         system.add_equalities(
             indptr,
             order,
             np.ones(order.size),
             rhs,
             kinds=kind,
-            labels=labels,
+            labels=RowLabels.formatted(label_fmt, group_a, group_b),
             validate=False,
         )
 
@@ -719,14 +832,14 @@ def data_constraints(space: VariableSpace) -> ConstraintSystem:
             space.var_bucket,
             space.qi_bucket_counts,
             "qi",
-            lambda q, b: f"QI-invariant(q={q}, b={b})",
+            "QI-invariant(q={}, b={})",
         )
         add_grouped(
             space.var_sa,
             space.var_bucket,
             space.sa_bucket_counts,
             "sa",
-            lambda s, b: f"SA-invariant(s={s}, b={b})",
+            "SA-invariant(s={}, b={})",
         )
         return system
 
@@ -747,7 +860,9 @@ def data_constraints(space: VariableSpace) -> ConstraintSystem:
             np.ones(order.size),
             np.full(n_people, 1.0 / n),
             kinds="person",
-            labels=[f"person({p.name})" for p in space.people],
+            labels=RowLabels.formatted(
+                "person({})", _objects([p.name for p in space.people])
+            ),
             validate=False,
         )
 
@@ -757,14 +872,14 @@ def data_constraints(space: VariableSpace) -> ConstraintSystem:
             space.var_bucket,
             space.qi_bucket_counts,
             "slot",
-            lambda q, b: f"slot(q={q}, b={b})",
+            "slot(q={}, b={})",
         )
         add_grouped(
             space.var_sa,
             space.var_bucket,
             space.sa_bucket_counts,
             "sa",
-            lambda s, b: f"SA-invariant(s={s}, b={b})",
+            "SA-invariant(s={}, b={})",
         )
         return system
 

@@ -39,6 +39,7 @@ from repro.errors import ReproError
 from repro.maxent.constraints import (
     ConstraintSystem,
     RowArrays,
+    RowLabels,
     kind_code,
     known_kind_codes,
 )
@@ -143,7 +144,7 @@ class ComponentStack(Sequence):
     coefficients: np.ndarray
     rhs: np.ndarray
     kind_codes: np.ndarray
-    labels: list[str]
+    labels: RowLabels
     label_rows: np.ndarray
     masses: np.ndarray
     knowledge_rows: np.ndarray
@@ -226,7 +227,7 @@ class ComponentStack(Sequence):
                 self.coefficients[e0:e1],
                 self.rhs[lo:hi],
                 kinds=self.kind_codes[lo:hi],
-                labels=[self.label(row) for row in range(lo, hi)],
+                labels=self.labels.take(self.label_rows[lo:hi]),
                 validate=False,
             )
         return system

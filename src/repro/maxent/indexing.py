@@ -12,12 +12,12 @@ and the solvers:
 
 - ``n_vars`` and per-variable bucket ids (for decomposition),
 - ``match_antecedents(qvs)`` — resolves a batch of partial QI assignments
-  ``Qv`` to the ids of the distinct QI tuples extending each, and the
-  record count behind each (``N * P(Qv)``, an exact integer),
-- ``vars_of_qis(qids, sa_value)`` — the variables of those tuples carrying
-  an SA value (the summation sets of Section 4.1 constraints),
-- ``vars_matching(qv, sa_value)`` and ``qv_probability(qv)`` — the same
-  two queries for one antecedent.
+  ``Qv`` to the ids of the distinct QI tuples extending each (as CSR
+  ranges), and the record count behind each (``N * P(Qv)``, an exact
+  integer),
+- ``vars_of_qi_sets(qids, lengths, sids)`` — the summation sets of
+  Section 4.1 constraints for a whole batch of probes: each probe's
+  variables whose QI tuple is among its ids and whose SA id is its own.
 
 Everything on the hot construction path is array-native and reads the
 release's record codes (:class:`~repro.anonymize.buckets.RecordCodes`,
@@ -26,14 +26,16 @@ pairs are one ``unique`` each over the coded records, variable
 enumeration is one vectorised expansion of those pairs (no loop over
 buckets), invariant cardinality lookups resolve through sorted key
 tables (:class:`_CountTable`), and summation sets come from one precomputed
-composite-key sort (:class:`_PairIndex`) probed with ``searchsorted``
-ranges.  Antecedents resolve through per-attribute integer codes of the
+composite-key sort (:class:`_PairIndex`): a batch of probes is one
+``searchsorted`` pair, one range gather and one per-probe sort of the
+hits.  Antecedents resolve through per-attribute integer codes of the
 distinct QI tuples (:class:`_QIRegistry`): the antecedents of a batch are
-grouped by attribute subset, and each group costs one ``lexsort`` of the
-projected codes plus one ``searchsorted`` — never a string comparison per
-tuple.  The codes (once per release, on the release), the pair index and
-the triple -> variable dict needed by point lookups (``index_of``) are
-built lazily, off the construction path.
+grouped by attribute subset, each tuple's and each antecedent's codes fold
+into one int64 key (:func:`_fold_keys`), and each group costs one stable
+``argsort`` of the tuple keys plus one ``searchsorted`` pair — never a
+string comparison per tuple.  The codes (once per release, on the
+release), the pair index and the triple -> variable dict needed by point
+lookups (``index_of``) are built lazily, off the construction path.
 """
 
 from __future__ import annotations
@@ -45,27 +47,50 @@ import numpy as np
 
 from repro.anonymize.buckets import BucketizedTable
 from repro.data.table import QITuple
-from repro.errors import CompilationError, KnowledgeError
+from repro.errors import KnowledgeError
 from repro.knowledge.individuals import Pseudonym, PseudonymTable
 
 
 class AntecedentMatches(NamedTuple):
     """A batch of partial QI assignments resolved against the registry.
 
-    The three lists are parallel to the queried antecedents: ``ids[j]``
-    holds the distinct-QI ids extending antecedent ``j``, ``counts[j]``
-    the number of published records those tuples carry (an exact
-    integer: ``P(Qv) = counts[j] / N``), and ``unknown[j]`` the first of
-    its attribute names that is not a QI attribute — in which case its
-    ids are empty and its count is 0 — or None.
+    Parallel to the queried antecedents: antecedent ``j`` is extended by
+    the distinct-QI ids ``ids[indptr[j]:indptr[j + 1]]`` (ascending),
+    ``counts[j]`` is the number of published records those tuples carry
+    (an exact integer: ``P(Qv) = counts[j] / N``), and ``unknown[j]`` is
+    the first of its attribute names that is not a QI attribute — in
+    which case it has no ids and count 0 — or None.
     """
 
-    ids: list[np.ndarray]
+    indptr: np.ndarray
+    ids: np.ndarray
     counts: np.ndarray
     unknown: list[str | None]
 
 
-_NO_IDS = np.empty(0, dtype=np.int64)
+#: A folded key is multiplied by the next attribute's domain size only
+#: while the product stays below this, so it never overflows int64.
+_KEY_LIMIT = 2**62
+
+
+def _fold_keys(columns: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """One int64 key per row of code ``columns`` (``column[c]`` in
+    ``[0, sizes[c])``): equal keys exactly for equal code tuples.
+
+    Folded attribute by attribute, ``key * size + code``; before a
+    multiply would pass ``_KEY_LIMIT`` the key is re-densified to its
+    rank among the distinct keys, which keeps it exact for any number of
+    attributes and any domain size.
+    """
+    key = columns[0].astype(np.int64)
+    bound = sizes[0]
+    for column, size in zip(columns[1:], sizes[1:]):
+        if bound * size > _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * size + column
+        bound *= size
+    return key
 
 
 class _QIRegistry:
@@ -91,61 +116,72 @@ class _QIRegistry:
     def match(self, qvs: Sequence[dict[str, str]]) -> AntecedentMatches:
         """Resolve every partial assignment in ``qvs`` in one batch.
 
-        Antecedents are grouped by attribute subset.  Per subset, the
-        tuples' projected codes and the antecedents' wanted codes are
-        ranked by one ``lexsort``; each antecedent's ids are then one
-        ``searchsorted`` range of the tuples in rank order, and its count
-        a difference of one cumulative sum over their counts.  A value
-        absent from an attribute gets code -1 and so matches nothing.
+        Antecedents are grouped by attribute subset.  Per subset, each
+        tuple's projected codes and each antecedent's wanted codes fold
+        into one int64 key (:func:`_fold_keys`); one stable ``argsort``
+        of the tuple keys and one ``searchsorted`` pair then give every
+        antecedent's ids as a range of the tuples in key order, and its
+        count as a difference of one cumulative sum over their counts.
+        A value absent from an attribute matches nothing.
         """
-        ids = [_NO_IDS] * len(qvs)
-        counts = np.zeros(len(qvs), dtype=np.int64)
-        unknown: list[str | None] = [None] * len(qvs)
-        groups: dict[tuple[int, ...], list[int]] = {}
+        n = len(qvs)
+        counts = np.zeros(n, dtype=np.int64)
+        lengths = np.zeros(n, dtype=np.int64)
+        unknown: list[str | None] = [None] * n
+        by_names: dict[tuple[str, ...], list[int]] = {}
         for j, qv in enumerate(qvs):
             if not qv:
                 raise KnowledgeError("the partial assignment Qv must be non-empty")
-            missing = [name for name in qv if name not in self._positions]
+            by_names.setdefault(tuple(qv), []).append(j)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for names, members in by_names.items():
+            missing = [name for name in names if name not in self._positions]
             if missing:
-                unknown[j] = missing[0]
+                for j in members:
+                    unknown[j] = missing[0]
             else:
-                subset = tuple(sorted(self._positions[name] for name in qv))
-                groups.setdefault(subset, []).append(j)
+                subset = tuple(sorted(self._positions[name] for name in names))
+                groups.setdefault(subset, []).extend(members)
+        ranges = []
+        codes, code_of = (
+            self._published.qi_value_codes if groups else (None, None)
+        )
         n_tuples = len(self.tuples)
         for subset, members in groups.items():
-            codes, code_of = self._published.qi_value_codes
-            wanted = np.array(
+            wanted = [
+                np.array(
+                    [code_of[p].get(qvs[j][self._names[p]], -1) for j in members],
+                    dtype=np.int64,
+                )
+                for p in subset
+            ]
+            found = np.logical_and.reduce([column >= 0 for column in wanted])
+            keys = _fold_keys(
                 [
-                    [code_of[p].get(qvs[j][self._names[p]], -1) for p in subset]
-                    for j in members
+                    np.concatenate((codes[:, p], column[found]))
+                    for p, column in zip(subset, wanted)
                 ],
-                dtype=np.int64,
+                [len(code_of[p]) for p in subset],
             )
-            stacked = np.concatenate([codes[:, list(subset)], wanted])
-            order = np.lexsort(stacked.T[::-1])
-            ordered = stacked[order]
-            new_key = np.ones(order.size, dtype=bool)
-            new_key[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-            rank = np.empty(order.size, dtype=np.int64)
-            rank[order] = np.cumsum(new_key)
-            # Tuple ids in rank order; their ranks are then ascending.
-            tuple_order = order[order < n_tuples]
-            tuple_ranks = rank[tuple_order]
-            starts = np.searchsorted(tuple_ranks, rank[n_tuples:], side="left")
-            ends = np.searchsorted(tuple_ranks, rank[n_tuples:], side="right")
-            cumulative = np.zeros(n_tuples + 1, dtype=np.int64)
-            np.cumsum(self.counts[tuple_order], out=cumulative[1:])
+            tuple_keys, wanted_keys = keys[:n_tuples], keys[n_tuples:]
+            order = np.argsort(tuple_keys, kind="stable")
+            ordered = tuple_keys[order]
+            starts = np.zeros(len(members), dtype=np.int64)
+            ends = np.zeros(len(members), dtype=np.int64)
+            starts[found] = np.searchsorted(ordered, wanted_keys, side="left")
+            ends[found] = np.searchsorted(ordered, wanted_keys, side="right")
+            cumulative = _offsets(self.counts[order])
+            members = np.array(members, dtype=np.int64)
             counts[members] = cumulative[ends] - cumulative[starts]
-            for j, start, end in zip(members, starts.tolist(), ends.tolist()):
-                ids[j] = tuple_order[start:end]
-        return AntecedentMatches(ids, counts, unknown)
-
-    def match_one(self, qv: dict[str, str]) -> tuple[np.ndarray, int]:
-        """Ids and record count of the tuples extending one assignment."""
-        matches = self.match([qv])
-        if matches.unknown[0] is not None:
-            raise CompilationError(f"{matches.unknown[0]!r} is not a QI attribute")
-        return matches.ids[0], int(matches.counts[0])
+            lengths[members] = ends - starts
+            ranges.append((members, order, starts, ends))
+        indptr = _offsets(lengths)
+        ids = np.empty(int(indptr[-1]), dtype=np.int64)
+        for members, order, starts, ends in ranges:
+            ids[_take_ranges(indptr[members], indptr[members + 1])] = order[
+                _take_ranges(starts, ends)
+            ]
+        return AntecedentMatches(indptr, ids, counts, unknown)
 
 
 class _CountTable:
@@ -235,10 +271,10 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 class _PairIndex:
     """Variables sorted by a composite (key_a, key_b) for grouped queries.
 
-    ``lookup_many(a_values, b_value)`` returns every variable whose keys
-    match any ``(a, b_value)`` pair — resolved as ``searchsorted`` range
-    probes into one precomputed sort, instead of a fresh full-length
-    boolean mask per query.
+    ``lookup_many`` answers a whole batch of probes — each a set of
+    ``key_a`` values and one ``key_b`` — with one ``searchsorted`` pair
+    into one precomputed sort, instead of a fresh full-length boolean
+    mask per query.
     """
 
     def __init__(self, key_a: np.ndarray, key_b: np.ndarray) -> None:
@@ -247,18 +283,27 @@ class _PairIndex:
         self._order = np.argsort(composite, kind="stable")
         self._sorted = composite[self._order]
 
-    def lookup_many(self, a_values: np.ndarray, b_value: int) -> np.ndarray:
-        """All variables with ``key_a in a_values`` and ``key_b == b_value``,
-        ascending."""
-        a_values = np.asarray(a_values, dtype=np.int64)
-        if a_values.size == 0 or self._sorted.size == 0:
-            return np.empty(0, dtype=np.int64)
-        wanted = a_values * self._stride + int(b_value)
+    def lookup_many(
+        self, a_values: np.ndarray, b_values: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Variables of a batch of probes, as CSR ``(indptr, variables)``.
+
+        Probe ``k`` holds the next ``lengths[k]`` entries of ``a_values``
+        and the key ``b_values[k]`` (a stored ``key_b``); its variables
+        are those with ``key_a`` among its entries and ``key_b ==
+        b_values[k]``, ascending.
+        """
+        lengths = np.asarray(lengths, dtype=np.int64)
+        probe = np.repeat(np.arange(lengths.size), lengths)
+        wanted = np.asarray(a_values, dtype=np.int64) * self._stride + np.asarray(
+            b_values, dtype=np.int64
+        )[probe]
         starts = np.searchsorted(self._sorted, wanted, side="left")
         ends = np.searchsorted(self._sorted, wanted, side="right")
         hits = self._order[_take_ranges(starts, ends)]
-        hits.sort()
-        return hits
+        segment = np.repeat(probe, ends - starts)
+        hits = hits[np.lexsort((hits, segment))]
+        return _offsets(np.bincount(segment, minlength=lengths.size)), hits
 
 
 def _take_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -277,8 +322,8 @@ def _take_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 class _KnowledgeQueries:
     """The knowledge-compiler query surface, shared by both spaces.
 
-    A space provides ``_registry``, ``sa_id_of``, ``n_records`` and
-    ``_summation_index()`` (variables keyed by (QI tuple id, SA id)).
+    A space provides ``_registry`` and ``_summation_index()`` (variables
+    keyed by (QI tuple id, SA id)).
     """
 
     def match_antecedents(self, qvs: Sequence[dict[str, str]]) -> AntecedentMatches:
@@ -286,24 +331,14 @@ class _KnowledgeQueries:
         attribute subset; see :class:`AntecedentMatches`)."""
         return self._registry.match(qvs)
 
-    def vars_of_qis(self, qids: np.ndarray, sa_value: str) -> np.ndarray:
-        """Variables whose QI tuple id is in ``qids`` and whose SA value is
-        ``sa_value``, ascending (empty for an SA value the release lacks)."""
-        sid = self.sa_id_of.get(sa_value)
-        if sid is None:
-            return np.empty(0, dtype=np.int64)
-        return self._summation_index().lookup_many(qids, sid)
-
-    def vars_matching(self, qv: dict[str, str], sa_value: str) -> np.ndarray:
-        """Indices of all variables with QI extending ``qv`` and SA value
-        ``sa_value`` — the summation set of a Section 4.1 constraint."""
-        qids, _ = self._registry.match_one(qv)
-        return self.vars_of_qis(qids, sa_value)
-
-    def qv_probability(self, qv: dict[str, str]) -> float:
-        """Published marginal ``P(Qv)`` of a partial QI assignment."""
-        _, count = self._registry.match_one(qv)
-        return float(count) / self.n_records
+    def vars_of_qi_sets(
+        self, qids: np.ndarray, lengths: np.ndarray, sids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The summation sets of a batch of probes (Section 4.1), as CSR
+        ``(indptr, variables)``: probe ``k`` owns the next ``lengths[k]``
+        QI tuple ids of ``qids``, and its set is their variables carrying
+        SA id ``sids[k]``, ascending."""
+        return self._summation_index().lookup_many(qids, sids, lengths)
 
 
 class _ReleaseSpace(_KnowledgeQueries):
@@ -555,9 +590,8 @@ class PersonVariableSpace(_ReleaseSpace):
             return np.empty(0, dtype=np.int64)
         if self._person_sa_index is None:
             self._person_sa_index = _PairIndex(self.var_person, self.var_sa)
-        return self._person_sa_index.lookup_many(
-            np.array([pid], dtype=np.int64), sid
-        )
+        _, variables = self._person_sa_index.lookup_many([pid], [sid], [1])
+        return variables
 
     def _summation_index(self) -> _PairIndex:
         # Data-distribution summation sets, lifted to the pseudonym space.

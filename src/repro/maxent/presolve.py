@@ -180,7 +180,7 @@ def presolve(system: ConstraintSystem) -> PresolveResult:
             coefficients[entries],
             state.rhs[kept],
             kinds=kind_codes[kept],
-            labels=[labels[row] for row in kept.tolist()],
+            labels=labels.take(kept),
             validate=False,
         )
     return PresolveResult(

@@ -19,8 +19,9 @@ from repro.anonymize.buckets import (
 from repro.data.schema import Attribute, Schema
 from repro.data.table import Table
 from repro.engine.plan import build_plan
+from repro.errors import CompilationError
 from repro.knowledge.expressions import ProbabilityExpression
-from repro.maxent.constraints import known_kind_codes
+from repro.maxent.constraints import RowLabels, known_kind_codes
 from repro.maxent.decompose import DATA_ROW_KINDS, ComponentStack, StackedRows
 from repro.maxent.dual import build_dual
 from repro.maxent.lbfgs import solve_dual_lbfgs
@@ -185,11 +186,9 @@ def stack_systems(systems, masses=None, buckets=None) -> ComponentStack:
         )
         for s in systems
     ]
-    labels = [
-        label
-        for s in systems
-        for label in s.equality_arrays().labels + s.inequality_arrays().labels
-    ]
+    labels = RowLabels.concat(
+        [s.equality_arrays().labels + s.inequality_arrays().labels for s in systems]
+    )
     lengths = np.concatenate(
         [np.diff(block.indptr) for block in blocks] + [np.zeros(0, int)]
     )
@@ -224,3 +223,29 @@ def stack_systems(systems, masses=None, buckets=None) -> ComponentStack:
             np.repeat(np.arange(n), row_counts)[knowledge], minlength=n
         ),
     )
+
+
+def match_one(space, qv: dict[str, str]) -> tuple[np.ndarray, int]:
+    """Ids and record count of the QI tuples of ``space`` extending one
+    partial assignment ``qv``."""
+    matches = space.match_antecedents([qv])
+    if matches.unknown[0] is not None:
+        raise CompilationError(f"{matches.unknown[0]!r} is not a QI attribute")
+    return matches.ids[matches.indptr[0] : matches.indptr[1]], int(matches.counts[0])
+
+
+def vars_matching(space, qv: dict[str, str], sa_value: str) -> np.ndarray:
+    """Indices of all variables with QI extending ``qv`` and SA value
+    ``sa_value`` — the summation set of a Section 4.1 constraint."""
+    qids, _ = match_one(space, qv)
+    sid = space.sa_id_of.get(sa_value)
+    if sid is None:
+        return np.empty(0, dtype=np.int64)
+    _, variables = space.vars_of_qi_sets(qids, [qids.size], [sid])
+    return variables
+
+
+def qv_probability(space, qv: dict[str, str]) -> float:
+    """Published marginal ``P(Qv)`` of a partial QI assignment."""
+    _, count = match_one(space, qv)
+    return float(count) / space.n_records

@@ -32,6 +32,14 @@ It also holds Theorem 3's redundant-row filter in both forms, the
 array-native :func:`drop_redundant_data_rows` and its row-wise twin.  No
 solver path drops those rows; the tests keep the theorem checked.
 
+Last of all, it keeps the per-statement knowledge compiler
+(:func:`compile_statements_per_statement`) with the ``lexsort``
+antecedent resolver it ran on (:func:`match_antecedents_lexsort`): one
+summation-set probe and one row at a time, in input order.  The batched
+compiler must match it bit for bit, errors included
+(``test_knowledge_compiler.py``, and CI's knowledge compile identity
+sweep).
+
 They live with the tests, not in ``repro``: production code routes
 through :func:`repro.maxent.constraints.data_constraints`,
 :func:`repro.maxent.decompose.decompose` and
@@ -53,17 +61,37 @@ import numpy as np
 
 from repro.anonymize.buckets import BucketizedTable
 from repro.data.table import QITuple, Table
-from repro.errors import ReproError
-from repro.knowledge.individuals import Pseudonym, PseudonymTable
+from repro.errors import CompilationError, InfeasibleKnowledgeError, ReproError
+from repro.knowledge.individuals import (
+    GroupCount,
+    GroupCountAtLeast,
+    GroupCountAtMost,
+    IndividualDisjunction,
+    IndividualProbability,
+    IndividualStatement,
+    Pseudonym,
+    PseudonymTable,
+)
 from repro.knowledge.mining import MiningConfig, _antecedent_sizes
 from repro.knowledge.rules import AssociationRule, NegativeRule, PositiveRule
+from repro.knowledge.statements import (
+    Comparison,
+    ConditionalInterval,
+    ConditionalProbability,
+    JointProbability,
+    Statement,
+)
 from repro.engine.component import ComponentSolve
 from repro.maxent.batch_dual import DualStack, solve_batch_dual
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, Row, kind_code
 from repro.maxent.decompose import DATA_ROW_KINDS, _permute_rows
 from repro.maxent.dual import DualProblem, build_dual
-from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
+from repro.maxent.indexing import (
+    GroupVariableSpace,
+    PersonVariableSpace,
+    _take_ranges,
+)
 from repro.maxent.lbfgs import solve_dual_lbfgs
 from repro.maxent.presolve import PresolveResult, presolve
 from repro.maxent.solution import SolverStats
@@ -810,3 +838,302 @@ def solve_component(
     solve.stats.seconds = timer.seconds
     solve.stats.cpu_seconds = timer.seconds
     return solve
+
+
+# -- the per-statement knowledge compiler --------------------------------------
+
+
+def match_antecedents_lexsort(
+    space: VariableSpace, qvs: list[dict[str, str]]
+) -> tuple[list[np.ndarray], np.ndarray, list[str | None]]:
+    """``(ids, counts, unknown)`` of every antecedent, resolved by one
+    ``lexsort`` of the stacked projected codes per attribute subset."""
+    registry = space._registry
+    names, positions = registry._names, registry._positions
+    empty = np.empty(0, dtype=np.int64)
+    ids = [empty] * len(qvs)
+    counts = np.zeros(len(qvs), dtype=np.int64)
+    unknown: list[str | None] = [None] * len(qvs)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, qv in enumerate(qvs):
+        missing = [name for name in qv if name not in positions]
+        if missing:
+            unknown[j] = missing[0]
+        else:
+            subset = tuple(sorted(positions[name] for name in qv))
+            groups.setdefault(subset, []).append(j)
+    n_tuples = len(registry.tuples)
+    for subset, members in groups.items():
+        codes, code_of = space.published.qi_value_codes
+        wanted = np.array(
+            [
+                [code_of[p].get(qvs[j][names[p]], -1) for p in subset]
+                for j in members
+            ],
+            dtype=np.int64,
+        )
+        stacked = np.concatenate([codes[:, list(subset)], wanted])
+        order = np.lexsort(stacked.T[::-1])
+        ordered = stacked[order]
+        new_key = np.ones(order.size, dtype=bool)
+        new_key[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.cumsum(new_key)
+        tuple_order = order[order < n_tuples]
+        tuple_ranks = rank[tuple_order]
+        starts = np.searchsorted(tuple_ranks, rank[n_tuples:], side="left")
+        ends = np.searchsorted(tuple_ranks, rank[n_tuples:], side="right")
+        cumulative = np.zeros(n_tuples + 1, dtype=np.int64)
+        np.cumsum(registry.counts[tuple_order], out=cumulative[1:])
+        counts[members] = cumulative[ends] - cumulative[starts]
+        for j, start, end in zip(members, starts.tolist(), ends.tolist()):
+            ids[j] = tuple_order[start:end]
+    return ids, counts, unknown
+
+
+def _vars_of_qis(space: VariableSpace, qids: np.ndarray, sa_value: str) -> np.ndarray:
+    """One summation set: one ``searchsorted`` range probe per QI id."""
+    sid = space.sa_id_of.get(sa_value)
+    if sid is None or qids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    index = space._summation_index()
+    wanted = qids * index._stride + int(sid)
+    starts = np.searchsorted(index._sorted, wanted, side="left")
+    ends = np.searchsorted(index._sorted, wanted, side="right")
+    hits = index._order[_take_ranges(starts, ends)]
+    hits.sort()
+    return hits
+
+
+_RHS_TOL = 1e-12
+_DISTRIBUTION = (
+    ConditionalProbability, JointProbability, ConditionalInterval, Comparison,
+)
+
+
+class _RowBatch:
+    """Accumulates compiled rows, emitted as one batch append per family."""
+
+    def __init__(self) -> None:
+        self._eq: list[tuple] = []
+        self._ineq: list[tuple] = []
+
+    def add_equality(self, indices, coefficients, rhs, *, kind, label=""):
+        self._eq.append((indices, coefficients, float(rhs), kind, label))
+
+    def add_inequality(self, indices, coefficients, upper, *, kind, label=""):
+        self._ineq.append((indices, coefficients, float(upper), kind, label))
+
+    @staticmethod
+    def _flush(rows: list[tuple], append_batch) -> None:
+        if not rows:
+            return
+        lengths = np.array([len(r[0]) for r in rows], dtype=np.int64)
+        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        append_batch(
+            indptr,
+            np.concatenate([np.asarray(r[0], dtype=np.int64) for r in rows]),
+            np.concatenate([np.asarray(r[1], dtype=float) for r in rows]),
+            np.array([r[2] for r in rows]),
+            kinds=[r[3] for r in rows],
+            labels=[r[4] or f"{r[3]}[{i}]" for i, r in enumerate(rows)],
+        )
+
+    def emit(self, system: ConstraintSystem) -> None:
+        self._flush(self._eq, system.add_equalities)
+        self._flush(self._ineq, system.add_inequalities)
+
+
+def _equality_row(
+    label: str, indices: np.ndarray, rhs: float, rows: _RowBatch
+) -> None:
+    if indices.size == 0:
+        if rhs > _RHS_TOL:
+            raise InfeasibleKnowledgeError(
+                f"statement {label!r} requires probability {rhs:g} on a "
+                "summation set that is structurally empty (the SA value "
+                "never co-occurs with the antecedent in any bucket)"
+            )
+        return
+    rows.add_equality(indices, np.ones(indices.size), rhs, kind="bk", label=label)
+
+
+def _compile_distribution(
+    statement: Statement,
+    space: VariableSpace,
+    qids: np.ndarray,
+    count: int,
+    unknown: str | None,
+    rows: _RowBatch,
+) -> None:
+    label = statement.describe()
+    if unknown is not None:
+        raise CompilationError(f"{label}: {unknown!r} is not a QI attribute")
+    if isinstance(statement, JointProbability):
+        _equality_row(
+            label,
+            _vars_of_qis(space, qids, statement.sa_value),
+            statement.probability,
+            rows,
+        )
+        return
+    if count == 0:
+        antecedent = ", ".join(
+            f"{k}={v}" for k, v in sorted(statement.given.items())
+        )
+        raise CompilationError(
+            f"{label}: antecedent {{{antecedent}}} matches no published "
+            "record, so P(Qv) = 0 and the statement constrains nothing"
+        )
+    p_qv = float(count) / space.n_records
+
+    if isinstance(statement, ConditionalProbability):
+        _equality_row(
+            label,
+            _vars_of_qis(space, qids, statement.sa_value),
+            statement.probability * p_qv,
+            rows,
+        )
+        return
+
+    if isinstance(statement, ConditionalInterval):
+        indices = _vars_of_qis(space, qids, statement.sa_value)
+        if indices.size == 0:
+            if statement.low > _RHS_TOL:
+                raise InfeasibleKnowledgeError(
+                    f"statement {label!r} has an empty summation set but a "
+                    "strictly positive lower bound"
+                )
+            return
+        ones = np.ones(indices.size)
+        rows.add_inequality(
+            indices, ones, statement.high * p_qv, kind="bk",
+            label=f"{label} [upper]",
+        )
+        if statement.low > 0.0:
+            rows.add_inequality(
+                indices, -ones, -statement.low * p_qv, kind="bk",
+                label=f"{label} [lower]",
+            )
+        return
+
+    more = _vars_of_qis(space, qids, statement.more_likely)
+    less = _vars_of_qis(space, qids, statement.less_likely)
+    if more.size == 0 and less.size == 0:
+        if statement.margin > _RHS_TOL:
+            raise InfeasibleKnowledgeError(
+                f"statement {label!r}: both sides are structurally zero but "
+                "the margin is positive"
+            )
+        return
+    rows.add_inequality(
+        np.concatenate([less, more]),
+        np.concatenate([np.ones(less.size), -np.ones(more.size)]),
+        -statement.margin * p_qv,
+        kind="bk",
+        label=label,
+    )
+
+
+def _compile_individual(
+    statement: IndividualStatement,
+    space: PersonVariableSpace,
+    rows: _RowBatch,
+) -> None:
+    n = space.n_records
+    if isinstance(statement, IndividualProbability):
+        indices = space.vars_of_person(statement.person, statement.sa_value)
+        rhs = statement.probability / n
+        if indices.size == 0:
+            if rhs > _RHS_TOL:
+                raise InfeasibleKnowledgeError(
+                    f"{statement.describe()}: {statement.person.name} can "
+                    f"never carry {statement.sa_value!r} (no bucket offers it)"
+                )
+            return
+        rows.add_equality(
+            indices, np.ones(indices.size), rhs, kind="bk",
+            label=statement.describe(),
+        )
+        return
+
+    if isinstance(statement, IndividualDisjunction):
+        pieces = [
+            space.vars_of_person(statement.person, value)
+            for value in statement.sa_values
+        ]
+        indices = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+        if indices.size == 0:
+            raise InfeasibleKnowledgeError(
+                f"{statement.describe()}: none of the listed values is "
+                f"available to {statement.person.name} in any bucket"
+            )
+        rows.add_equality(
+            indices, np.ones(indices.size), 1.0 / n, kind="bk",
+            label=statement.describe(),
+        )
+        return
+
+    if isinstance(statement, (GroupCount, GroupCountAtLeast, GroupCountAtMost)):
+        pieces = [
+            space.vars_of_person(person, statement.sa_value)
+            for person in statement.persons
+        ]
+        indices = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+        rhs = statement.count / n
+        if indices.size == 0:
+            if isinstance(statement, GroupCountAtMost):
+                return
+            raise InfeasibleKnowledgeError(
+                f"{statement.describe()}: no member of the group can carry "
+                f"{statement.sa_value!r} in any bucket"
+            )
+        ones = np.ones(indices.size)
+        if isinstance(statement, GroupCount):
+            rows.add_equality(
+                indices, ones, rhs, kind="bk", label=statement.describe()
+            )
+        elif isinstance(statement, GroupCountAtLeast):
+            rows.add_inequality(
+                indices, -ones, -rhs, kind="bk", label=statement.describe()
+            )
+        else:
+            rows.add_inequality(
+                indices, ones, rhs, kind="bk", label=statement.describe()
+            )
+        return
+
+    raise CompilationError(
+        f"unsupported individual statement type {type(statement).__name__}"
+    )
+
+
+def compile_statements_per_statement(statements, space: VariableSpace) -> ConstraintSystem:
+    """The knowledge rows of ``statements``, compiled one statement at a
+    time in input order (each summation set its own probe); the first
+    statement that cannot compile raises."""
+    statements = list(statements)
+    ids, counts, unknown = match_antecedents_lexsort(
+        space, [s.given for s in statements if isinstance(s, _DISTRIBUTION)]
+    )
+    resolved = zip(ids, counts.tolist(), unknown)
+    rows = _RowBatch()
+    for statement in statements:
+        if isinstance(statement, _DISTRIBUTION):
+            _compile_distribution(statement, space, *next(resolved), rows)
+        elif isinstance(statement, IndividualStatement):
+            if not isinstance(space, PersonVariableSpace):
+                raise CompilationError(
+                    f"statement {statement.describe()!r} is about an "
+                    "individual; build the engine with a PersonVariableSpace "
+                    "(PrivacyMaxEnt(..., individuals=True))"
+                )
+            _compile_individual(statement, space, rows)
+        else:
+            raise CompilationError(
+                f"unsupported statement type {type(statement).__name__}"
+            )
+    system = ConstraintSystem(space.n_vars)
+    rows.emit(system)
+    return system

@@ -12,7 +12,7 @@ from repro.maxent.closed_form import closed_form_solution
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import data_constraints
 from repro.maxent.indexing import GroupVariableSpace
-from tests.helpers import random_published
+from tests.helpers import qv_probability, random_published, vars_matching
 
 
 def paper_instance():
@@ -48,11 +48,11 @@ def multi_component_instance():
     baseline = closed_form_solution(space)
     statements = []
     for q, s in (("q0", "s0"), ("q1", "s1"), ("q2", "s2")):
-        matching = space.vars_matching({"q": q}, s)
+        matching = vars_matching(space, {"q": q}, s)
         if matching.size == 0:
             continue
         probability = float(
-            baseline[matching].sum() / space.qv_probability({"q": q})
+            baseline[matching].sum() / qv_probability(space, {"q": q})
         )
         statements.append(
             ConditionalProbability(

@@ -18,7 +18,16 @@ from repro.data.paper_example import (
 )
 from repro.data.schema import Attribute, Schema
 from repro.data.table import Table
-from repro.errors import CompilationError, DiversityError, InfeasibleKnowledgeError
+from repro.errors import (
+    CompilationError,
+    DiversityError,
+    InfeasibleKnowledgeError,
+    ReproError,
+)
+from repro.experiments.workloads import (
+    build_synthetic_release,
+    per_bucket_statements,
+)
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.individuals import (
     GroupCount,
@@ -35,6 +44,7 @@ from repro.knowledge.statements import (
     JointProbability,
 )
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
+from tests.legacy import compile_statements_per_statement
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +342,7 @@ def releases(draw):
 
 
 @st.composite
-def compile_cases(draw):
+def compile_cases(draw, max_statements=4):
     """A release, a variable space and a statement list to compile on it.
 
     Antecedents come from a small pool, so they repeat; their values mix
@@ -396,7 +406,8 @@ def compile_cases(draw):
 
     if draw(st.booleans()):
         return published, GroupVariableSpace(published), [
-            distribution_statement() for _ in range(draw(st.integers(1, 4)))
+            distribution_statement()
+            for _ in range(draw(st.integers(1, max_statements)))
         ]
 
     pseudonyms = PseudonymTable(published)
@@ -433,7 +444,7 @@ def compile_cases(draw):
 
     statements = [
         distribution_statement() if draw(st.booleans()) else individual_statement()
-        for _ in range(draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(1, max_statements)))
     ]
     return published, PersonVariableSpace(pseudonyms), statements
 
@@ -576,3 +587,95 @@ class TestCompilerOracle:
         system = compile_statements(statements, space)
         _assert_rows(system.equalities, expected[0])
         _assert_rows(system.inequalities, expected[1])
+
+
+# -- the batched compiler against the per-statement compiler -----------------
+
+
+def _outcome(compile_, statements, space):
+    try:
+        return compile_(statements, space)
+    except ReproError as error:
+        return error
+
+
+def assert_same_compile(statements, space):
+    """``compile_statements`` equals the per-statement compiler bit for
+    bit: CSR arrays, rhs and kind codes (bytes and dtype) and labels, or
+    the same error type and message."""
+    batched = _outcome(compile_statements, statements, space)
+    expected = _outcome(compile_statements_per_statement, statements, space)
+    if isinstance(expected, ReproError):
+        assert type(batched) is type(expected)
+        assert str(batched) == str(expected)
+        return
+    assert not isinstance(batched, ReproError), batched
+    for family in ("equality_arrays", "inequality_arrays"):
+        new, old = getattr(batched, family)(), getattr(expected, family)()
+        for name in ("indptr", "indices", "coefficients", "rhs", "kind_codes"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype, (family, name)
+            assert a.tobytes() == b.tobytes(), (family, name)
+        assert list(new.labels) == list(old.labels)
+
+
+class TestBatchedCompilerOracle:
+    """The batched compiler against the per-statement one, on lists that
+    mix the four distribution kinds (interval ``low = 0``, zero
+    probabilities on empty sets, SA values the release lacks, unknown
+    attributes, absent antecedents) and, on person spaces, individual
+    statements on either side of a failing data statement."""
+
+    @given(case=compile_cases(max_statements=12))
+    @settings(
+        deadline=None, max_examples=300,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    def test_long_lists(self, case):
+        _, space, statements = case
+        assert_same_compile(statements, space)
+
+    @given(case=compile_cases())
+    @settings(
+        deadline=None, max_examples=200,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    def test_short_lists(self, case):
+        _, space, statements = case
+        assert_same_compile(statements, space)
+
+    def test_individuals_around_a_failing_statement(self, space, person_space):
+        table = person_space.pseudonym_table
+        alice = table.assign(Q1)
+        grace = table.assign(("female", "junior"))
+        fine = IndividualProbability(person=alice, sa_value=S1, probability=0.2)
+        at_least = GroupCountAtLeast(persons=(alice,), sa_value=S1, count=1)
+        impossible = IndividualDisjunction(person=grace, sa_values=(S2,))
+        failing = ConditionalProbability(
+            given={"gender": "female", "degree": "junior"}, sa_value=S2, probability=0.5
+        )
+        interval = ConditionalInterval(
+            given={"gender": "male"}, sa_value=S2, low=0.1, high=0.4
+        )
+        valid = ConditionalProbability(
+            given={"gender": "male"}, sa_value=S2, probability=0.3
+        )
+        for statements in (
+            [valid, fine, interval, at_least, valid],
+            [fine, failing, impossible],
+            [impossible, failing, fine],
+            [at_least, interval, failing],
+        ):
+            assert_same_compile(statements, person_space)
+        assert_same_compile([valid, fine], space)
+        assert_same_compile([valid, "not a statement", failing], space)
+        assert_same_compile([failing, "not a statement"], space)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_many_small_input(self, seed):
+        release = build_synthetic_release(
+            3000, qi_domain_sizes=(60, 50, 40, 30), n_sa_values=6, l=5, seed=seed
+        )
+        assert_same_compile(
+            per_bucket_statements(release), GroupVariableSpace(release)
+        )

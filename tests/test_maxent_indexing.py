@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.anonymize.anatomy import anatomize
+from repro.anonymize.buckets import BucketizedTable
 from repro.anonymize.diversity import check_eligibility
 from repro.anonymize.mondrian import mondrian_anonymize
 from repro.anonymize.suppress import suppress_for_diversity
@@ -29,7 +30,7 @@ from repro.knowledge.individuals import PseudonymTable
 from repro.maxent.constraints import data_constraints
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from tests import legacy
-from tests.helpers import random_published
+from tests.helpers import qv_probability, random_published, vars_matching
 
 
 @pytest.fixture(scope="module")
@@ -75,22 +76,22 @@ class TestGroupSpace:
             space.qi_id(("alien", "phd"))
 
     def test_vars_matching_partial(self, space):
-        hits = space.vars_matching({"gender": "male"}, S2)
+        hits = vars_matching(space, {"gender": "male"}, S2)
         triples = {space.describe_var(int(v)) for v in hits}
         assert triples == {(Q1, S2, 0), (Q3, S2, 0), (("male", "graduate"), S2, 2)}
 
     def test_vars_matching_unknown_sa_empty(self, space):
-        assert space.vars_matching({"gender": "male"}, "Malaria").size == 0
+        assert vars_matching(space, {"gender": "male"}, "Malaria").size == 0
 
     def test_qv_probability(self, space):
-        assert space.qv_probability({"gender": "male"}) == pytest.approx(0.6)
-        assert space.qv_probability(
-            {"gender": "female", "degree": "college"}
+        assert qv_probability(space, {"gender": "male"}) == pytest.approx(0.6)
+        assert qv_probability(
+            space, {"gender": "female", "degree": "college"}
         ) == pytest.approx(0.2)
 
     def test_empty_qv_rejected(self, space):
         with pytest.raises(KnowledgeError):
-            space.qv_probability({})
+            qv_probability(space, {})
 
 
 class TestPersonSpace:
@@ -122,15 +123,15 @@ class TestPersonSpace:
             person_space.vars_of_person("i999", S2)
 
     def test_vars_matching_lifts_group_query(self, person_space):
-        hits = person_space.vars_matching({"gender": "male"}, S2)
+        hits = vars_matching(person_space, {"gender": "male"}, S2)
         people = {person_space.describe_var(int(v))[0] for v in hits}
         # Males: i1..i3 (q1), i6, i7 (q3), i10 (q6).
         assert people == {"i1", "i2", "i3", "i6", "i7", "i10"}
 
     def test_qv_probability_matches_group(self, person_space, space):
-        assert person_space.qv_probability(
-            {"gender": "male"}
-        ) == space.qv_probability({"gender": "male"})
+        assert qv_probability(
+            person_space, {"gender": "male"}
+        ) == qv_probability(space, {"gender": "male"})
 
 
 class TestGatherCounts:
@@ -326,3 +327,94 @@ class TestCodedSpaces:
         for bucket in published.buckets:
             sa_marginal.update(bucket.sa_counts())
         assert list(published.sa_marginal().items()) == list(sa_marginal.items())
+
+
+class TestAntecedentKeyFold:
+    """``match_antecedents`` folds each tuple's codes into one int64 key;
+    where the product of the domain sizes passes int64, the fold
+    re-densifies and must still match the ``lexsort`` resolver."""
+
+    N_QI, DOMAIN = 20, 10  # 10**20 > 2**63: the plain fold would overflow
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(11)
+        names = [f"a{j}" for j in range(self.N_QI)]
+        schema = Schema(
+            attributes=tuple(
+                Attribute(name, tuple(f"v{i}" for i in range(self.DOMAIN)))
+                for name in names
+            )
+            + (Attribute("s", ("s0", "s1", "s2")),),
+            qi_attributes=tuple(names),
+            sa_attribute="s",
+        )
+        codes = rng.integers(0, self.DOMAIN, size=(240, self.N_QI))
+        # Value "v{i}" gets code i in every attribute (first appearance),
+        # so a tuple's plain fold is the decimal number of its codes: the
+        # all-"v0" tuple and the digits of 2**64 would wrap to one key.
+        codes[: self.DOMAIN] = np.arange(self.DOMAIN)[:, None]
+        codes[self.DOMAIN] = [int(d) for d in str(2**64)]
+        codes[60:100] = codes[100:140]  # repeated tuples
+        records = [
+            {**{n: f"v{c}" for n, c in zip(names, row)}, "s": f"s{k % 3}"}
+            for k, row in enumerate(codes.tolist())
+        ]
+        table = Table.from_records(schema, records)
+        # Consecutive buckets keep the records' order, so codes follow it.
+        published = BucketizedTable.from_assignment(
+            table, np.arange(len(records)) // 4
+        )
+        return GroupVariableSpace(published), records, names
+
+    def test_domains_overflow_int64(self, wide):
+        space, _, _ = wide
+        _, code_of = space.published.qi_value_codes
+        assert np.prod([len(c) for c in code_of], dtype=object) > 2**63
+        assert all(
+            c == {f"v{i}": i for i in range(self.DOMAIN)} for c in code_of
+        )
+
+    def test_fold_is_exact(self):
+        from repro.maxent.indexing import _fold_keys
+
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, self.DOMAIN, size=(500, self.N_QI))
+        rows[250:] = rows[:250]
+        rows[0] = 0
+        rows[1] = [int(d) for d in str(2**64)]
+        keys = _fold_keys(list(rows.T), [self.DOMAIN] * self.N_QI)
+        _, by_row = np.unique(rows, axis=0, return_inverse=True)
+        _, by_key = np.unique(keys, return_inverse=True)
+        # Equal keys exactly for equal rows: the classes pair one to one.
+        pairs = set(zip(by_row.ravel().tolist(), by_key.tolist()))
+        assert len(pairs) == len(set(by_row.ravel().tolist())) == len(
+            set(by_key.tolist())
+        )
+
+    def test_matches_lexsort_resolver(self, wide):
+        space, records, names = wide
+        rng = np.random.default_rng(5)
+        # The two tuples whose plain folds collide, in full.
+        qvs = [dict(zip(names, (f"v{int(d)}" for d in str(2**64)))),
+               {name: "v0" for name in names}]
+        for k in range(120):
+            record = records[int(rng.integers(len(records)))]
+            size = int(rng.integers(1, self.N_QI + 1)) if k % 3 else self.N_QI
+            chosen = rng.choice(self.N_QI, size=size, replace=False)
+            qv = {names[j]: record[names[j]] for j in chosen.tolist()}
+            if k % 7 == 0:
+                qv[names[int(chosen[0])]] = f"v{int(rng.integers(self.DOMAIN))}"
+            if k % 11 == 0:
+                qv[names[int(chosen[0])]] = "absent"
+            if k % 13 == 0:
+                qv["zodiac"] = "leo"
+            qvs.append(qv)
+        matches = space.match_antecedents(qvs)
+        ids, counts, unknown = legacy.match_antecedents_lexsort(space, qvs)
+        assert matches.unknown == unknown
+        np.testing.assert_array_equal(matches.counts, counts)
+        for j, expected in enumerate(ids):
+            got = matches.ids[matches.indptr[j] : matches.indptr[j + 1]]
+            np.testing.assert_array_equal(got, expected)
+        assert (counts > 0).sum() > 60  # most antecedents match

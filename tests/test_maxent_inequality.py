@@ -21,6 +21,7 @@ from repro.maxent.dual import build_dual
 from repro.maxent.indexing import GroupVariableSpace
 from repro.maxent.inequality import classify_inequalities, verify_kkt
 from repro.maxent.lbfgs import solve_dual_lbfgs
+from tests.helpers import vars_matching
 from tests.reference_solvers import solve_primal
 
 
@@ -64,8 +65,8 @@ class TestIntervalSolving:
         system = interval_system(space, 0.5, 1.0)
         solution = solve_dual_lbfgs(build_dual(system, 1.0), tol=1e-9)
         assert solution.converged
-        indices = space.vars_matching(
-            {"gender": "male", "degree": "college"}, S3
+        indices = vars_matching(
+            space, {"gender": "male", "degree": "college"}, S3
         )
         achieved = solution.p[indices].sum() / 0.3  # P(q1) = 3/10
         assert achieved == pytest.approx(0.5, abs=1e-6)
@@ -73,8 +74,8 @@ class TestIntervalSolving:
     def test_binding_upper_bound(self, space):
         system = interval_system(space, 0.0, 0.1)
         solution = solve_dual_lbfgs(build_dual(system, 1.0), tol=1e-9)
-        indices = space.vars_matching(
-            {"gender": "male", "degree": "college"}, S3
+        indices = vars_matching(
+            space, {"gender": "male", "degree": "college"}, S3
         )
         achieved = solution.p[indices].sum() / 0.3
         assert achieved == pytest.approx(0.1, abs=1e-6)
@@ -127,10 +128,10 @@ class TestComparisons:
         )
         solution = solve_dual_lbfgs(build_dual(system, 1.0), tol=1e-9)
         more = solution.p[
-            space.vars_matching({"gender": "male", "degree": "college"}, S3)
+            vars_matching(space, {"gender": "male", "degree": "college"}, S3)
         ].sum()
         less = solution.p[
-            space.vars_matching({"gender": "male", "degree": "college"}, S2)
+            vars_matching(space, {"gender": "male", "degree": "college"}, S2)
         ].sum()
         assert more >= less - 1e-8
 
