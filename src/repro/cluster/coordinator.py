@@ -103,14 +103,30 @@ class WorkerHandle:
         }
 
 
+#: BLAS thread pools a locally spawned worker pins to one thread.
+BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+
+
 def _worker_environment() -> dict[str, str]:
-    """Subprocess env with this checkout's ``src`` on the import path."""
+    """Subprocess env with this checkout's ``src`` on the import path.
+
+    Local workers share the host's cores, so each runs its BLAS on one
+    thread unless the operator set a thread count: unpinned, every
+    worker's BLAS spawns a thread per core and co-located workers
+    oversubscribe the host.
+    """
     env = os.environ.copy()
     src_dir = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (
         src_dir if not existing else os.pathsep.join([src_dir, existing])
     )
+    for name in BLAS_THREAD_VARIABLES:
+        env.setdefault(name, "1")
     return env
 
 

@@ -13,10 +13,10 @@ telemetry see one contract.  No per-component constraint system is
 built: sizes and row counts come from the stack's arrays, and a
 component presolve forced whole gets its residual from the stack's rows.
 
-A unit of one component differs in one call only: its block goes to
-:func:`~repro.maxent.lbfgs.solve_dual_lbfgs` on its own (as a batch's
-stragglers do) instead of the vectorized loop of
-:mod:`repro.maxent.batch_dual`.
+The dual goes to :func:`~repro.maxent.batch_dual.solve_batch_dual` for
+every unit.  A unit whose presolve leaves one dual (a lone component, or
+a group with one numeric block) runs the L-BFGS ladder on it directly;
+several run the vectorized round loop.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.maxent.batch_dual import DualStack, solve_batch_dual
+from repro.maxent.batch_dual import solve_batch_dual
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.decompose import Component, ComponentStack
-from repro.maxent.lbfgs import solve_dual_lbfgs
+from repro.maxent.dual import DualStack
 from repro.maxent.presolve import presolve_stack
 from repro.maxent.solution import SolverStats
 from repro.obs.trace import get_tracer
@@ -99,17 +99,18 @@ def solve_component_group(
     solution is lifted onto the stack in one scatter and unbundled into
     per-component :class:`ComponentSolve` records.  A component presolve
     leaves nothing to optimize (no free variable, or no mass) is a forced
-    solve.  A group's numeric blocks run one vectorized L-BFGS loop; a
-    lone component runs its own L-BFGS call.  ``warm_starts`` holds one
-    candidate start (or ``None``) per component; one the reduced dual
-    cannot use is ignored.
+    solve.  The numeric blocks go to one
+    :func:`~repro.maxent.batch_dual.solve_batch_dual` call: the
+    vectorized L-BFGS loop for several, the L-BFGS ladder for one.
+    ``warm_starts`` holds one candidate start (or ``None``) per
+    component; one the reduced dual cannot use is ignored.
 
     The unit's wall time is attributed across components proportionally
     to their size, so summed ``cpu_seconds`` telemetry stays meaningful.
     The ``engine.solve_group`` span nests under the caller's active span
     and carries the unit's summed phase times, its presolve fixes, and
-    the stacked dual's rounds and solo fallbacks (both 0 for a lone
-    component).
+    the stacked dual's rounds and solo fallbacks (both 0 when presolve
+    leaves at most one dual).
     """
     stack = components[0].stack
     if any(component.stack is not stack for component in components):
@@ -143,34 +144,15 @@ def solve_component_group(
             x0s = [warm_list[index] for index in positions]
 
             with Timer() as dual_timer:
-                rounds = solo_fallbacks = 0
-                if n > 1:
-                    batch = solve_batch_dual(
-                        dual_stack,
-                        tol=config.tol,
-                        max_iterations=config.max_iterations,
-                        x0s=x0s,
-                    )
-                    results = zip(batch.results, batch.batched)
-                    p_numeric = batch.p
-                    rounds = batch.rounds
-                    solo_fallbacks = batch.batched.count(False)
-                else:
-                    # A lone component's dual (if presolve left one) on
-                    # its own L-BFGS call.
-                    alone = [
-                        solve_dual_lbfgs(
-                            dual_stack.block(k),
-                            tol=config.tol,
-                            max_iterations=config.max_iterations,
-                            x0=x0,
-                        )
-                        for k, x0 in enumerate(x0s)
-                    ]
-                    results = zip(alone, [False] * len(alone))
-                    p_numeric = alone[0].p if alone else np.zeros(0)
+                batch = solve_batch_dual(
+                    dual_stack,
+                    tol=config.tol,
+                    max_iterations=config.max_iterations,
+                    x0s=x0s,
+                )
+            results = zip(batch.results, batch.batched)
             p_free = np.zeros(int(presolved.free_indptr[-1]))
-            p_free[np.repeat(numeric, free_counts)] = p_numeric
+            p_free[np.repeat(numeric, free_counts)] = batch.p
             p = presolved.lift(p_free)
             var_bounds = presolved.var_indptr.tolist()
             p_blocks = [
@@ -243,8 +225,8 @@ def solve_component_group(
                 phases[name] = phases.get(name, 0.0) + seconds
         span.set(
             presolve_fixed=sum(solve.stats.presolve_fixed for solve in solves),
-            rounds=rounds,
-            solo_fallbacks=solo_fallbacks,
+            rounds=batch.rounds,
+            solo_fallbacks=batch.solo_fallbacks,
             **{
                 f"phase.{name}_seconds": round(seconds, 6)
                 for name, seconds in phases.items()

@@ -91,10 +91,15 @@ class SkylineBound:
         sa_labels = table.sa_labels()
 
         # Track pseudonym usage per QI tuple so distinct people get
-        # distinct pseudonyms.
+        # distinct pseudonyms, and remember each row's: a row drawn as a
+        # known other (family 1) and again as a peer (family 3) is one
+        # person.
         next_index: dict[tuple, int] = {}
+        assigned: dict[int, Pseudonym] = {}
 
         def pseudonym_for(row: int) -> Pseudonym:
+            if row in assigned:
+                return assigned[row]
             q = qi_tuples[row]
             index = next_index.get(q, 0)
             group = pseudonyms.of_qi(q)
@@ -104,6 +109,7 @@ class SkylineBound:
                     "cannot represent another distinct person"
                 )
             next_index[q] = index + 1
+            assigned[row] = group[index]
             return group[index]
 
         target = pseudonym_for(target_row)

@@ -64,8 +64,10 @@ class MaxEntConfig:
         dispatch overhead dominates.  On by default (1024): batched
         results agree with per-component solves within ``tol`` (the
         stacked trajectory differs in the last bits), not bit for bit.
-        ``0`` (or ``1``) solves every component on its own, which on an
-        engine with ``cache_size=0`` replays bit for bit across runs.
+        ``0`` (or ``1``) makes every component its own work unit, whose
+        dual is a one-block stack solved by the L-BFGS ladder alone; on
+        an engine with ``cache_size=0`` that replays bit for bit across
+        runs.
     batch_max_vars:
         Size threshold of the batched path: only components with at most
         this many variables are binned into batch groups (large

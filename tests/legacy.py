@@ -26,7 +26,13 @@ stacks the duals (:func:`stack_duals`); the single-component task
 presolves one component, solves its own dual and restores the solution.
 The engine runs one task for both — the block-diagonal stack of the
 unit presolved once — and must return the same solutions, statistics
-and multipliers bit for bit (``test_engine_batch.py``).
+and multipliers bit for bit (``test_engine_batch.py``).  The
+single-component task solves on the lone-component dual class and
+L-BFGS ladder the package ran before one stacked evaluator served every
+dual (:class:`DualProblem`, :func:`build_dual_problem`,
+:func:`solve_dual_problem`): a one-block stack must evaluate and solve
+bit for bit like them (``test_maxent_dual.py``, and CI's lone dual
+identity sweep).
 
 It also holds Theorem 3's redundant-row filter in both forms, the
 array-native :func:`drop_redundant_data_rows` and its row-wise twin.  No
@@ -54,10 +60,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import minimize
 
 from repro.anonymize.buckets import BucketizedTable
 from repro.data.table import QITuple, Table
@@ -82,17 +90,17 @@ from repro.knowledge.statements import (
     Statement,
 )
 from repro.engine.component import ComponentSolve
-from repro.maxent.batch_dual import DualStack, solve_batch_dual
+from repro.maxent.batch_dual import solve_batch_dual
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, Row, kind_code
 from repro.maxent.decompose import DATA_ROW_KINDS, _permute_rows
-from repro.maxent.dual import DualProblem, build_dual
+from repro.maxent.dual import DualStack, build_dual
 from repro.maxent.indexing import (
     GroupVariableSpace,
     PersonVariableSpace,
     _take_ranges,
 )
-from repro.maxent.lbfgs import solve_dual_lbfgs
+from repro.maxent.lbfgs import DualSolveResult, usable_start
 from repro.maxent.presolve import PresolveResult, presolve
 from repro.maxent.solution import SolverStats
 from repro.utils.timer import Timer
@@ -714,37 +722,246 @@ def _legacy_stats(
     )
 
 
-def stack_duals(duals: list[DualProblem]) -> DualStack:
-    """Stack assembled per-block duals (each block's own CSR copied in)."""
-    matrices = [dual.matrix.tocsr() for dual in duals]
-    row_counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
-    var_counts = np.array([m.shape[1] for m in matrices], dtype=np.int64)
-    nnz = np.array([m.indices.size for m in matrices], dtype=np.int64)
+def stack_duals(duals: list[DualStack]) -> DualStack:
+    """Stack the blocks of several dual stacks into one, in order."""
+    row_counts = np.concatenate(
+        [d.row_counts for d in duals] or [np.empty(0, dtype=np.int64)]
+    )
+    var_counts = np.concatenate(
+        [d.var_counts for d in duals] or [np.empty(0, dtype=np.int64)]
+    )
+    nnz = np.array([d.indices.size for d in duals], dtype=np.int64)
+    n_vars = np.array([int(d.var_indptr[-1]) for d in duals], dtype=np.int64)
     empty_i = np.empty(0, dtype=np.int64)
-    lengths = np.concatenate([np.diff(m.indptr) for m in matrices] or [empty_i])
-    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    var_indptr = np.concatenate([[0], np.cumsum(var_counts)]).astype(np.int64)
+    lengths = np.concatenate([np.diff(d.indptr) for d in duals] or [empty_i])
+    var_starts = np.cumsum(n_vars) - n_vars
     indices = np.concatenate(
-        [m.indices.astype(np.int64) for m in matrices] or [empty_i]
+        [d.indices.astype(np.int64) for d in duals] or [empty_i]
     )
     return DualStack(
-        indptr=indptr,
-        indices=indices + np.repeat(var_indptr[:-1], nnz),
+        indptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+        indices=indices + np.repeat(var_starts, nnz),
         data=np.concatenate(
-            [np.asarray(m.data, dtype=float) for m in matrices]
-            or [np.empty(0)]
+            [np.asarray(d.data, dtype=float) for d in duals] or [np.empty(0)]
         ),
-        rhs=np.concatenate([dual.rhs for dual in duals] or [np.empty(0)]),
+        rhs=np.concatenate([d.rhs for d in duals] or [np.empty(0)]),
         row_indptr=np.concatenate([[0], np.cumsum(row_counts)]).astype(
             np.int64
         ),
-        var_indptr=var_indptr,
-        n_equalities=np.array(
-            [dual.n_equalities for dual in duals], dtype=np.int64
+        var_indptr=np.concatenate([[0], np.cumsum(var_counts)]).astype(
+            np.int64
         ),
-        masses=np.array([float(dual.mass) for dual in duals]),
+        n_equalities=np.concatenate(
+            [d.n_equalities for d in duals] or [empty_i]
+        ).astype(np.int64),
+        masses=np.concatenate(
+            [np.asarray(d.masses, dtype=float) for d in duals]
+            or [np.empty(0)]
+        ),
     )
+
+
+# -- the lone-component dual and its L-BFGS ladder -----------------------------
+
+
+@dataclass
+class DualProblem:
+    """Assembled matrices of one component's dual."""
+
+    matrix: sp.csr_matrix  # stacked [A; G]
+    rhs: np.ndarray  # stacked [c; d]
+    n_equalities: int
+    n_inequalities: int
+    mass: float
+    #: ``matrix.T`` as CSR, built once here rather than per evaluation.
+    transpose: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.transpose = self.matrix.T.tocsr()
+
+    @property
+    def n_params(self) -> int:
+        """Number of dual parameters (one per row)."""
+        return self.n_equalities + self.n_inequalities
+
+    @property
+    def n_vars(self) -> int:
+        """Number of primal variables."""
+        return self.matrix.shape[1]
+
+    def bounds(self) -> list[tuple[float | None, float | None]]:
+        """L-BFGS-B box: equality multipliers free, inequality ones >= 0."""
+        return [(None, None)] * self.n_equalities + [
+            (0.0, None)
+        ] * self.n_inequalities
+
+    def theta(self, x: np.ndarray) -> np.ndarray:
+        """Exponential-family parameters ``-(R^T x)`` at multipliers x."""
+        return -(self.transpose @ x)
+
+    def primal(self, x: np.ndarray) -> np.ndarray:
+        """The primal point ``p = M softmax(theta)`` at multipliers x."""
+        theta = self.theta(x)
+        shifted = theta - theta.max()
+        weights = np.exp(shifted)
+        return self.mass * weights / weights.sum()
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Dual objective and gradient (the negated residual)."""
+        theta = self.theta(x)
+        shift = theta.max()
+        weights = np.exp(theta - shift)
+        total = weights.sum()
+        value = self.mass * float(shift + np.log(total)) + float(x @ self.rhs)
+        p = self.mass * weights / total
+        grad = self.rhs - self.matrix @ p
+        return value, grad
+
+    def hess_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Hessian-vector product of the dual at multipliers ``x``."""
+        p = self.primal(x)
+        w = self.transpose @ v
+        rp = self.matrix @ p
+        return self.matrix @ (p * w) - rp * (float(p @ w) / self.mass)
+
+    def residuals(self, p: np.ndarray) -> tuple[float, float]:
+        """(worst equality violation, worst inequality violation) at p."""
+        values = self.matrix @ p
+        eq_violation = 0.0
+        if self.n_equalities:
+            eq_violation = float(
+                np.abs(values[: self.n_equalities] - self.rhs[: self.n_equalities]).max()
+            )
+        ineq_violation = 0.0
+        if self.n_inequalities:
+            excess = values[self.n_equalities :] - self.rhs[self.n_equalities :]
+            ineq_violation = float(np.clip(excess, 0.0, None).max())
+        return eq_violation, ineq_violation
+
+    def residual_scale(self) -> float:
+        """Normalizer for relative residuals (the natural rhs magnitude)."""
+        if self.rhs.size == 0:
+            return max(self.mass, 1e-12)
+        return float(max(np.abs(self.rhs).max(), self.mass / max(self.n_vars, 1), 1e-12))
+
+
+def build_dual_problem(system: ConstraintSystem, mass: float) -> DualProblem:
+    """Assemble a :class:`DualProblem` from a (component-local) system."""
+    if mass <= 0:
+        raise ReproError(f"component mass must be positive, got {mass}")
+    a_matrix, c = system.equality_matrix()
+    g_matrix, d = system.inequality_matrix()
+    stacked = sp.vstack([a_matrix, g_matrix]).tocsr()
+    rhs = np.concatenate([c, d])
+    return DualProblem(
+        matrix=stacked,
+        rhs=rhs,
+        n_equalities=system.n_equalities,
+        n_inequalities=system.n_inequalities,
+        mass=mass,
+    )
+
+
+def _package(
+    dual: DualProblem,
+    x: np.ndarray,
+    iterations: int,
+    tol: float,
+    scale: float,
+    message: str,
+) -> DualSolveResult:
+    p = dual.primal(x)
+    eq_res, ineq_res = dual.residuals(p)
+    return DualSolveResult(
+        p=p,
+        iterations=iterations,
+        eq_residual=eq_res,
+        ineq_residual=ineq_res,
+        scale=scale,
+        converged=max(eq_res, ineq_res) <= tol * scale,
+        message=message,
+        multipliers=np.asarray(x, dtype=float),
+    )
+
+
+def solve_dual_problem(
+    dual: DualProblem,
+    *,
+    tol: float = 1e-6,
+    max_iterations: int = 1000,
+    x0: np.ndarray | None = None,
+) -> DualSolveResult:
+    """L-BFGS-B, then the Newton-CG polish, then a longer L-BFGS leg."""
+    scale = dual.residual_scale()
+    gtol = max(tol * scale * 0.1, 1e-15)
+    bounds = dual.bounds() if dual.n_inequalities else None
+    x0 = usable_start(x0, dual.n_params)
+
+    result = minimize(
+        dual.value_and_grad,
+        np.zeros(dual.n_params) if x0 is None else x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={
+            "maxiter": max_iterations,
+            "maxfun": max_iterations * 4,
+            "gtol": gtol,
+            "ftol": 1e-18,
+        },
+    )
+    outcome = _package(
+        dual, result.x, int(result.nit), tol, scale, str(result.message)
+    )
+    if outcome.converged:
+        return outcome
+
+    if dual.n_inequalities == 0:
+        polish = minimize(
+            dual.value_and_grad,
+            result.x,
+            jac=True,
+            hessp=dual.hess_vec,
+            method="Newton-CG",
+            options={"maxiter": max(50, max_iterations // 10), "xtol": 1e-14},
+        )
+        polished = _package(
+            dual,
+            polish.x,
+            outcome.iterations + int(polish.nit),
+            tol,
+            scale,
+            f"L-BFGS + Newton-CG polish: {polish.message}",
+        )
+        if polished.relative_residual <= outcome.relative_residual:
+            outcome = polished
+        if outcome.converged:
+            return outcome
+
+    retry = minimize(
+        dual.value_and_grad,
+        result.x,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={
+            "maxiter": max_iterations * 3,
+            "maxfun": max_iterations * 12,
+            "gtol": gtol,
+            "ftol": 1e-18,
+        },
+    )
+    retried = _package(
+        dual,
+        retry.x,
+        outcome.iterations + int(retry.nit),
+        tol,
+        scale,
+        str(retry.message),
+    )
+    if retried.relative_residual <= outcome.relative_residual:
+        return retried
+    return outcome
 
 
 # -- the single-component task -------------------------------------------------
@@ -814,8 +1031,8 @@ def solve_component(
             )
         else:
             with Timer() as dual_timer:
-                dual = build_dual(system, mass)
-                result = solve_dual_lbfgs(
+                dual = build_dual_problem(system, mass)
+                result = solve_dual_problem(
                     dual,
                     tol=config.tol,
                     max_iterations=config.max_iterations,

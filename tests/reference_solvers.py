@@ -40,8 +40,8 @@ from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from repro.errors import NotSupportedError
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.dual import DualProblem
-from repro.maxent.lbfgs import DualSolveResult
+from repro.maxent.dual import DualStack, StackedDual
+from repro.maxent.lbfgs import DualSolveResult, dual_results
 
 
 # -- GIS ---------------------------------------------------------------------
@@ -228,23 +228,23 @@ def solve_iis(
 
 
 def solve_dual_newton(
-    dual: DualProblem,
+    stack: DualStack,
     *,
     tol: float = 1e-6,
     max_iterations: int = 1000,
     x0: np.ndarray | None = None,
 ) -> DualSolveResult:
-    """Minimize the dual with Newton-CG (equality systems only).
+    """Minimize a one-block dual with Newton-CG (equality systems only).
 
     ``x0`` optionally warm-starts the multipliers; the dual is convex, so
     it affects iteration count only.
     """
+    dual = StackedDual(stack)
     if dual.n_inequalities:
         raise NotSupportedError(
             "the newton solver handles equality constraints only; use "
             "the lbfgs solver for inequality (vague) knowledge"
         )
-    scale = dual.residual_scale()
     result = minimize(
         dual.value_and_grad,
         np.zeros(dual.n_params) if x0 is None else np.asarray(x0, dtype=float),
@@ -253,18 +253,10 @@ def solve_dual_newton(
         method="Newton-CG",
         options={"maxiter": max_iterations, "xtol": 1e-14},
     )
-    p = dual.primal(result.x)
-    eq_res, ineq_res = dual.residuals(p)
-    return DualSolveResult(
-        p=p,
-        iterations=int(result.nit),
-        eq_residual=eq_res,
-        ineq_residual=ineq_res,
-        scale=scale,
-        converged=max(eq_res, ineq_res) <= tol * scale,
-        message=str(result.message),
-        multipliers=np.asarray(result.x, dtype=float),
+    (outcome,) = dual_results(
+        dual, result.x, [int(result.nit)], tol, str(result.message)
     )
+    return outcome
 
 
 # -- primal trust-constr -----------------------------------------------------

@@ -12,25 +12,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.maxent.batch_dual import (
-    _softmax_parts,
-    segment_max,
-    segment_min,
-    segment_sum,
-    solve_batch_dual,
-)
+from repro.maxent.batch_dual import solve_batch_dual
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.dual import build_dual
+from repro.maxent.dual import StackedDual, _Segments, _softmax_parts, build_dual
 from repro.maxent.lbfgs import solve_dual_lbfgs
-from tests.legacy import stack_duals
+from tests.legacy import build_dual_problem, stack_duals
 
 TOL = 1e-6
 
 
-def simple_block(
+def segment_max(values, indptr, fill=0.0):
+    return _Segments(indptr).reduce(np.maximum, values, fill)
+
+
+def segment_min(values, indptr, fill=0.0):
+    return _Segments(indptr).reduce(np.minimum, values, fill)
+
+
+def segment_sum(values, indptr, fill=0.0):
+    return _Segments(indptr).reduce(np.add, values, fill)
+
+
+def simple_system(
     n_vars: int = 6, pair_value: float = 0.45, mass: float = 1.0
-):
-    """A tiny well-behaved dual: mass row + one two-variable row."""
+) -> ConstraintSystem:
+    """Mass row + one two-variable row."""
     system = ConstraintSystem(n_vars)
     system.add_equality(
         list(range(n_vars)), [1.0] * n_vars, mass, kind="qi", label="mass"
@@ -38,7 +44,14 @@ def simple_block(
     system.add_equality(
         [0, 1], [1.0, 1.0], pair_value * mass, kind="stmt", label="pair"
     )
-    return build_dual(system, mass)
+    return system
+
+
+def simple_block(
+    n_vars: int = 6, pair_value: float = 0.45, mass: float = 1.0
+):
+    """A tiny well-behaved dual: mass row + one two-variable row."""
+    return build_dual(simple_system(n_vars, pair_value, mass), mass)
 
 
 def straggler_block(n_vars: int = 24, with_inequality: bool = False):
@@ -93,8 +106,7 @@ def random_csr(rng, n_segments, empty_fraction=0.3):
 
 
 class TestGuardedReductions:
-    """The shared empty-segment guard (consolidated from batch_dual and
-    presolve, which used to carry duplicate copies)."""
+    """The one empty-segment guard every per-block reduction runs behind."""
 
     def test_matches_python_loop(self):
         rng = np.random.default_rng(0)
@@ -146,7 +158,7 @@ class TestSoftmaxParts:
         indptr = np.concatenate([[0], np.cumsum(counts)])
         theta = rng.standard_normal(int(indptr[-1])) * 10
         masses = np.array([0.5, 1.0, 0.25])
-        p, lse = _softmax_parts(theta, indptr, counts, masses)
+        p, lse = _softmax_parts(theta, _Segments(indptr), masses)
         for k in range(3):
             seg = theta[indptr[k] : indptr[k + 1]]
             expected = masses[k] * np.exp(seg) / np.exp(seg).sum()
@@ -162,7 +174,7 @@ class TestSoftmaxParts:
         indptr = np.array([0, 2, 4])
         counts = np.array([2, 2])
         masses = np.ones(2)
-        p, lse = _softmax_parts(theta, indptr, counts, masses)
+        p, lse = _softmax_parts(theta, _Segments(indptr), masses)
         assert np.isfinite(p).all() and np.isfinite(lse).all()
         assert p[:2].sum() == pytest.approx(1.0)
         assert p[2:].sum() == pytest.approx(1.0)
@@ -170,41 +182,53 @@ class TestSoftmaxParts:
 
 class TestDualStack:
     @staticmethod
-    def _duals():
+    def _systems():
         system = ConstraintSystem(5)
         system.add_equality(
             [0, 1, 2, 3, 4], [1.0] * 5, 1.0, kind="qi", label="mass"
         )
         system.add_equality([0, 2], [1.0, -0.5], 0.1, kind="stmt")
         system.add_inequality([1, 3], [1.0, 1.0], 0.4, kind="vague")
-        return [simple_block(), build_dual(system, 0.7), simple_block(4)]
+        return [(simple_system(), 1.0), (system, 0.7), (simple_system(4), 1.0)]
+
+    def _duals(self):
+        return [build_dual(system, mass) for system, mass in self._systems()]
 
     def test_residual_scales_match_build_dual(self):
-        duals = self._duals() + [build_dual(ConstraintSystem(3), 0.6)]
-        stack = stack_duals(duals)
-        assert stack.n_blocks == len(duals)
-        assert stack.row_counts.tolist() == [d.n_params for d in duals]
-        assert stack.var_counts.tolist() == [d.n_vars for d in duals]
-        assert stack.n_equalities.tolist() == [d.n_equalities for d in duals]
+        systems = self._systems() + [(ConstraintSystem(3), 0.6)]
+        # The lone-component dual of tests.legacy is the reference.
+        oracles = [build_dual_problem(s, mass) for s, mass in systems]
+        stack = stack_duals([build_dual(s, mass) for s, mass in systems])
+        assert stack.n_blocks == len(systems)
+        assert stack.row_counts.tolist() == [d.n_params for d in oracles]
+        assert stack.var_counts.tolist() == [d.n_vars for d in oracles]
+        assert stack.n_equalities.tolist() == [
+            d.n_equalities for d in oracles
+        ]
         assert stack.residual_scales().tolist() == [
-            d.residual_scale() for d in duals
+            d.residual_scale() for d in oracles
         ]
         assert np.flatnonzero(stack.inequality_rows()).tolist() == [
-            duals[0].n_params + 2
+            oracles[0].n_params + 2
         ]
 
     def test_block_round_trips(self):
+        # Picking one block of a stack gives back that block's own dual.
         duals = self._duals()
         stack = stack_duals(duals)
         for k, dual in enumerate(duals):
-            block = stack.block(k)
+            block = stack.select(np.arange(len(duals)) == k)
+            for field in (
+                "indptr", "indices", "data", "rhs", "row_indptr",
+                "var_indptr", "n_equalities", "masses",
+            ):
+                assert np.array_equal(
+                    getattr(block, field), getattr(dual, field)
+                ), field
             assert np.array_equal(
-                block.matrix.toarray(), dual.matrix.toarray()
+                StackedDual(block).matrix.toarray(),
+                StackedDual(dual).matrix.toarray(),
             )
-            assert np.array_equal(block.rhs, dual.rhs)
-            assert block.n_equalities == dual.n_equalities
-            assert block.n_inequalities == dual.n_inequalities
-            assert block.mass == dual.mass
 
     def test_select_keeps_the_picked_blocks(self):
         duals = self._duals()
@@ -212,8 +236,10 @@ class TestDualStack:
         picked = stack.select(np.array([True, False, True]))
         assert picked.n_blocks == 2
         for k, dual in enumerate([duals[0], duals[2]]):
+            block = picked.select(np.arange(2) == k)
             assert np.array_equal(
-                picked.block(k).matrix.toarray(), dual.matrix.toarray()
+                StackedDual(block).matrix.toarray(),
+                StackedDual(dual).matrix.toarray(),
             )
         assert stack.select(np.ones(3, dtype=bool)) is stack
 

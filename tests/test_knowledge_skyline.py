@@ -1,5 +1,7 @@
 """Tests for the privacy-skyline (l, k, m) bound bridge."""
 
+from itertools import product
+
 import pytest
 
 from repro.core.privacy_maxent import PrivacyMaxEnt
@@ -72,6 +74,23 @@ class TestInstantiation:
         solution = engine.solve()
         assert solution.stats.converged
 
+    def test_a_known_other_drawn_as_a_peer_keeps_one_pseudonym(self, setting):
+        # Target row 6 (female junior, Breast Cancer): seed 0 draws row 2
+        # (female college, Breast Cancer) as a known other and then as
+        # the peer.  Both facts are about the same person.
+        table, published, _pseudonyms = setting
+        _target, statements = SkylineBound(3, 2, 1).instantiate(
+            table, PseudonymTable(published), target_row=6, seed=0
+        )
+        certain = {
+            s.person
+            for s in statements
+            if isinstance(s, IndividualProbability) and s.probability == 1.0
+        }
+        (group,) = [s for s in statements if isinstance(s, GroupCountAtLeast)]
+        peers = set(group.persons[1:])
+        assert peers and peers <= certain
+
     def test_infeasible_bounds_detected(self, setting):
         table, _published, pseudonyms = setting
         # Allen (row 0, Flu): only two other Flu carriers exist.
@@ -119,3 +138,40 @@ class TestDisclosureEffect:
         weak = target_confidence(SkylineBound(0, 0, 0))
         negged = target_confidence(SkylineBound(0, 2, 0))
         assert negged >= weak - 1e-9
+
+
+#: (l_others, k_negations, m_peers) of the paper-example sweep.
+SWEEP_BOUNDS = [
+    (0, 0, 0),
+    (0, 0, 1),
+    (0, 1, 0),
+    (0, 1, 1),
+    (1, 0, 1),
+    (1, 1, 1),
+    (2, 0, 1),
+    (2, 1, 1),
+    (3, 0, 1),
+    (3, 2, 1),
+]
+
+
+class TestPaperExampleSweep:
+    def test_every_instance_is_true_of_the_data(self, setting):
+        """Every bound the data supports, against every target and seed,
+        compiles to feasible knowledge that the solve converges on."""
+        table, published, _pseudonyms = setting
+        instances = 0
+        for bound, row, seed in product(SWEEP_BOUNDS, range(10), range(6)):
+            try:
+                _target, statements = SkylineBound(*bound).instantiate(
+                    table, PseudonymTable(published), target_row=row, seed=seed
+                )
+            except KnowledgeError:
+                continue  # the data cannot support this bound here
+            # Contradictory statements raise InfeasibleKnowledgeError.
+            solution = PrivacyMaxEnt(
+                published, knowledge=statements, individuals=True
+            ).solve()
+            assert solution.stats.converged, (bound, row, seed)
+            instances += 1
+        assert instances == 552

@@ -8,7 +8,7 @@ from repro.errors import NotSupportedError
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalInterval, ConditionalProbability
 from repro.maxent.constraints import data_constraints
-from repro.maxent.dual import build_dual
+from repro.maxent.dual import StackedDual, build_dual
 from repro.maxent.indexing import GroupVariableSpace
 from repro.maxent.lbfgs import solve_dual_lbfgs
 from tests.reference_solvers import solve_dual_newton
@@ -66,7 +66,7 @@ class TestNewtonSolver:
             solve_dual_newton(build_dual(system, 1.0))
 
     def test_hess_vec_matches_finite_differences(self, system):
-        dual = build_dual(system, 1.0)
+        dual = StackedDual(build_dual(system, 1.0))
         rng = np.random.default_rng(0)
         x = rng.standard_normal(dual.n_params) * 0.1
         v = rng.standard_normal(dual.n_params)
